@@ -1,0 +1,101 @@
+"""Golden CLI reports: stdout bytes, exit code, and stderr on usage errors.
+
+Each case runs `sysmean.cli.main` on the population written by
+`synthesize --units 240 --seed 28` and compares the result with the files
+under tests/golden/: `<case>.stdout`, `<case>.stderr` (exit 2 only) and the
+exit codes in `exit_codes.json`.  The files are written by
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+which should only be run when a report change is intended.
+"""
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from sysmean.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+POP = "{pop}"
+
+FOREST_MOMENTS = [
+    "--pop-size", "176", "--n", "16",
+    "--mean-y", "282.6136", "--mean-x", "6.9943",
+    "--s2-y", "24114.67", "--s2-x", "8.76",
+    "--rho", "0.8710", "--rho-w", "0.8710", "--s2-y2", "18086.0025",
+]
+SIM = ["simulate", POP, "--n", "12", "--w2", "0.25", "--ell", "2", "--replicates", "200"]
+
+COMMANDS = {
+    "params": ["params", POP, "--n", "12"],
+    "params_sorted": ["params", POP, "--n", "12", "--sort-by", "x", "--s2y2-factor", "0.5"],
+    "table_file": ["theory-table", POP, "--n", "12"],
+    "table_file_family": ["theory-table", POP, "--n", "12", "--b", "5", "--g", "2",
+                          "--s2y2-factor", "0.3"],
+    "table_moments": ["theory-table", *FOREST_MOMENTS],
+    "sim_fixed": [*SIM, "--estimators", "hh,ratio,product,family", "--seed", "11"],
+    "sim_bernoulli": [*SIM, "--stratum-mode", "bernoulli", "--b", "5", "--seed", "12"],
+    "sim_exhaustive": [*SIM, "--exhaustive", "--alpha-policy", "explicit", "--alpha", "0.5",
+                       "--g", "1.5", "--seed", "13"],
+    "sim_sorted": [*SIM, "--sort-by", "x", "--s2y2-factor", "0.8", "--seed", "14"],
+    "params_non_divisor": ["params", POP, "--n", "7"],
+    "table_incomplete": ["theory-table", "--n", "16", "--pop-size", "176"],
+}
+CASES = {
+    f"{name}_{fmt}": [*argv, "--format", fmt]
+    for name, argv in COMMANDS.items()
+    for fmt in ("table", "csv", "json")
+}
+
+
+def write_population(directory: Path) -> Path:
+    path = directory / "pop.csv"
+    code = main(["synthesize", "--units", "240", "--seed", "28", "--out", str(path)])
+    assert code == 0
+    return path
+
+
+def run_case(case: str, pop: Path) -> tuple[int, str, str]:
+    argv = [str(pop) if token == POP else token for token in CASES[case]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pop_csv(tmp_path_factory):
+    return write_population(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, pop_csv):
+    code, out, err = run_case(case, pop_csv)
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == expected_codes[case]
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
+    if code == 2:
+        assert err.encode("utf-8") == (GOLDEN / f"{case}.stderr").read_bytes()
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        pop = write_population(Path(tmp))
+        for case in sorted(CASES):
+            code, out, err = run_case(case, pop)
+            codes[case] = code
+            (GOLDEN / f"{case}.stdout").write_bytes(out.encode("utf-8"))
+            if code == 2:
+                (GOLDEN / f"{case}.stderr").write_bytes(err.encode("utf-8"))
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(codes)} golden cases to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -74,7 +74,9 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_ingestion_options(parser: argparse.ArgumentParser, required: bool = True) -> None:
+def _add_population_options(
+    parser: argparse.ArgumentParser, s2y2_help: str, required: bool = True
+) -> None:
     parser.add_argument(
         "input", nargs=None if required else "?",
         help="delimiter-separated text file with a header row (comma or tab)",
@@ -89,6 +91,14 @@ def _add_ingestion_options(parser: argparse.ArgumentParser, required: bool = Tru
         "--expect-sha256", default=None,
         help="fail unless the input file has this sha256 digest",
     )
+    parser.add_argument("--n", type=int, required=True, help="systematic sample size")
+    parser.add_argument("--s2y2-factor", type=float, default=None, help=s2y2_help)
+
+
+def _add_family_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--a", type=float, default=1.0, help="family parameter a")
+    parser.add_argument("--b", type=float, default=0.0, help="family parameter b")
+    parser.add_argument("--g", type=float, default=1.0, help="family exponent g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,23 +113,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser(
         "params", help="ingest a dataset and report every population parameter"
     )
-    _add_ingestion_options(p_params)
-    p_params.add_argument("--n", type=int, required=True, help="systematic sample size")
-    p_params.add_argument(
-        "--s2y2-factor", type=float, default=None,
-        help="set the non-response stratum mean square to FACTOR * S2_y",
+    _add_population_options(
+        p_params, "set the non-response stratum mean square to FACTOR * S2_y"
     )
     _add_output_options(p_params)
+    p_params.set_defaults(func=cmd_params)
 
     p_table = sub.add_parser(
         "theory-table",
         help="tabulate variance, minimum family MSE, and PRE over a (w2, L) grid",
     )
-    _add_ingestion_options(p_table, required=False)
-    p_table.add_argument("--n", type=int, required=True, help="systematic sample size")
-    p_table.add_argument(
-        "--s2y2-factor", type=float, default=None,
-        help="stratum mean square as FACTOR * S2_y (default 0.75 when ingesting a file)",
+    _add_population_options(
+        p_table,
+        "stratum mean square as FACTOR * S2_y (default 0.75 when ingesting a file)",
+        required=False,
     )
     group = p_table.add_argument_group("explicit moments (instead of an input file)")
     group.add_argument("--pop-size", type=int, help="population size N")
@@ -134,17 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--s2-y2", type=float, help="stratum mean square, direct value")
     p_table.add_argument("--w2-grid", type=_float_list, default=list(DEFAULT_W2_GRID))
     p_table.add_argument("--ell-grid", type=_float_list, default=list(DEFAULT_ELL_GRID))
-    p_table.add_argument("--a", type=float, default=1.0, help="family parameter a")
-    p_table.add_argument("--b", type=float, default=0.0, help="family parameter b")
-    p_table.add_argument("--g", type=float, default=1.0, help="family exponent g")
+    _add_family_options(p_table)
     _add_output_options(p_table)
+    p_table.set_defaults(func=cmd_theory_table)
 
     p_sim = sub.add_parser(
         "simulate",
         help="Monte Carlo replication of the design with theory comparison",
     )
-    _add_ingestion_options(p_sim)
-    p_sim.add_argument("--n", type=int, required=True, help="systematic sample size")
+    _add_population_options(p_sim, "override the stratum mean square with FACTOR * S2_y")
     p_sim.add_argument("--replicates", type=int, default=2000)
     p_sim.add_argument("--seed", type=int, default=20250811, help="master seed")
     p_sim.add_argument("--w2", type=float, default=0.0, help="non-response rate")
@@ -162,19 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="family alpha: population optimum (default) or --alpha value",
     )
     p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument("--a", type=float, default=1.0, help="family parameter a")
-    p_sim.add_argument("--b", type=float, default=0.0, help="family parameter b")
-    p_sim.add_argument("--g", type=float, default=1.0, help="family exponent g")
+    _add_family_options(p_sim)
     p_sim.add_argument(
         "--exhaustive", action="store_true",
         help="cycle deterministically through all k start indices",
     )
     p_sim.add_argument("--tolerance-sigma", type=float, default=3.0)
-    p_sim.add_argument(
-        "--s2y2-factor", type=float, default=None,
-        help="override the stratum mean square with FACTOR * S2_y",
-    )
     _add_output_options(p_sim)
+    p_sim.set_defaults(func=cmd_simulate)
 
     p_synth = sub.add_parser(
         "synthesize", help="write a synthetic linear population as CSV"
@@ -189,47 +189,51 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--sort", action="store_true", help="arrange ascending by x")
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.add_argument("--manifest", help="manifest path (default: OUT.manifest.json)")
+    p_synth.set_defaults(func=cmd_synthesize)
 
     p_rerun = sub.add_parser("rerun", help="replay a run manifest")
     p_rerun.add_argument("manifest_file", help="path to a *.manifest.json file")
+    p_rerun.set_defaults(func=cmd_rerun)
 
     return parser
 
 
+# Namespace entries that are not run parameters: dispatch, the input (recorded
+# with its checksum), the seed (recorded on its own) and the manifest target.
+_NOT_PARAMETERS = frozenset({"command", "func", "input", "seed", "manifest"})
+
+
 def _manifest(
-    command: str,
-    argv: list[str],
-    parameters: dict,
-    input_path: str | None = None,
-    input_sha256: str | None = None,
-    seed: int | None = None,
+    args: argparse.Namespace, argv: list[str], sha: str | None, **resolved: object
 ) -> dict:
+    """Run manifest: every parsed option, overridden by the values the run resolved."""
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    parameters.update(resolved)
+    input_path = getattr(args, "input", None)
     return {
         "tool": "sysmean",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
-        "input": (
-            {"path": input_path, "sha256": input_sha256} if input_path is not None else None
-        ),
+        "input": {"path": input_path, "sha256": sha} if input_path is not None else None,
         "parameters": parameters,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 
 
-def _emit(args: argparse.Namespace, report: str, manifest: dict) -> None:
-    if getattr(args, "out", None):
+def _emit(args: argparse.Namespace, report: str | None, manifest: dict) -> None:
+    """Write the report (None: the command wrote --out itself) and the manifest."""
+    if report is not None and args.out:
         Path(args.out).write_text(report, encoding="utf-8")
-    else:
+    elif report is not None:
         sys.stdout.write(report)
     manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    target = getattr(args, "manifest", None)
-    if target == "-":
+    if args.manifest == "-":
         sys.stdout.write(manifest_text)
-    elif target:
-        Path(target).write_text(manifest_text, encoding="utf-8")
-    elif getattr(args, "out", None):
+    elif args.manifest:
+        Path(args.manifest).write_text(manifest_text, encoding="utf-8")
+    elif args.out:
         Path(str(args.out) + ".manifest.json").write_text(manifest_text, encoding="utf-8")
     else:
         sys.stderr.write(manifest_text)
@@ -247,6 +251,16 @@ def _ingest(args: argparse.Namespace) -> tuple[FinitePopulation, str]:
     return pop, sha
 
 
+def _with_s2y2_factor(
+    moments: PopulationMoments, factor: float | None, default: float | None = None
+) -> PopulationMoments:
+    """Set the stratum mean square to FACTOR * S2_y (DEFAULT when no factor is given)."""
+    factor = default if factor is None else factor
+    if factor is None:
+        return moments
+    return dataclasses.replace(moments, s2_y2=factor * moments.s2_y)
+
+
 def _kv_lines(pairs: list[tuple[str, object]]) -> str:
     width = max(len(key) for key, _ in pairs)
     return "\n".join(f"{key.ljust(width)}  {value}" for key, value in pairs) + "\n"
@@ -261,9 +275,7 @@ def _csv_lines(header: list[str], rows: list[list[object]]) -> str:
 def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
     pop, sha = _ingest(args)
     design = SystematicDesign.from_population_size(pop.N, args.n)
-    moments = compute_moments(pop, design)
-    if args.s2y2_factor is not None:
-        moments = dataclasses.replace(moments, s2_y2=args.s2y2_factor * moments.s2_y)
+    moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
 
     fields = [
         ("N", pop.N),
@@ -288,36 +300,22 @@ def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
     else:
         report = _kv_lines(fields)
 
-    manifest = _manifest(
-        "params",
-        argv,
-        {
-            "n": args.n,
-            "y_col": args.y_col,
-            "x_col": args.x_col,
-            "sort_by": args.sort_by,
-            "s2y2_factor": args.s2y2_factor,
-            "format": args.format,
-        },
-        input_path=args.input,
-        input_sha256=sha,
-    )
-    _emit(args, report, manifest)
+    _emit(args, report, _manifest(args, argv, sha))
     return 0
 
 
-def _moments_from_args(args: argparse.Namespace) -> tuple[PopulationMoments, int, str | None]:
-    """Resolve (moments, N, input sha) from a file or explicit scalars."""
+def _moments_from_args(
+    args: argparse.Namespace,
+) -> tuple[PopulationMoments, SystematicDesign, str | None]:
+    """Resolve (moments, design, input sha) from a file or explicit scalars."""
     explicit = [args.pop_size, args.mean_y, args.mean_x, args.s2_y, args.s2_x, args.rho]
     if args.input is not None:
         if any(v is not None for v in explicit):
             raise ConfigurationError("give an input file or explicit moments, not both")
         pop, sha = _ingest(args)
         design = SystematicDesign.from_population_size(pop.N, args.n)
-        factor = 0.75 if args.s2y2_factor is None else args.s2y2_factor
-        moments = compute_moments(pop, design)
-        moments = dataclasses.replace(moments, s2_y2=factor * moments.s2_y)
-        return moments, pop.N, sha
+        moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor, 0.75)
+        return moments, design, sha
 
     if any(v is None for v in explicit):
         raise ConfigurationError(
@@ -334,12 +332,6 @@ def _moments_from_args(args: argparse.Namespace) -> tuple[PopulationMoments, int
         raise ConfigurationError("provide --rho-w, or both --rho-y and --rho-x")
     if args.s2_y2 is not None and args.s2y2_factor is not None:
         raise ConfigurationError("--s2-y2 conflicts with --s2y2-factor")
-    if args.s2_y2 is not None:
-        s2_y2 = args.s2_y2
-    elif args.s2y2_factor is not None:
-        s2_y2 = args.s2y2_factor * args.s2_y
-    else:
-        s2_y2 = None
     moments = PopulationMoments.from_parameters(
         mean_y=args.mean_y,
         mean_x=args.mean_x,
@@ -348,16 +340,15 @@ def _moments_from_args(args: argparse.Namespace) -> tuple[PopulationMoments, int
         rho=args.rho,
         rho_y=rho_y,
         rho_x=rho_x,
-        s2_y2=s2_y2,
+        s2_y2=args.s2_y2,
     )
-    return moments, args.pop_size, None
+    design = SystematicDesign.from_population_size(args.pop_size, args.n)
+    return _with_s2y2_factor(moments, args.s2y2_factor), design, None
 
 
 def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
-    moments, N, sha = _moments_from_args(args)
-    n = args.n
-    if N % n != 0:
-        raise ConfigurationError(f"n={n} does not divide N={N}")
+    moments, design, sha = _moments_from_args(args)
+    N, n = design.N, design.n
     params = FamilyParams(alpha=0.0, g=args.g, a=args.a, b=args.b)
     constants = derived_constants(moments, n, N, params)
     alpha_opt = optimum_alpha(constants, args.g)
@@ -397,7 +388,7 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
         )
     else:
         lines = [
-            f"N={N} n={n} k={N // n}  alpha_opt={alpha_opt:.6f}  "
+            f"N={N} n={n} k={design.k}  alpha_opt={alpha_opt:.6f}  "
             f"K={constants.big_k:.6f}  rho_star={constants.rho_star:.6f}",
             f"{'w2':>5} {'L':>5} {'var(hh mean)':>16} {'min MSE(family)':>16} {'PRE':>9}",
         ]
@@ -407,29 +398,12 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
         )
         report = "\n".join(lines) + "\n"
 
-    manifest = _manifest(
-        "theory-table",
-        argv,
-        {
-            "N": N,
-            "n": n,
-            "w2_grid": list(args.w2_grid),
-            "ell_grid": list(args.ell_grid),
-            "a": args.a,
-            "b": args.b,
-            "g": args.g,
-            "moments": dataclasses.asdict(moments),
-            "format": args.format,
-        },
-        input_path=args.input,
-        input_sha256=sha,
-    )
-    _emit(args, report, manifest)
+    _emit(args, report, _manifest(args, argv, sha, N=N, moments=dataclasses.asdict(moments)))
     return 0
 
 
 def _build_estimators(
-    args: argparse.Namespace, alpha: float
+    args: argparse.Namespace, alpha: float | None
 ) -> tuple[EstimatorSpec, ...]:
     specs = []
     for token in args.estimators.split(","):
@@ -450,47 +424,39 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     pop, sha = _ingest(args)
     design = SystematicDesign.from_population_size(pop.N, args.n)
 
-    if args.stratum_mode == "fixed":
+    fixed = args.stratum_mode == "fixed"
+    stratum = None
+    if fixed:
         size = round(args.w2 * pop.N)
-        if size > 0:
-            chooser = design_rng(args.seed)
-            chosen = chooser.choice(pop.N, size=size, replace=False)
-            stratum = frozenset(int(u) + 1 for u in chosen)
-        else:
-            stratum = frozenset()
-        nr = NonResponseModel(
-            w2=args.w2, ell=args.ell, mode=StratumMode.FIXED_STRATUM, stratum=stratum
+        # An out-of-range rate draws nothing here; NonResponseModel rejects it below.
+        chosen = (
+            design_rng(args.seed).choice(pop.N, size, replace=False)
+            if 0 < size <= pop.N else ()
         )
-        w2_theory = len(stratum) / pop.N
-    else:
-        nr = NonResponseModel(
-            w2=args.w2, ell=args.ell, mode=StratumMode.BERNOULLI_PER_REPLICATE
-        )
-        w2_theory = args.w2
+        stratum = frozenset(int(u) + 1 for u in chosen)
+    nr = NonResponseModel(
+        w2=args.w2, ell=args.ell, mode=StratumMode(args.stratum_mode), stratum=stratum
+    )
+    w2_theory = len(stratum) / pop.N if fixed else args.w2
 
-    needs_s2y2 = w2_theory > 0 and args.ell > 1
-    moments = compute_moments(pop, design)
-    if args.s2y2_factor is not None:
-        moments = dataclasses.replace(moments, s2_y2=args.s2y2_factor * moments.s2_y)
-    elif needs_s2y2:
-        if args.stratum_mode == "fixed":
-            moments = compute_moments(pop, design, nr_stratum=nr.stratum)
-        else:
-            # Bernoulli non-response draws uniformly from the whole population,
-            # so the stratum mean square defaults to the overall mean square.
-            moments = dataclasses.replace(moments, s2_y2=moments.s2_y)
+    needs_s2y2 = w2_theory > 0 and args.ell > 1 and args.s2y2_factor is None
+    moments = compute_moments(pop, design, nr.stratum if needs_s2y2 and fixed else None)
+    # Bernoulli non-response draws uniformly from the whole population,
+    # so the stratum mean square defaults to the overall mean square.
+    moments = _with_s2y2_factor(
+        moments, args.s2y2_factor, 1.0 if needs_s2y2 and not fixed else None
+    )
 
     family_requested = "family" in args.estimators
     params_probe = (
         FamilyParams(alpha=0.0, g=args.g, a=args.a, b=args.b) if family_requested else None
     )
     constants = derived_constants(moments, design.n, design.N, params_probe)
-    if args.alpha_policy == "explicit":
-        if args.alpha is None:
-            raise ConfigurationError("--alpha-policy explicit requires --alpha")
-        alpha = args.alpha
-    else:
-        alpha = optimum_alpha(constants, args.g) if family_requested else 0.0
+    if args.alpha_policy == "explicit" and args.alpha is None:
+        raise ConfigurationError("--alpha-policy explicit requires --alpha")
+    alpha = None
+    if family_requested:
+        alpha = args.alpha if args.alpha_policy == "explicit" else optimum_alpha(constants, args.g)
 
     specs = _build_estimators(args, alpha)
     cfg = SimulationConfig(
@@ -540,7 +506,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             "seed": report.master_seed,
             "exhaustive_start": args.exhaustive,
             "w2_theory": w2_theory,
-            "alpha": alpha if family_requested else None,
+            "alpha": alpha,
             "results": [dataclasses.asdict(r) for r in report.results],
             "comparisons": [
                 dict(dataclasses.asdict(c), target=target_names[c.label])
@@ -591,7 +557,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             f"true mean_y={report.true_mean_y:.6f}  replicates={report.replicates}  "
             f"seed={report.master_seed}  exhaustive={args.exhaustive}",
             f"non-response: mode={args.stratum_mode} w2={args.w2} L={args.ell}"
-            + (f"  alpha={alpha:.6f}" if family_requested else ""),
+            + (f"  alpha={alpha:.6f}" if alpha is not None else ""),
             "",
             f"{'label':<10}{'mean':>14}{'bias':>13}{'MSE':>15}{'MC-SE':>12}"
             f"{'fail':>6}",
@@ -618,32 +584,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         lines.append("overall: " + ("PASS" if all_pass else "FAIL"))
         text = "\n".join(lines) + "\n"
 
-    manifest = _manifest(
-        "simulate",
-        argv,
-        {
-            "n": args.n,
-            "replicates": args.replicates,
-            "w2": args.w2,
-            "ell": args.ell,
-            "stratum_mode": args.stratum_mode,
-            "estimators": args.estimators,
-            "alpha_policy": args.alpha_policy,
-            "alpha": alpha if family_requested else None,
-            "a": args.a,
-            "b": args.b,
-            "g": args.g,
-            "exhaustive": args.exhaustive,
-            "tolerance_sigma": args.tolerance_sigma,
-            "s2y2_factor": args.s2y2_factor,
-            "sort_by": args.sort_by,
-            "format": args.format,
-        },
-        input_path=args.input,
-        input_sha256=sha,
-        seed=args.seed,
-    )
-    _emit(args, text, manifest)
+    _emit(args, text, _manifest(args, argv, sha, alpha=alpha))
     return 0 if all_pass else 1
 
 
@@ -659,36 +600,25 @@ def cmd_synthesize(args: argparse.Namespace, argv: list[str]) -> int:
         sort_by_x=args.sort,
     )
     write_population_csv(pop, args.out)
-    manifest = _manifest(
-        "synthesize",
-        argv,
-        {
-            "units": args.units,
-            "rho": args.rho,
-            "x_low": args.x_low,
-            "x_high": args.x_high,
-            "slope": args.slope,
-            "intercept": args.intercept,
-            "sort": args.sort,
-            "out": args.out,
-            "output_sha256": file_sha256(args.out),
-        },
-        seed=args.seed,
-    )
-    manifest_path = args.manifest or str(args.out) + ".manifest.json"
-    Path(manifest_path).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _emit(args, None, _manifest(args, argv, None, output_sha256=file_sha256(args.out)))
     return 0
 
 
-def cmd_rerun(args: argparse.Namespace) -> int:
+def cmd_rerun(args: argparse.Namespace, argv: list[str]) -> int:
+    """Replay a manifest's argv, gated on the input checksum it recorded."""
     with open(args.manifest_file, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    argv = manifest.get("argv")
-    if not isinstance(argv, list) or not argv:
+    replay = manifest.get("argv")
+    if not isinstance(replay, list) or not replay:
         raise ConfigurationError(f"manifest {args.manifest_file!r} has no argv to replay")
-    return main([str(token) for token in argv])
+    replay = [str(token) for token in replay]
+    if replay[0] == "rerun":
+        raise ConfigurationError(f"manifest {args.manifest_file!r} replays another rerun")
+    sha = (manifest.get("input") or {}).get("sha256")
+    if sha:
+        # The last --expect-sha256 wins, so the recorded digest overrides any earlier one.
+        replay += ["--expect-sha256", str(sha)]
+    return main(replay)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -700,21 +630,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        if args.command == "params":
-            return cmd_params(args, argv)
-        if args.command == "theory-table":
-            return cmd_theory_table(args, argv)
-        if args.command == "simulate":
-            return cmd_simulate(args, argv)
-        if args.command == "synthesize":
-            return cmd_synthesize(args, argv)
-        if args.command == "rerun":
-            return cmd_rerun(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
-    except EstimationError as exc:
-        print(f"sysmean: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.func(args, argv)
+    except (EstimationError, OSError) as exc:
         print(f"sysmean: error: {exc}", file=sys.stderr)
         return 2
 

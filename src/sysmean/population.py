@@ -142,7 +142,7 @@ def load_population(
     """
     if hasattr(source, "read"):
         return _parse_population(source, y_column, x_column)  # type: ignore[arg-type]
-    with open(source, "r", encoding="utf-8", newline="") as handle:
+    with open(source, "r", encoding="utf-8-sig", newline="") as handle:
         return _parse_population(handle, y_column, x_column)
 
 
@@ -157,6 +157,10 @@ def _parse_population(handle: TextIO, y_column: str, x_column: str) -> FinitePop
         if name not in header:
             raise ConfigurationError(
                 f"column {name!r} not found in header; available columns: {header}"
+            )
+        if header.count(name) > 1:
+            raise ConfigurationError(
+                f"column {name!r} appears {header.count(name)} times in header: {header}"
             )
     y_idx = header.index(y_column)
     x_idx = header.index(x_column)
@@ -263,27 +267,20 @@ def compute_moments(
 
     y = np.asarray(pop.y, dtype=float)
     x = np.asarray(pop.x, dtype=float)
-    mean_y = float(y.mean())
-    mean_x = float(x.mean())
-    if mean_y == 0 or mean_x == 0:
-        raise DegenerateInputError("zero mean leaves the coefficient of variation undefined")
     s2_y = float(y.var(ddof=1))
     s2_x = float(x.var(ddof=1))
     if s2_y == 0 or s2_x == 0:
         raise DegenerateInputError("constant variable: correlation undefined")
-    rho = float(np.corrcoef(y, x)[0, 1])
 
     if nr_stratum is not None:
         s2_y2 = stratum_mean_square(pop, nr_stratum)
 
-    return PopulationMoments(
-        mean_y=mean_y,
-        mean_x=mean_x,
+    return PopulationMoments.from_parameters(
+        mean_y=float(y.mean()),
+        mean_x=float(x.mean()),
         s2_y=s2_y,
         s2_x=s2_x,
-        cv_y=math.sqrt(s2_y) / abs(mean_y),
-        cv_x=math.sqrt(s2_x) / abs(mean_x),
-        rho=rho,
+        rho=float(np.corrcoef(y, x)[0, 1]),
         rho_y=intraclass_correlation(pop.y, design),
         rho_x=intraclass_correlation(pop.x, design),
         s2_y2=s2_y2,

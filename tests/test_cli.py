@@ -155,6 +155,17 @@ class TestTheoryTable:
         code = main(["theory-table", "--n", "16", "--pop-size", "176"])
         assert code == 2
 
+    @pytest.mark.parametrize("n, message", [
+        ("15", "n=15 does not divide N=176; nearest valid sample sizes"),
+        ("0", "sample size n must be >= 2"),
+    ])
+    def test_explicit_moments_sample_size_checked_by_design(self, capsys, n, message):
+        args = list(FOREST_MOMENTS)
+        args[args.index("--n") + 1] = n
+        code = main(["theory-table", *args])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_exhaustive_full_response_passes_exactly(self, pop_csv, capsys):
@@ -214,6 +225,13 @@ class TestSimulate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("w2", ["-0.1", "1.5"])
+    def test_out_of_range_w2_is_usage_error(self, pop_csv, capsys, w2):
+        code = main(["simulate", str(pop_csv), "--n", "12", "--w2", w2,
+                     "--replicates", "10"])
+        assert code == 2
+        assert "non-response rate w2" in capsys.readouterr().err
+
     def test_bernoulli_mode_runs(self, pop_csv, capsys):
         code = main([
             "simulate", str(pop_csv), "--n", "12", "--w2", "0.25", "--ell", "2",
@@ -251,6 +269,41 @@ class TestManifestAndRerun:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["rerun", str(bad)]) == 2
+
+    def test_rerun_refuses_nested_rerun(self, tmp_path, capsys):
+        nested = tmp_path / "nested.json"
+        nested.write_text(json.dumps({"argv": ["rerun", str(nested)]}))
+        assert main(["rerun", str(nested)]) == 2
+        assert "rerun" in capsys.readouterr().err
+
+    def test_rerun_verifies_recorded_input_checksum(self, pop_csv, tmp_path, capsys):
+        out = tmp_path / "params.txt"
+        assert main(["params", str(pop_csv), "--n", "12", "--out", str(out)]) == 0
+        with open(pop_csv, "a", encoding="utf-8") as handle:
+            handle.write("1.0,2.0\n" * 12)
+        capsys.readouterr()
+        assert main(["rerun", str(tmp_path / "params.txt.manifest.json")]) == 2
+        assert "checksum mismatch" in capsys.readouterr().err
+
+    def test_manifest_records_every_parsed_option(self, pop_csv, tmp_path):
+        sim_manifest = tmp_path / "sim.json"
+        main(["simulate", str(pop_csv), "--n", "12", "--replicates", "20",
+              "--estimators", "hh", "--manifest", str(sim_manifest)])
+        parameters = json.loads(sim_manifest.read_text())["parameters"]
+        assert parameters["y_col"] == "y"
+        assert parameters["x_col"] == "x"
+        assert parameters["expect_sha256"] is None
+        assert parameters["n"] == 12
+        assert parameters["alpha"] is None
+
+        table_manifest = tmp_path / "table.json"
+        main(["theory-table", str(pop_csv), "--n", "12", "--sort-by", "x",
+              "--s2y2-factor", "0.5", "--manifest", str(table_manifest)])
+        parameters = json.loads(table_manifest.read_text())["parameters"]
+        assert parameters["sort_by"] == "x"
+        assert parameters["s2y2_factor"] == 0.5
+        assert parameters["N"] == 240
+        assert parameters["moments"]["s2_y2"] == 0.5 * parameters["moments"]["s2_y"]
 
     def test_manifest_to_stdout(self, pop_csv, capsys):
         code = main(["params", str(pop_csv), "--n", "12", "--format", "json",

@@ -94,6 +94,28 @@ class TestLoadPopulation:
         with pytest.raises(DomainError):
             load_population(path)
 
+    def test_utf8_bom_header(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x\n1,2\n3,4\n")
+        pop = load_population(path)
+        assert pop.y == (1.0, 3.0)
+        assert pop.x == (2.0, 4.0)
+
+    @pytest.mark.parametrize("header", ["y,x,y", "x,y,x", "y,y,x,x"])
+    def test_repeated_study_or_auxiliary_column_rejected(self, tmp_path, header):
+        path = tmp_path / "pop.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["1"] * width) + "\n"
+                        + ",".join(["2"] * width) + "\n")
+        with pytest.raises(ConfigurationError, match="appears 2 times"):
+            load_population(path)
+
+    def test_other_repeated_names_allowed(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("y,x,,,note,note\n1,2,,,a,b\n3,4,,,c,d\n")
+        pop = load_population(path)
+        assert pop.y == (1.0, 3.0)
+
 
 class TestSortedByAuxiliary:
     def test_sorts_ascending_by_x(self):

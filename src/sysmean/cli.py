@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,11 +52,19 @@ DEFAULT_W2_GRID = (0.1, 0.2, 0.3, 0.4)
 DEFAULT_ELL_GRID = (2.0, 2.5, 3.0, 3.5)
 
 
-def _float_list(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """argparse type for every float option: nan and inf are usage errors."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    values = [_finite_float(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
     return values
@@ -92,13 +101,13 @@ def _add_population_options(
         help="fail unless the input file has this sha256 digest",
     )
     parser.add_argument("--n", type=int, required=True, help="systematic sample size")
-    parser.add_argument("--s2y2-factor", type=float, default=None, help=s2y2_help)
+    parser.add_argument("--s2y2-factor", type=_finite_float, default=None, help=s2y2_help)
 
 
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=float, default=1.0, help="family parameter a")
-    parser.add_argument("--b", type=float, default=0.0, help="family parameter b")
-    parser.add_argument("--g", type=float, default=1.0, help="family exponent g")
+    parser.add_argument("--a", type=_finite_float, default=1.0, help="family parameter a")
+    parser.add_argument("--b", type=_finite_float, default=0.0, help="family parameter b")
+    parser.add_argument("--g", type=_finite_float, default=1.0, help="family exponent g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,15 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group = p_table.add_argument_group("explicit moments (instead of an input file)")
     group.add_argument("--pop-size", type=int, help="population size N")
-    group.add_argument("--mean-y", type=float)
-    group.add_argument("--mean-x", type=float)
-    group.add_argument("--s2-y", type=float)
-    group.add_argument("--s2-x", type=float)
-    group.add_argument("--rho", type=float)
-    group.add_argument("--rho-w", type=float, help="sets both intraclass correlations")
-    group.add_argument("--rho-y", type=float)
-    group.add_argument("--rho-x", type=float)
-    group.add_argument("--s2-y2", type=float, help="stratum mean square, direct value")
+    group.add_argument("--mean-y", type=_finite_float)
+    group.add_argument("--mean-x", type=_finite_float)
+    group.add_argument("--s2-y", type=_finite_float)
+    group.add_argument("--s2-x", type=_finite_float)
+    group.add_argument("--rho", type=_finite_float)
+    group.add_argument("--rho-w", type=_finite_float, help="sets both intraclass correlations")
+    group.add_argument("--rho-y", type=_finite_float)
+    group.add_argument("--rho-x", type=_finite_float)
+    group.add_argument("--s2-y2", type=_finite_float, help="stratum mean square, direct value")
     p_table.add_argument("--w2-grid", type=_float_list, default=list(DEFAULT_W2_GRID))
     p_table.add_argument("--ell-grid", type=_float_list, default=list(DEFAULT_ELL_GRID))
     _add_family_options(p_table)
@@ -152,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_population_options(p_sim, "override the stratum mean square with FACTOR * S2_y")
     p_sim.add_argument("--replicates", type=int, default=2000)
     p_sim.add_argument("--seed", type=int, default=20250811, help="master seed")
-    p_sim.add_argument("--w2", type=float, default=0.0, help="non-response rate")
-    p_sim.add_argument("--ell", type=float, default=1.0, help="sub-sampling ratio L")
+    p_sim.add_argument("--w2", type=_finite_float, default=0.0, help="non-response rate")
+    p_sim.add_argument("--ell", type=_finite_float, default=1.0, help="sub-sampling ratio L")
     p_sim.add_argument(
         "--stratum-mode", choices=("fixed", "bernoulli"), default="fixed",
         help="fixed stratum (theory-faithful, default) or per-replicate Bernoulli",
@@ -166,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha-policy", choices=("optimum", "explicit"), default="optimum",
         help="family alpha: population optimum (default) or --alpha value",
     )
-    p_sim.add_argument("--alpha", type=float, default=None)
+    p_sim.add_argument("--alpha", type=_finite_float, default=None)
     _add_family_options(p_sim)
     p_sim.add_argument(
         "--exhaustive", action="store_true",
         help="cycle deterministically through all k start indices",
     )
-    p_sim.add_argument("--tolerance-sigma", type=float, default=3.0)
+    p_sim.add_argument("--tolerance-sigma", type=_finite_float, default=3.0)
     _add_output_options(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -180,12 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
         "synthesize", help="write a synthetic linear population as CSV"
     )
     p_synth.add_argument("--units", type=int, required=True)
-    p_synth.add_argument("--rho", type=float, default=0.9, help="target correlation")
+    p_synth.add_argument("--rho", type=_finite_float, default=0.9, help="target correlation")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--x-low", type=float, default=20.0)
-    p_synth.add_argument("--x-high", type=float, default=60.0)
-    p_synth.add_argument("--slope", type=float, default=3.0)
-    p_synth.add_argument("--intercept", type=float, default=10.0)
+    p_synth.add_argument("--x-low", type=_finite_float, default=20.0)
+    p_synth.add_argument("--x-high", type=_finite_float, default=60.0)
+    p_synth.add_argument("--slope", type=_finite_float, default=3.0)
+    p_synth.add_argument("--intercept", type=_finite_float, default=10.0)
     p_synth.add_argument("--sort", action="store_true", help="arrange ascending by x")
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.add_argument("--manifest", help="manifest path (default: OUT.manifest.json)")
@@ -421,6 +430,10 @@ def _build_estimators(
 
 
 def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
+    if (args.alpha_policy == "explicit") != (args.alpha is not None):
+        raise ConfigurationError("--alpha and --alpha-policy explicit go together")
+    if args.tolerance_sigma < 0:
+        raise ConfigurationError(f"--tolerance-sigma must be >= 0, got {args.tolerance_sigma}")
     pop, sha = _ingest(args)
     design = SystematicDesign.from_population_size(pop.N, args.n)
 
@@ -452,8 +465,6 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         FamilyParams(alpha=0.0, g=args.g, a=args.a, b=args.b) if family_requested else None
     )
     constants = derived_constants(moments, design.n, design.N, params_probe)
-    if args.alpha_policy == "explicit" and args.alpha is None:
-        raise ConfigurationError("--alpha-policy explicit requires --alpha")
     alpha = None
     if family_requested:
         alpha = args.alpha if args.alpha_policy == "explicit" else optimum_alpha(constants, args.g)
@@ -607,7 +618,14 @@ def cmd_synthesize(args: argparse.Namespace, argv: list[str]) -> int:
 def cmd_rerun(args: argparse.Namespace, argv: list[str]) -> int:
     """Replay a manifest's argv, gated on the input checksum it recorded."""
     with open(args.manifest_file, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+        try:
+            manifest = json.load(handle)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ConfigurationError(
+                f"manifest {args.manifest_file!r} is not valid JSON: {exc}"
+            ) from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("input") or {}, dict):
+        raise ConfigurationError(f"manifest {args.manifest_file!r} is not a run manifest")
     replay = manifest.get("argv")
     if not isinstance(replay, list) or not replay:
         raise ConfigurationError(f"manifest {args.manifest_file!r} has no argv to replay")

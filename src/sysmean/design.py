@@ -90,7 +90,7 @@ class NonResponseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.w2 < 1.0:
             raise DomainError(f"non-response rate w2 must be in [0, 1), got {self.w2}")
-        if self.ell < 1.0:
+        if not self.ell >= 1.0:
             raise DomainError(f"sub-sampling ratio ell must be >= 1, got {self.ell}")
         if self.mode is StratumMode.FIXED_STRATUM and self.w2 > 0 and self.stratum is None:
             raise DesignError("FIXED_STRATUM with w2 > 0 requires an explicit stratum")

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal
 
-from scipy.optimize import brentq
-
 from .errors import DegenerateInputError, DomainError
 from .estimators import FamilyParams, lambda_coefficient
 from .population import PopulationMoments
@@ -77,7 +75,7 @@ def nonresponse_term(m: PopulationMoments, n: int, w2: float, ell: float) -> flo
     """Variance contribution ((ell-1)/n) * w2 * s2_y2 of the follow-up step."""
     if not 0.0 <= w2 < 1.0:
         raise DomainError(f"non-response rate w2 must be in [0, 1), got {w2}")
-    if ell < 1.0:
+    if not ell >= 1.0:
         raise DomainError(f"sub-sampling ratio ell must be >= 1, got {ell}")
     if w2 == 0.0 or ell == 1.0:
         return 0.0
@@ -268,22 +266,23 @@ def intraclass_from_pre(
     Sets rho_y = rho_x = r and finds r in (-1/(n-1), 1] such that
     pre_optimum equals `target_pre`.  Requires an active non-response term
     (w2 > 0, ell > 1): without it the PRE does not depend on r.
+
+    With rho_star = 1 the PRE is the Mobius map 100*(G*A + NR)/(G*B + NR) of
+    G = 1 + (n-1)*r, with A = f*S2_y, B = f*Ybar**2*(C_y**2 - K**2*C_x**2) and
+    NR the non-response term; it inverts exactly, tending to 100*A/B as G -> inf.
     """
-    if nonresponse_term(m, n, w2, ell) == 0.0:
+    nr = nonresponse_term(m, n, w2, ell)
+    if nr == 0.0:
         raise DomainError("PRE does not depend on the intraclass correlation when the "
                           "non-response term vanishes")
-
-    def gap(r: float) -> float:
-        moments = replace(m, rho_y=r, rho_x=r)
-        c = derived_constants(moments, n, N)
-        return pre_optimum(moments, n, N, w2, ell, c) - target_pre
-
-    lower = -1.0 / (n - 1) + 1e-12
-    upper = 1.0
-    g_lo, g_hi = gap(lower), gap(upper)
-    if g_lo * g_hi > 0:
+    c = derived_constants(replace(m, rho_y=0.0, rho_x=0.0), n, N)
+    a = c.f * m.s2_y
+    b = c.f * m.mean_y**2 * (m.cv_y**2 - c.big_k**2 * m.cv_x**2)
+    denominator = target_pre * b - 100.0 * a
+    g = nr * (100.0 - target_pre) / denominator if denominator != 0.0 else math.inf
+    if not 0.0 < g <= n:
+        hi = 100.0 * (n * a + nr) / (n * b + nr)  # the PRE at r = 1; it is 100 at G = 0
         raise DomainError(
-            f"target PRE {target_pre} is outside the attainable range "
-            f"[{g_lo + target_pre:.4f}, {g_hi + target_pre:.4f}]"
+            f"target PRE {target_pre} is outside the attainable range [100.0000, {hi:.4f}]"
         )
-    return float(brentq(gap, lower, upper, xtol=1e-14, rtol=8.9e-16))
+    return (g - 1.0) / (n - 1)

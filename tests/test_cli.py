@@ -232,6 +232,12 @@ class TestSimulate:
         assert code == 2
         assert "non-response rate w2" in capsys.readouterr().err
 
+    def test_alpha_without_explicit_policy_is_usage_error(self, pop_csv, capsys):
+        code = main(["simulate", str(pop_csv), "--n", "12", "--alpha", "0.1",
+                     "--replicates", "10"])
+        assert code == 2
+        assert "--alpha-policy explicit" in capsys.readouterr().err
+
     def test_bernoulli_mode_runs(self, pop_csv, capsys):
         code = main([
             "simulate", str(pop_csv), "--n", "12", "--w2", "0.25", "--ell", "2",
@@ -285,6 +291,23 @@ class TestManifestAndRerun:
         assert main(["rerun", str(tmp_path / "params.txt.manifest.json")]) == 2
         assert "checksum mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("{not json", "not valid JSON"),
+            ('["params", "pop.csv"]', "not a run manifest"),
+            ('{"argv": ["params", "pop.csv", "--n", "12"], "input": "x"}',
+             "not a run manifest"),
+        ],
+    )
+    def test_rerun_malformed_manifest_is_usage_error(self, tmp_path, capsys, content, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        assert main(["rerun", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "sysmean: error:" in err
+        assert reason in err
+
     def test_manifest_records_every_parsed_option(self, pop_csv, tmp_path):
         sim_manifest = tmp_path / "sim.json"
         main(["simulate", str(pop_csv), "--n", "12", "--replicates", "20",
@@ -324,3 +347,27 @@ class TestUsageErrors:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "sysmean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "{pop}", "--n", "12", "--w2", "nan"], "argument --w2"),
+            (["simulate", "{pop}", "--n", "12", "--w2", "inf"], "argument --w2"),
+            (["simulate", "{pop}", "--n", "12", "--w2", "0.25", "--ell", "nan"],
+             "argument --ell"),
+            (["theory-table", "{pop}", "--n", "12", "--ell-grid", "nan"],
+             "argument --ell-grid"),
+            (["theory-table", "{pop}", "--n", "12", "--w2-grid", "0.1,-inf"],
+             "argument --w2-grid"),
+            (["params", "{pop}", "--n", "12", "--s2y2-factor", "nan"],
+             "argument --s2y2-factor"),
+            (["simulate", "{pop}", "--n", "12", "--tolerance-sigma", "-1"],
+             "sysmean: error: --tolerance-sigma"),
+        ],
+    )
+    def test_non_finite_and_negative_numbers(self, pop_csv, capsys, argv, message):
+        code = main([str(pop_csv) if tok == "{pop}" else tok for tok in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

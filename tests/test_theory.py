@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sysmean import (
+    DegenerateInputError,
     DerivedConstants,
     DomainError,
     FamilyParams,
@@ -395,3 +396,54 @@ class TestIntraclassFromPre:
     def test_unattainable_target_rejected(self):
         with pytest.raises(DomainError):
             intraclass_from_pre(1e9, FOREST, FOREST_SAMPLE, FOREST_N, 0.1, 2.0)
+
+    def test_round_trip_random_moments(self, rng):
+        # Oracle: the forward pre_optimum at the recovered r returns the target.
+        for _ in range(1000):
+            m, n, N = random_moments(rng)
+            w2, ell = float(rng.uniform(0.01, 0.9)), float(rng.uniform(1.1, 4.0))
+            r = float(rng.uniform(-0.99 / (n - 1), 1.0))
+            truth = dataclasses.replace(m, rho_y=r, rho_x=r)
+            target = pre_optimum(truth, n, N, w2, ell, derived_constants(truth, n, N))
+            solved = intraclass_from_pre(target, m, n, N, w2, ell)
+            assert -1.0 / (n - 1) < solved <= 1.0
+            back = dataclasses.replace(m, rho_y=solved, rho_x=solved)
+            pre = pre_optimum(back, n, N, w2, ell, derived_constants(back, n, N))
+            assert abs(pre - target) / target <= 1e-12
+
+    def test_asymptote_target_rejected(self):
+        # As r grows without bound the PRE tends to 100/(1 - rho**2), never reached.
+        # With unit means and mean squares and rho = 0.6 the target 156.25 makes
+        # T*B - 100*A exactly zero in floating point.
+        unit = PopulationMoments.from_parameters(
+            mean_y=1.0, mean_x=1.0, s2_y=1.0, s2_x=1.0, rho=0.6,
+            rho_y=0.0, rho_x=0.0, s2_y2=1.0,
+        )
+        for m, n, N in ((FOREST, FOREST_SAMPLE, FOREST_N), (unit, 12, 240)):
+            target = 100.0 / (1.0 - m.rho**2)
+            with pytest.raises(DomainError, match="attainable range"):
+                intraclass_from_pre(target, m, n, N, 0.1, 2.0)
+
+    def test_targets_beyond_either_end_rejected(self):
+        top = dataclasses.replace(FOREST, rho_y=1.0, rho_x=1.0)
+        hi = pre_optimum(top, FOREST_SAMPLE, FOREST_N, 0.1, 2.0,
+                         derived_constants(top, FOREST_SAMPLE, FOREST_N))
+        for target in (hi * (1.0 + 1e-9), 99.9):
+            with pytest.raises(DomainError, match="attainable range"):
+                intraclass_from_pre(target, FOREST, FOREST_SAMPLE, FOREST_N, 0.1, 2.0)
+
+    def test_zero_auxiliary_mean_square_is_degenerate(self):
+        flat = PopulationMoments.from_parameters(
+            mean_y=10.0, mean_x=5.0, s2_y=4.0, s2_x=0.0, rho=0.5,
+            rho_y=0.2, rho_x=0.2, s2_y2=3.0,
+        )
+        with pytest.raises(DegenerateInputError):
+            intraclass_from_pre(150.0, flat, 12, 240, 0.2, 2.0)
+
+    def test_invalid_template_intraclass_still_solves(self):
+        # rho_y = -0.5 at n = 12 makes 1 + (n-1)*rho_y negative; the template's
+        # intraclass correlations are replaced, so the solve does not depend on them.
+        m = dataclasses.replace(FOREST, rho_y=-0.5, rho_x=-0.5)
+        truth = dataclasses.replace(FOREST, rho_y=0.3, rho_x=0.3)
+        target = pre_optimum(truth, 12, 240, 0.2, 2.5, derived_constants(truth, 12, 240))
+        assert intraclass_from_pre(target, m, 12, 240, 0.2, 2.5) == pytest.approx(0.3, abs=1e-9)

@@ -42,6 +42,8 @@ def synthetic_linear_population(
         raise DomainError(f"need at least 2 units, got {n_units}")
     if not 0.0 < abs(rho_target) <= 1.0:
         raise DomainError(f"target correlation must be in (0, 1], got {rho_target}")
+    if not x_low < x_high:
+        raise DomainError(f"x_low must be below x_high, got {x_low} and {x_high}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(x_low, x_high, n_units)
     signal_sd = abs(slope) * x.std()

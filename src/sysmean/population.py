@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -139,6 +140,10 @@ def load_population(
     is preserved.  Raises ConfigurationError for a missing column, ParseError
     for a non-numeric or non-finite cell (citing data row and column), and
     DomainError when fewer than 2 data rows are present.
+
+    A body that numpy's C reader takes whole is parsed in C; any other body
+    goes through a Python row loop, which reads the same values and words
+    every error.
     """
     if hasattr(source, "read"):
         return _parse_population(source, y_column, x_column)  # type: ignore[arg-type]
@@ -165,6 +170,11 @@ def _parse_population(handle: TextIO, y_column: str, x_column: str) -> FinitePop
     y_idx = header.index(y_column)
     x_idx = header.index(x_column)
 
+    table = _load_table(handle, delimiter, (y_idx, x_idx))
+    if table is not None:
+        return FinitePopulation(y=tuple(table[:, 0].tolist()), x=tuple(table[:, 1].tolist()))
+
+    # The row loop defines a valid body and words every error with its row.
     y: list[float] = []
     x: list[float] = []
     for row_number, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
@@ -177,6 +187,47 @@ def _parse_population(handle: TextIO, y_column: str, x_column: str) -> FinitePop
     if len(y) < 2:
         raise DomainError(f"need at least 2 data rows, got {len(y)}")
     return FinitePopulation(y=tuple(y), x=tuple(x))
+
+
+def _load_table(
+    handle: TextIO, delimiter: str, usecols: tuple[int, int]
+) -> np.ndarray | None:
+    """Parse the rest of a seekable `handle` with numpy's C reader.
+
+    Returns the (rows, 2) table only when the C reader accepts every row and
+    the row loop would read the same values: no quote character anywhere (csv
+    quoting can span delimiters and lines), at least 2 rows, all finite.
+    Otherwise rewinds the handle and returns None, leaving the row loop to
+    accept the file or to say what is wrong with it.
+    """
+    try:
+        if not handle.seekable():
+            return None
+        start = handle.tell()
+    except (AttributeError, OSError):
+        return None
+    quoted = any('"' in chunk for chunk in iter(lambda: handle.read(1 << 16), ""))
+    handle.seek(start)
+    if quoted:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                handle,
+                delimiter=delimiter,
+                usecols=usecols,
+                comments=None,
+                quotechar=None,
+                ndmin=2,
+                dtype=float,
+            )
+    except ValueError:
+        table = None
+    if table is None or table.shape[0] < 2 or not np.isfinite(table).all():
+        handle.seek(start)
+        return None
+    return table
 
 
 def _parse_cell(cell: str, row_number: int, column: str) -> float:
@@ -195,11 +246,10 @@ def sorted_by_auxiliary(pop: FinitePopulation, by: str = "x") -> FinitePopulatio
     """Re-arrange the population in ascending order of x (or y); stable sort."""
     if by not in ("x", "y"):
         raise ConfigurationError(f"sort key must be 'x' or 'y', got {by!r}")
-    key = pop.x if by == "x" else pop.y
-    order = sorted(range(pop.N), key=lambda i: key[i])
-    return FinitePopulation(
-        y=tuple(pop.y[i] for i in order), x=tuple(pop.x[i] for i in order)
-    )
+    y = np.asarray(pop.y, dtype=float)
+    x = np.asarray(pop.x, dtype=float)
+    order = np.argsort(x if by == "x" else y, kind="stable")
+    return FinitePopulation(y=tuple(y[order].tolist()), x=tuple(x[order].tolist()))
 
 
 def intraclass_correlation(pop_values: Sequence[float], design: SystematicDesign) -> float:
@@ -281,8 +331,8 @@ def compute_moments(
         s2_y=s2_y,
         s2_x=s2_x,
         rho=float(np.corrcoef(y, x)[0, 1]),
-        rho_y=intraclass_correlation(pop.y, design),
-        rho_x=intraclass_correlation(pop.x, design),
+        rho_y=intraclass_correlation(y, design),
+        rho_x=intraclass_correlation(x, design),
         s2_y2=s2_y2,
     )
 

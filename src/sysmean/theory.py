@@ -65,6 +65,11 @@ def _gx(m: PopulationMoments, n: int) -> float:
 def _require_valid_clustering(m: PopulationMoments, n: int) -> None:
     if n < 2:
         raise DomainError(f"sample size n must be >= 2, got {n}")
+    # The same slack as intraclass_correlation's upper bound.
+    if not (m.rho_y <= 1.0 + 1e-9 and m.rho_x <= 1.0 + 1e-9):
+        raise DomainError(
+            f"intraclass correlations must not exceed 1, got rho_y={m.rho_y}, rho_x={m.rho_x}"
+        )
     if _gy(m, n) < 0 or _gx(m, n) <= 0:
         raise DomainError(
             "clustering factors 1+(n-1)*rho_w must be nonnegative (positive for x)"

@@ -371,3 +371,25 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("rho_w, code", [("2", 2), ("1", 0)])
+    def test_intraclass_correlation_above_one_is_usage_error(self, capsys, rho_w, code):
+        argv = ["theory-table", "--pop-size", "176", "--n", "16", "--mean-y", "1",
+                "--mean-x", "1", "--s2-y", "1", "--s2-x", "1", "--rho", "0.5",
+                "--rho-w", rho_w, "--s2-y2", "1"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert "sysmean: error: intraclass correlations must not exceed 1" in captured.err
+        else:
+            assert "PRE" in captured.out
+
+    @pytest.mark.parametrize("x_low", ["5", "6"])
+    def test_synthesize_empty_x_range_is_usage_error(self, tmp_path, capsys, x_low):
+        out = tmp_path / "pop.csv"
+        argv = ["synthesize", "--units", "10", "--x-low", x_low, "--x-high", "5",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "sysmean: error: x_low must be below x_high" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,0 +1,187 @@
+"""numpy's C reader and the row loop read every population file alike.
+
+`load_population` hands a file body to numpy's C reader when it can and falls
+back to the row loop otherwise; the row loop is the definition of a valid
+file.  These tests check that the two paths give the same values, down to the
+sign of each zero, or raise the same exception with the same text.  The row
+loop alone is reached by patching the C reader out.
+"""
+import io
+import os
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sysmean import (
+    DomainError,
+    FinitePopulation,
+    ParseError,
+    load_population,
+    population,
+    sorted_by_auxiliary,
+)
+
+
+def _outcome(read):
+    """Values as reprs (keeping the sign of zero), or the exception type and text."""
+    try:
+        pop = read()
+    except Exception as exc:  # noqa: BLE001 - the exception itself is the outcome
+        return type(exc), str(exc)
+    return tuple(map(repr, pop.y)), tuple(map(repr, pop.x))
+
+
+@contextmanager
+def _c_reader_calls():
+    """Record whether each `_load_table` call returned a table."""
+    calls = []
+    original = population._load_table
+
+    def spy(*args):
+        table = original(*args)
+        calls.append(table is not None)
+        return table
+
+    with mock.patch.object(population, "_load_table", spy):
+        yield calls
+
+
+def _by_rows(read):
+    with mock.patch.object(population, "_load_table", return_value=None):
+        return _outcome(read)
+
+
+def _pipe(data: bytes):
+    """A non-seekable text source holding `data`."""
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(write_fd, "wb") as writer:
+        writer.write(data)
+    return open(read_fd, "r", encoding="utf-8-sig", newline="")
+
+
+NAMED_CASES = {
+    # name: (file bytes, expected outcome, whether the C reader takes the body)
+    "crlf": (b"y,x\r\n1.5,2\r\n-0.0,4e1\r\n", (("1.5", "-0.0"), ("2.0", "40.0")), True),
+    "bare_cr": (b"y,x\r1,2\r3,4\r", (("1.0", "3.0"), ("2.0", "4.0")), True),
+    "tab": (b"x\ty\tz\n1\t2\tq\n3\t4\tr\n", (("2.0", "4.0"), ("1.0", "3.0")), True),
+    "quoted_cells": (b'y,x\n"1",2\n3,"4"\n', (("1.0", "3.0"), ("2.0", "4.0")), False),
+    "quote_spans_lines": (
+        b'y,x,note\n1,2,"a\n3,4\n5,6,b"\n7,8,c\n',
+        (("1.0", "7.0"), ("2.0", "8.0")),
+        False,
+    ),
+    "underscore": (b"y,x\n1_0,2\n3,4\n", (("10.0", "3.0"), ("2.0", "4.0")), False),
+    "non_ascii_digits": ("y,x\n١,2\n3,4\n".encode(), (("1.0", "3.0"), ("2.0", "4.0")), False),
+    "trailing_blank_lines": (b"y,x\n1,2\n3,4\n\n\n", (("1.0", "3.0"), ("2.0", "4.0")), True),
+    "whitespace_only_row": (b"y,x\n1,2\n \t \n3,4\n", (("1.0", "3.0"), ("2.0", "4.0")), False),
+    "one_row": (b"y,x\n1,2\n", (DomainError, "need at least 2 data rows, got 1"), False),
+    "empty_body": (b"y,x\n", (DomainError, "need at least 2 data rows, got 0"), False),
+    "non_finite": (
+        b"y,x\n1,2\n3,1e500\n",
+        (ParseError, "row 2, column 'x': value inf is not finite"),
+        False,
+    ),
+    "short_row": (b"y,x,z\n1,2,3\n4\n", (ParseError, "row 2 has 1 fields, expected 3"), False),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(NAMED_CASES))
+def test_named_file_cases(tmp_path, name):
+    data, expected, fast = NAMED_CASES[name]
+    path = tmp_path / "pop.csv"
+    path.write_bytes(data)
+    with _c_reader_calls() as calls:
+        assert _outcome(lambda: load_population(path)) == expected
+    assert calls == [fast]
+    assert _by_rows(lambda: load_population(path)) == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_string_io_source_uses_the_c_reader():
+    text = "y,x\n1,2\n3,4\n5,-0.0\n"
+    with _c_reader_calls() as calls:
+        outcome = _outcome(lambda: load_population(io.StringIO(text)))
+    assert calls == [True]
+    assert outcome == (("1.0", "3.0", "5.0"), ("2.0", "4.0", "-0.0"))
+    assert _by_rows(lambda: load_population(io.StringIO(text))) == outcome
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("data", [b"y,x\n1,2\n3,4\n", b"y,x\n1,2\nz,4\n"])
+def test_non_seekable_source_goes_to_the_row_loop(tmp_path, data):
+    path = tmp_path / "pop.csv"
+    path.write_bytes(data)
+    with _c_reader_calls() as calls, _pipe(data) as handle:
+        outcome = _outcome(lambda: load_population(handle))
+    assert calls == [False]
+    assert outcome == _by_rows(lambda: load_population(path))
+
+
+HEADERS = ["y,x", "x,y", "y,x,z", "z\ty\tx", "y\tx"]
+NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+CELL = st.one_of(
+    NUMBER,
+    st.sampled_from(["nan", "inf", "-inf", "1e500", "0", "-0.0", " 7 ", ""]),
+    st.text(alphabet="0123456789.eE+-_ \t,\"", max_size=6),
+)
+DELIMITER = st.sampled_from([",", "\t"])
+LINE = st.one_of(
+    st.tuples(NUMBER, NUMBER, DELIMITER).map(lambda t: t[0] + t[2] + t[1]),
+    # A valid pair followed by a quote that csv reads as opening or closing a field.
+    st.tuples(NUMBER, NUMBER, DELIMITER, st.sampled_from(['"', '"a', 'b"', '""'])).map(
+        lambda t: t[2].join(t[:2] + t[3:])
+    ),
+    st.lists(CELL, max_size=5).flatmap(lambda cells: DELIMITER.map(lambda d: d.join(cells))),
+    st.sampled_from(["", " ", "\t", " ,\t"]),
+)
+ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@pytest.fixture(scope="module")
+def body_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingestion") / "pop.csv"
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    header=st.sampled_from(HEADERS),
+    lines=st.lists(st.tuples(LINE, ENDING), max_size=8),
+    last_ending=st.booleans(),
+)
+def test_c_reader_agrees_with_row_loop(body_file, header, lines, last_ending):
+    text = header + "\n" + "".join(line + ending for line, ending in lines)
+    if lines and not last_ending:
+        text = text[: -len(lines[-1][1])]
+    body_file.write_text(text, encoding="utf-8", newline="")
+    expected = _by_rows(lambda: load_population(body_file))
+    assert _outcome(lambda: load_population(body_file)) == expected
+    source = io.StringIO(text, newline="")
+    assert _outcome(lambda: load_population(source)) == expected
+
+
+def _sorted_by_python(pop, by):
+    """The stable Python sort that `sorted_by_auxiliary` replaced."""
+    key = pop.x if by == "x" else pop.y
+    order = sorted(range(pop.N), key=lambda i: key[i])
+    return tuple(pop.y[i] for i in order), tuple(pop.x[i] for i in order)
+
+
+TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(TIED, TIED), min_size=2, max_size=40),
+    by=st.sampled_from(["x", "y"]),
+)
+def test_sort_matches_stable_python_sort(pairs, by):
+    pop = FinitePopulation(y=tuple(p[0] for p in pairs), x=tuple(p[1] for p in pairs))
+    out = sorted_by_auxiliary(pop, by=by)
+    expected_y, expected_x = _sorted_by_python(pop, by)
+    assert tuple(map(repr, out.y)) == tuple(map(repr, expected_y))
+    assert tuple(map(repr, out.x)) == tuple(map(repr, expected_x))

@@ -366,7 +366,7 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     for w2 in args.w2_grid:
         for ell in args.ell_grid:
             variance = var_mean_y(moments, n, N, w2, ell)
-            mse_min = family_mse_min(moments, n, N, w2, ell, constants)
+            mse_min = family_mse_min(moments, n, w2, ell, constants)
             pre = pre_optimum(moments, n, N, w2, ell, constants)
             rows.append((w2, ell, variance, mse_min, pre))
 
@@ -486,20 +486,16 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             value = var_mean_y(moments, design.n, design.N, w2_theory, args.ell)
             name = "var(hh mean)"
         elif spec.kind in ("ratio", "product"):
-            value = classical_mse(
-                spec.kind, moments, design.n, design.N, w2_theory, args.ell, constants
-            )
+            value = classical_mse(spec.kind, moments, design.n, w2_theory, args.ell, constants)
             name = f"first-order MSE({spec.kind})"
         else:
             assert spec.params is not None
             if args.alpha_policy == "optimum":
-                value = family_mse_min(
-                    moments, design.n, design.N, w2_theory, args.ell, constants
-                )
+                value = family_mse_min(moments, design.n, w2_theory, args.ell, constants)
                 name = "min MSE(family)"
             else:
                 value = family_mse(
-                    spec.params, moments, design.n, design.N, w2_theory, args.ell, constants
+                    spec.params, moments, design.n, w2_theory, args.ell, constants
                 )
                 name = "first-order MSE(family)"
         targets.append((spec.label, value))

@@ -52,7 +52,7 @@ def synthetic_linear_population(
     if sort_by_x:
         order = np.argsort(x, kind="stable")
         x, y = x[order], y[order]
-    return FinitePopulation.from_arrays(y, x)
+    return FinitePopulation(y=y, x=x)
 
 
 def write_population_csv(
@@ -65,7 +65,7 @@ def write_population_csv(
 ) -> None:
     """Write the population as delimiter-separated text with a header row."""
     lines = [f"{y_column}{delimiter}{x_column}"]
-    lines.extend(f"{y!r}{delimiter}{x!r}" for y, x in zip(pop.y, pop.x))
+    lines.extend(f"{y!r}{delimiter}{x!r}" for y, x in zip(pop.y.tolist(), pop.x.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

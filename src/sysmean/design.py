@@ -200,8 +200,8 @@ def apply_nonresponse(
         subsample = frozenset(int(u) for u in chosen)
 
     observed = sorted(respondents | subsample)
-    y_observed = {u: pop.y[u - 1] for u in observed}
-    x_observed = tuple(pop.x[u - 1] for u in units)
+    y_observed = {u: pop.y.item(u - 1) for u in observed}
+    x_observed = tuple(pop.x.item(u - 1) for u in units)
     return SampleRealization(
         sample_index=units[0],
         units=units,

@@ -170,8 +170,8 @@ def run_simulation(
     cfg.nr.validate_for(design.N)
 
     samples = enumerate_samples(design)
-    pop_mean_x = float(np.mean(pop.x))
-    true_mean_y = float(np.mean(pop.y))
+    pop_mean_x = float(pop.x.mean())
+    true_mean_y = float(pop.y.mean())
 
     n_est = len(cfg.estimators)
     estimates = np.full((n_est, cfg.replicates), np.nan)

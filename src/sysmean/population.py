@@ -27,32 +27,37 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinitePopulation:
-    """Paired (y, x) values for N units in a fixed arrangement order."""
+    """Paired (y, x) values for N units in a fixed arrangement order.
 
-    y: tuple[float, ...]
-    x: tuple[float, ...]
+    Each column is held as its own read-only 1-D float64 copy of the input.
+    Populations compare by identity (`eq=False`): arrays have no single truth
+    value, so field-wise `==` and `hash()` would be undefined.
+    """
+
+    y: np.ndarray
+    x: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.y) != len(self.x):
+        for name in ("y", "x"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.ndim != 1:
+                raise DomainError(f"{name} must be one-dimensional, got shape {values.shape}")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.y.size != self.x.size:
             raise DomainError(
-                f"y and x must have equal length, got {len(self.y)} and {len(self.x)}"
+                f"y and x must have equal length, got {self.y.size} and {self.x.size}"
             )
-        if len(self.y) < 2:
-            raise DomainError(f"a population needs at least 2 units, got {len(self.y)}")
-        if not all(math.isfinite(v) for v in self.y) or not all(
-            math.isfinite(v) for v in self.x
-        ):
+        if self.y.size < 2:
+            raise DomainError(f"a population needs at least 2 units, got {self.y.size}")
+        if not (np.isfinite(self.y).all() and np.isfinite(self.x).all()):
             raise DomainError("population values must all be finite")
 
     @property
     def N(self) -> int:
-        return len(self.y)
-
-    @classmethod
-    def from_arrays(cls, y: Iterable[float], x: Iterable[float]) -> "FinitePopulation":
-        return cls(y=tuple(float(v) for v in y), x=tuple(float(v) for v in x))
+        return self.y.size
 
 
 @dataclass(frozen=True)
@@ -143,12 +148,16 @@ def load_population(
 
     A body that numpy's C reader takes whole is parsed in C; any other body
     goes through a Python row loop, which reads the same values and words
-    every error.
+    every error.  Bytes that are not UTF-8 raise ParseError.
     """
-    if hasattr(source, "read"):
-        return _parse_population(source, y_column, x_column)  # type: ignore[arg-type]
-    with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-        return _parse_population(handle, y_column, x_column)
+    try:
+        if hasattr(source, "read"):
+            return _parse_population(source, y_column, x_column)  # type: ignore[arg-type]
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+            return _parse_population(handle, y_column, x_column)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise ParseError(f"input is not UTF-8 text: {exc.reason} 0x{bad:02x}") from None
 
 
 def _parse_population(handle: TextIO, y_column: str, x_column: str) -> FinitePopulation:
@@ -172,7 +181,7 @@ def _parse_population(handle: TextIO, y_column: str, x_column: str) -> FinitePop
 
     table = _load_table(handle, delimiter, (y_idx, x_idx))
     if table is not None:
-        return FinitePopulation(y=tuple(table[:, 0].tolist()), x=tuple(table[:, 1].tolist()))
+        return FinitePopulation(y=table[:, 0], x=table[:, 1])
 
     # The row loop defines a valid body and words every error with its row.
     y: list[float] = []
@@ -186,7 +195,7 @@ def _parse_population(handle: TextIO, y_column: str, x_column: str) -> FinitePop
         x.append(_parse_cell(row[x_idx], row_number, x_column))
     if len(y) < 2:
         raise DomainError(f"need at least 2 data rows, got {len(y)}")
-    return FinitePopulation(y=tuple(y), x=tuple(x))
+    return FinitePopulation(y=y, x=x)
 
 
 def _load_table(
@@ -246,10 +255,8 @@ def sorted_by_auxiliary(pop: FinitePopulation, by: str = "x") -> FinitePopulatio
     """Re-arrange the population in ascending order of x (or y); stable sort."""
     if by not in ("x", "y"):
         raise ConfigurationError(f"sort key must be 'x' or 'y', got {by!r}")
-    y = np.asarray(pop.y, dtype=float)
-    x = np.asarray(pop.x, dtype=float)
-    order = np.argsort(x if by == "x" else y, kind="stable")
-    return FinitePopulation(y=tuple(y[order].tolist()), x=tuple(x[order].tolist()))
+    order = np.argsort(pop.x if by == "x" else pop.y, kind="stable")
+    return FinitePopulation(y=pop.y[order], x=pop.x[order])
 
 
 def intraclass_correlation(pop_values: Sequence[float], design: SystematicDesign) -> float:
@@ -292,8 +299,7 @@ def stratum_mean_square(pop: FinitePopulation, nr_stratum: Iterable[int]) -> flo
         raise DomainError(
             f"stratum must contain at least 2 units to define its mean square, got {len(units)}"
         )
-    values = np.asarray([pop.y[u - 1] for u in units], dtype=float)
-    return float(values.var(ddof=1))
+    return float(pop.y[np.array(units) - 1].var(ddof=1))
 
 
 def compute_moments(
@@ -315,8 +321,7 @@ def compute_moments(
     if pop.N != design.N:
         raise DesignError(f"population has {pop.N} units but design expects {design.N}")
 
-    y = np.asarray(pop.y, dtype=float)
-    x = np.asarray(pop.x, dtype=float)
+    y, x = pop.y, pop.x
     s2_y = float(y.var(ddof=1))
     s2_x = float(x.var(ddof=1))
     if s2_y == 0 or s2_x == 0:
@@ -340,6 +345,6 @@ def compute_moments(
 def population_fingerprint(pop: FinitePopulation) -> str:
     """Content hash of the population (values and order), for run manifests."""
     digest = hashlib.sha256()
-    digest.update(np.asarray(pop.y, dtype="<f8").tobytes())
-    digest.update(np.asarray(pop.x, dtype="<f8").tobytes())
+    digest.update(pop.y.astype("<f8", copy=False).tobytes())
+    digest.update(pop.x.astype("<f8", copy=False).tobytes())
     return digest.hexdigest()

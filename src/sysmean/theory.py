@@ -148,7 +148,7 @@ def _mse_prefactor(m: PopulationMoments, n: int, c: DerivedConstants) -> float:
 
 
 def classical_bias(
-    kind: EstimatorKind, m: PopulationMoments, n: int, N: int, c: DerivedConstants
+    kind: EstimatorKind, m: PopulationMoments, n: int, c: DerivedConstants
 ) -> float:
     """First-order bias of the classical ratio or product estimator."""
     _require_valid_clustering(m, n)
@@ -165,7 +165,6 @@ def classical_mse(
     kind: EstimatorKind,
     m: PopulationMoments,
     n: int,
-    N: int,
     w2: float,
     ell: float,
     c: DerivedConstants,
@@ -182,7 +181,7 @@ def classical_mse(
 
 
 def family_bias(
-    p: FamilyParams, m: PopulationMoments, n: int, N: int, c: DerivedConstants
+    p: FamilyParams, m: PopulationMoments, n: int, c: DerivedConstants
 ) -> float:
     """First-order bias of the family member with parameters p."""
     _require_valid_clustering(m, n)
@@ -195,7 +194,6 @@ def family_mse(
     p: FamilyParams,
     m: PopulationMoments,
     n: int,
-    N: int,
     w2: float,
     ell: float,
     c: DerivedConstants,
@@ -221,12 +219,7 @@ def optimum_alpha(c: DerivedConstants, g: float) -> float:
 
 
 def family_mse_min(
-    m: PopulationMoments,
-    n: int,
-    N: int,
-    w2: float,
-    ell: float,
-    c: DerivedConstants,
+    m: PopulationMoments, n: int, w2: float, ell: float, c: DerivedConstants
 ) -> float:
     """Minimum first-order MSE of the family over alpha.
 
@@ -252,7 +245,7 @@ def pre_optimum(
     auxiliary correlation is nonzero, and strictly decreasing in both the
     non-response rate and the sub-sampling ratio.
     """
-    mse_min = family_mse_min(m, n, N, w2, ell, c)
+    mse_min = family_mse_min(m, n, w2, ell, c)
     if mse_min <= 0:
         raise DomainError("minimum MSE is not positive: PRE undefined")
     return 100.0 * var_mean_y(m, n, N, w2, ell) / mse_min

@@ -29,7 +29,7 @@ def random_population(rng, N):
     """Population with a rough linear y-x relationship plus noise."""
     x = rng.uniform(1.0, 9.0, N)
     y = 5.0 + 2.0 * x + rng.normal(0.0, 2.0, N)
-    return FinitePopulation.from_arrays(y, x)
+    return FinitePopulation(y=y, x=x)
 
 
 def random_moments(rng, n=None, with_s2y2=True):

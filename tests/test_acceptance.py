@@ -186,11 +186,11 @@ def test_criterion_2_algebraic_specialization():
         c = derived_constants(m, n, N, ratio_params)
         for kind, params in (("ratio", ratio_params), ("product", product_params)):
             mse_gap = abs(
-                family_mse(params, m, n, N, w2, ell, c)
-                - classical_mse(kind, m, n, N, w2, ell, c)
-            ) / abs(classical_mse(kind, m, n, N, w2, ell, c))
-            bias_classical = classical_bias(kind, m, n, N, c)
-            bias_family = family_bias(params, m, n, N, c)
+                family_mse(params, m, n, w2, ell, c)
+                - classical_mse(kind, m, n, w2, ell, c)
+            ) / abs(classical_mse(kind, m, n, w2, ell, c))
+            bias_classical = classical_bias(kind, m, n, c)
+            bias_family = family_bias(params, m, n, c)
             bias_gap = abs(bias_family - bias_classical) / max(abs(bias_classical), 1e-300)
             worst = max(worst, mse_gap, bias_gap)
     assert worst <= 1e-14
@@ -214,16 +214,16 @@ def test_criterion_3_optimum_verification():
         ell = float(rng.uniform(1.0, 4.0))
         alpha_star = optimum_alpha(c, g)
         at_optimum = family_mse(
-            dataclasses.replace(p0, alpha=alpha_star), m, n, N, w2, ell, c
+            dataclasses.replace(p0, alpha=alpha_star), m, n, w2, ell, c
         )
-        minimum = family_mse_min(m, n, N, w2, ell, c)
+        minimum = family_mse_min(m, n, w2, ell, c)
         worst_eq = max(worst_eq, abs(at_optimum - minimum) / abs(minimum))
 
         if draw < 25:  # dense grid scan on a subset
             halfwidth = 2.0 * (abs(alpha_star) + 1.0)
             grid = np.linspace(alpha_star - halfwidth, alpha_star + halfwidth, 10_000)
             lowest = min(
-                family_mse(dataclasses.replace(p0, alpha=float(a)), m, n, N, w2, ell, c)
+                family_mse(dataclasses.replace(p0, alpha=float(a)), m, n, w2, ell, c)
                 for a in grid
             )
             assert lowest >= minimum * (1.0 - 1e-9)
@@ -243,7 +243,7 @@ def test_criterion_4_regression_equivalence_identity():
         w2 = float(rng.uniform(0.0, 0.45))
         ell = float(rng.uniform(1.0, 4.0))
         c = derived_constants(m, n, N)
-        direct = family_mse_min(m, n, N, w2, ell, c)
+        direct = family_mse_min(m, n, w2, ell, c)
         identity = fpc(n, N) * (1.0 + (n - 1) * m.rho_y) * m.s2_y * (
             1.0 - m.rho**2
         ) + nonresponse_term(m, n, w2, ell)
@@ -329,7 +329,7 @@ def test_criterion_7_montecarlo_vs_nonresponse_theory(nonresponse_run):
     assert abs(z_hh) <= 3.0
 
     family = report.by_label("family")
-    theory_family = family_mse_min(moments, ACCEPT_SAMPLE, ACCEPT_N, 0.25, 2.0, constants)
+    theory_family = family_mse_min(moments, ACCEPT_SAMPLE, 0.25, 2.0, constants)
     gap = abs(family.empirical_mse - theory_family)
     slack = max(3.0 * family.mc_se_mse, 0.10 * theory_family)
     assert gap <= slack  # 10% slack acknowledges the first-order approximation

@@ -385,6 +385,14 @@ class TestUsageErrors:
         else:
             assert "PRE" in captured.out
 
+    def test_non_utf8_input_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "pop.csv"
+        path.write_bytes(b"y,x\n1,2\n\xff,4\n3,5\n7,8\n")
+        assert main(["params", str(path), "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sysmean: error: input is not UTF-8 text: invalid start byte 0xff" in captured.err
+
     @pytest.mark.parametrize("x_low", ["5", "6"])
     def test_synthesize_empty_x_range_is_usage_error(self, tmp_path, capsys, x_low):
         out = tmp_path / "pop.csv"

@@ -167,6 +167,14 @@ class TestApplyNonresponse:
         assert len(real.y_observed) == n1 + h2
         assert len(real.x_observed) == 5
 
+    def test_observed_values_are_python_floats(self, rng):
+        pop = random_population(rng, 20)
+        nr = NonResponseModel(w2=0.3, ell=2.0, mode=StratumMode.BERNOULLI_PER_REPLICATE)
+        real = apply_nonresponse((2, 6, 10, 14, 18), pop, nr, rng)
+        observed = list(real.y_observed.values()) + list(real.x_observed)
+        assert all(type(v) is float for v in observed)
+        assert list(real.x_observed) == [pop.x[u - 1] for u in (2, 6, 10, 14, 18)]
+
     def test_bernoulli_rate_converges(self):
         pop = random_population(np.random.default_rng(5), 20)
         nr = NonResponseModel(w2=0.3, ell=2.0, mode=StratumMode.BERNOULLI_PER_REPLICATE)

@@ -31,7 +31,7 @@ def _outcome(read):
         pop = read()
     except Exception as exc:  # noqa: BLE001 - the exception itself is the outcome
         return type(exc), str(exc)
-    return tuple(map(repr, pop.y)), tuple(map(repr, pop.x))
+    return tuple(map(repr, pop.y.tolist())), tuple(map(repr, pop.x.tolist()))
 
 
 @contextmanager
@@ -121,6 +121,29 @@ def test_non_seekable_source_goes_to_the_row_loop(tmp_path, data):
     assert outcome == _by_rows(lambda: load_population(path))
 
 
+UNDECODABLE = {
+    # name: (file bytes, the `_load_table` results before the error is raised)
+    "header": (b"y,\xffx\n1,2\n3,4\n", []),
+    # The quote scan decodes the whole body before the C reader runs.
+    "unquoted_body": (b"y,x\n1,2\n\xff,4\n3,5\n", []),
+    # The quote ends the scan in the first chunk, so the row loop meets the byte.
+    "quoted_body": (b'y,x\n"1",2\n' + b"3,4\n" * 40_000 + b"\xff,4\n", [False]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_non_utf8_bytes_are_a_parse_error(tmp_path, name):
+    data, table_results = UNDECODABLE[name]
+    path = tmp_path / "pop.csv"
+    path.write_bytes(data)
+    expected = (ParseError, "input is not UTF-8 text: invalid start byte 0xff")
+    with _c_reader_calls() as calls:
+        assert _outcome(lambda: load_population(path)) == expected
+    assert calls == table_results
+    assert _by_rows(lambda: load_population(path)) == expected
+
+
 HEADERS = ["y,x", "x,y", "y,x,z", "z\ty\tx", "y\tx"]
 NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 CELL = st.one_of(
@@ -166,9 +189,10 @@ def test_c_reader_agrees_with_row_loop(body_file, header, lines, last_ending):
 
 def _sorted_by_python(pop, by):
     """The stable Python sort that `sorted_by_auxiliary` replaced."""
-    key = pop.x if by == "x" else pop.y
+    y, x = pop.y.tolist(), pop.x.tolist()
+    key = x if by == "x" else y
     order = sorted(range(pop.N), key=lambda i: key[i])
-    return tuple(pop.y[i] for i in order), tuple(pop.x[i] for i in order)
+    return tuple(y[i] for i in order), tuple(x[i] for i in order)
 
 
 TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300])
@@ -183,5 +207,5 @@ def test_sort_matches_stable_python_sort(pairs, by):
     pop = FinitePopulation(y=tuple(p[0] for p in pairs), x=tuple(p[1] for p in pairs))
     out = sorted_by_auxiliary(pop, by=by)
     expected_y, expected_x = _sorted_by_python(pop, by)
-    assert tuple(map(repr, out.y)) == tuple(map(repr, expected_y))
-    assert tuple(map(repr, out.x)) == tuple(map(repr, expected_x))
+    assert tuple(map(repr, out.y.tolist())) == tuple(map(repr, expected_y))
+    assert tuple(map(repr, out.x.tolist())) == tuple(map(repr, expected_x))

@@ -1,5 +1,7 @@
-"""Dependency guard: sysmean imports only the standard library and its declared dependencies."""
+"""Packaging guards: sysmean imports only the standard library and its declared
+dependencies, and the benchmark's tracer still finds every function it wraps."""
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -47,3 +49,18 @@ def test_every_import_is_stdlib_or_declared():
     for path in sources:
         undeclared = imported_packages(path) - allowed
         assert not undeclared, f"{path.name} imports undeclared {sorted(undeclared)}"
+
+
+def test_every_traced_benchmark_target_resolves():
+    # perfbench/tracing.py wraps each (module, attribute) of TARGETS with getattr;
+    # a name the program no longer exposes would break `perfbench/run.py --trace 1`.
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing: dict = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    assert tracing["TARGETS"]
+    missing = [
+        (module, attr)
+        for module, attr, _ in tracing["TARGETS"]
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert not missing, f"benchmark targets not found: {missing}"

@@ -38,6 +38,29 @@ class TestFinitePopulation:
         with pytest.raises(DomainError):
             FinitePopulation(y=(1.0, math.nan), x=(1.0, 2.0))
 
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            FinitePopulation(y=[[1.0, 2.0], [3.0, 4.0]], x=[[1.0, 2.0], [3.0, 4.0]])
+
+    def test_values_are_read_only(self):
+        pop = FinitePopulation(y=(1.0, 2.0), x=(3.0, 4.0))
+        with pytest.raises(ValueError):
+            pop.y[0] = 5.0
+        with pytest.raises(ValueError):
+            pop.x[1] = 5.0
+        assert pop.y.dtype == np.float64 and pop.x.dtype == np.float64
+
+    def test_copies_its_input(self):
+        y = np.array([1.0, 2.0, 3.0])
+        x = np.array([4.0, 5.0, 6.0])
+        pop = FinitePopulation(y=y, x=x)
+        fingerprint = population_fingerprint(pop)
+        y[0] = 100.0
+        x[:] = 0.0
+        assert pop.y.tolist() == [1.0, 2.0, 3.0]
+        assert pop.x.tolist() == [4.0, 5.0, 6.0]
+        assert population_fingerprint(pop) == fingerprint
+
     def test_fingerprint_tracks_content_and_order(self):
         a = FinitePopulation(y=(1.0, 2.0), x=(3.0, 4.0))
         b = FinitePopulation(y=(2.0, 1.0), x=(4.0, 3.0))
@@ -51,14 +74,14 @@ class TestLoadPopulation:
         path.write_text("vol,len\n10,1\n20,2\n30,3\n40,4\n")
         pop = load_population(path, y_column="vol", x_column="len")
         assert pop.N == 4
-        assert pop.y == (10.0, 20.0, 30.0, 40.0)
-        assert pop.x == (1.0, 2.0, 3.0, 4.0)
+        assert pop.y.tolist() == [10.0, 20.0, 30.0, 40.0]
+        assert pop.x.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_tab_delimited(self, tmp_path):
         path = tmp_path / "pop.tsv"
         path.write_text("y\tx\n1.5\t2.5\n3.5\t4.5\n")
         pop = load_population(path)
-        assert pop.y == (1.5, 3.5)
+        assert pop.y.tolist() == [1.5, 3.5]
 
     def test_accepts_text_handle(self):
         pop = load_population(io.StringIO("y,x\n1,2\n3,4\n"))
@@ -98,8 +121,8 @@ class TestLoadPopulation:
         path = tmp_path / "pop.csv"
         path.write_bytes(b"\xef\xbb\xbfy,x\n1,2\n3,4\n")
         pop = load_population(path)
-        assert pop.y == (1.0, 3.0)
-        assert pop.x == (2.0, 4.0)
+        assert pop.y.tolist() == [1.0, 3.0]
+        assert pop.x.tolist() == [2.0, 4.0]
 
     @pytest.mark.parametrize("header", ["y,x,y", "x,y,x", "y,y,x,x"])
     def test_repeated_study_or_auxiliary_column_rejected(self, tmp_path, header):
@@ -114,20 +137,20 @@ class TestLoadPopulation:
         path = tmp_path / "pop.csv"
         path.write_text("y,x,,,note,note\n1,2,,,a,b\n3,4,,,c,d\n")
         pop = load_population(path)
-        assert pop.y == (1.0, 3.0)
+        assert pop.y.tolist() == [1.0, 3.0]
 
 
 class TestSortedByAuxiliary:
     def test_sorts_ascending_by_x(self):
         pop = FinitePopulation(y=(10.0, 20.0, 30.0), x=(3.0, 1.0, 2.0))
         out = sorted_by_auxiliary(pop)
-        assert out.x == (1.0, 2.0, 3.0)
-        assert out.y == (20.0, 30.0, 10.0)
+        assert out.x.tolist() == [1.0, 2.0, 3.0]
+        assert out.y.tolist() == [20.0, 30.0, 10.0]
 
     def test_sort_is_stable(self):
         pop = FinitePopulation(y=(1.0, 2.0, 3.0), x=(5.0, 5.0, 1.0))
         out = sorted_by_auxiliary(pop)
-        assert out.y == (3.0, 1.0, 2.0)
+        assert out.y.tolist() == [3.0, 1.0, 2.0]
 
     def test_rejects_unknown_key(self):
         pop = FinitePopulation(y=(1.0, 2.0), x=(1.0, 2.0))
@@ -266,7 +289,9 @@ class TestComputeMoments:
         # brute-force recomputation on the concatenated data
         n, k = 4, 5
         pop = random_population(rng, n * k)
-        double = FinitePopulation(y=pop.y + pop.y, x=pop.x + pop.x)
+        double = FinitePopulation(
+            y=np.concatenate([pop.y, pop.y]), x=np.concatenate([pop.x, pop.x])
+        )
         design2 = SystematicDesign(N=2 * n * k, n=n, k=2 * k)
         m2 = compute_moments(double, design2)
         y2 = np.array(double.y)

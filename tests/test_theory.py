@@ -142,23 +142,23 @@ class TestVariances:
 class TestClassicalBias:
     def test_zero_when_k_rho_star_is_one(self):
         c = DerivedConstants(rho_star=1.0, big_k=1.0, lam=1.0, f=fpc(16, 176))
-        assert classical_bias("ratio", FOREST, FOREST_SAMPLE, FOREST_N, c) == 0.0
+        assert classical_bias("ratio", FOREST, FOREST_SAMPLE, c) == 0.0
 
     def test_product_bias_zero_without_correlation(self):
         m = dataclasses.replace(FOREST, rho=0.0)
         c = derived_constants(m, FOREST_SAMPLE, FOREST_N)
-        assert classical_bias("product", m, FOREST_SAMPLE, FOREST_N, c) == 0.0
+        assert classical_bias("product", m, FOREST_SAMPLE, c) == 0.0
 
     def test_forest_ratio_bias_is_negative(self):
         c = derived_constants(FOREST, FOREST_SAMPLE, FOREST_N)
-        value = classical_bias("ratio", FOREST, FOREST_SAMPLE, FOREST_N, c)
+        value = classical_bias("ratio", FOREST, FOREST_SAMPLE, c)
         assert value < 0
         assert value == pytest.approx(-5.794086817872425, rel=1e-9)
 
     def test_unknown_kind_rejected(self):
         c = derived_constants(FOREST, FOREST_SAMPLE, FOREST_N)
         with pytest.raises(DomainError):
-            classical_bias("regression", FOREST, FOREST_SAMPLE, FOREST_N, c)
+            classical_bias("regression", FOREST, FOREST_SAMPLE, c)
 
 
 class TestFamilySpecializations:
@@ -174,8 +174,8 @@ class TestFamilySpecializations:
             ell = float(rng.uniform(1, 4))
             c = derived_constants(m, n, N, ratio_params)
             for kind, params in (("ratio", ratio_params), ("product", product_params)):
-                classical = classical_mse(kind, m, n, N, w2, ell, c)
-                family = family_mse(params, m, n, N, w2, ell, c)
+                classical = classical_mse(kind, m, n, w2, ell, c)
+                family = family_mse(params, m, n, w2, ell, c)
                 worst = max(worst, abs(family - classical) / abs(classical))
         assert worst <= 1e-14
 
@@ -186,15 +186,15 @@ class TestFamilySpecializations:
             m, n, N = random_moments(rng)
             c = derived_constants(m, n, N, ratio_params)
             for kind, params in (("ratio", ratio_params), ("product", product_params)):
-                classical = classical_bias(kind, m, n, N, c)
-                family = family_bias(params, m, n, N, c)
+                classical = classical_bias(kind, m, n, c)
+                family = family_bias(params, m, n, c)
                 assert family == pytest.approx(classical, rel=1e-14, abs=1e-300)
 
     def test_alpha_zero_bias_vanishes(self, rng):
         for _ in range(50):
             m, n, N = random_moments(rng)
             c = derived_constants(m, n, N, FamilyParams(alpha=0.0, g=2.5))
-            assert family_bias(FamilyParams(alpha=0.0, g=2.5), m, n, N, c) == 0.0
+            assert family_bias(FamilyParams(alpha=0.0, g=2.5), m, n, c) == 0.0
 
     def test_bias_at_optimum_alpha_closed_form(self, rng):
         # substituting the optimum alpha leaves bias = prefactor * K^2 * rho*^2 * (1-g)/(2g)
@@ -204,7 +204,7 @@ class TestFamilySpecializations:
             p = FamilyParams(alpha=0.0, g=g, a=float(rng.uniform(0.5, 2.0)), b=float(rng.uniform(-0.2, 0.2)))
             c = derived_constants(m, n, N, p)
             alpha = optimum_alpha(c, g)
-            bias = family_bias(dataclasses.replace(p, alpha=alpha), m, n, N, c)
+            bias = family_bias(dataclasses.replace(p, alpha=alpha), m, n, c)
             prefactor = c.f * m.mean_y * (1 + (n - 1) * m.rho_x) * m.cv_x**2
             expected = prefactor * c.big_k**2 * c.rho_star**2 * (1 - g) / (2 * g)
             assert bias == pytest.approx(expected, rel=1e-10, abs=1e-12)
@@ -218,7 +218,7 @@ class TestFamilyMse:
             ell = float(rng.uniform(1, 4))
             c = derived_constants(m, n, N)
             assert family_mse(
-                FamilyParams(alpha=0.0, g=1.7), m, n, N, w2, ell, c
+                FamilyParams(alpha=0.0, g=1.7), m, n, w2, ell, c
             ) == pytest.approx(var_mean_y(m, n, N, w2, ell), rel=1e-12)
 
     def test_quadratic_and_convex_in_alpha(self, rng):
@@ -228,7 +228,7 @@ class TestFamilyMse:
             c = derived_constants(m, n, N, FamilyParams(alpha=0.0, g=g))
             alphas = np.linspace(-2.0, 2.0, 9)
             values = [
-                family_mse(FamilyParams(alpha=float(a), g=g), m, n, N, 0.1, 2.0, c)
+                family_mse(FamilyParams(alpha=float(a), g=g), m, n, 0.1, 2.0, c)
                 for a in alphas
             ]
             second_diffs = np.diff(values, 2)
@@ -256,8 +256,8 @@ class TestFamilyMse:
             w2 = float(rng.uniform(0, 0.45))
             ell = float(rng.uniform(1, 4))
             alpha = optimum_alpha(c, g)
-            at_opt = family_mse(dataclasses.replace(p0, alpha=alpha), m, n, N, w2, ell, c)
-            minimum = family_mse_min(m, n, N, w2, ell, c)
+            at_opt = family_mse(dataclasses.replace(p0, alpha=alpha), m, n, w2, ell, c)
+            minimum = family_mse_min(m, n, w2, ell, c)
             assert at_opt == pytest.approx(minimum, rel=1e-10)
 
     def test_minimum_invariant_in_family_parameterization(self, rng):
@@ -269,7 +269,7 @@ class TestFamilyMse:
             FamilyParams(alpha=-1.0, g=-0.5, a=0.2, b=-0.1),
         ):
             c = derived_constants(m, n, N, params)
-            values.add(family_mse_min(m, n, N, 0.2, 2.5, c))
+            values.add(family_mse_min(m, n, 0.2, 2.5, c))
         assert len(values) == 1
 
     def test_minimum_dominates_all_members(self, rng):
@@ -278,11 +278,11 @@ class TestFamilyMse:
             w2 = float(rng.uniform(0, 0.45))
             ell = float(rng.uniform(1, 4))
             c = derived_constants(m, n, N)
-            minimum = family_mse_min(m, n, N, w2, ell, c)
+            minimum = family_mse_min(m, n, w2, ell, c)
             competitors = (
                 var_mean_y(m, n, N, w2, ell),
-                classical_mse("ratio", m, n, N, w2, ell, c),
-                classical_mse("product", m, n, N, w2, ell, c),
+                classical_mse("ratio", m, n, w2, ell, c),
+                classical_mse("product", m, n, w2, ell, c),
             )
             for value in competitors:
                 assert minimum <= value * (1 + 1e-12) + 1e-12
@@ -292,7 +292,7 @@ class TestFamilyMseMin:
     def test_equals_variance_without_correlation(self):
         m = dataclasses.replace(FOREST, rho=0.0)
         c = derived_constants(m, FOREST_SAMPLE, FOREST_N)
-        assert family_mse_min(m, FOREST_SAMPLE, FOREST_N, 0.1, 2.0, c) == pytest.approx(
+        assert family_mse_min(m, FOREST_SAMPLE, 0.1, 2.0, c) == pytest.approx(
             var_mean_y(m, FOREST_SAMPLE, FOREST_N, 0.1, 2.0), rel=1e-12
         )
 
@@ -302,18 +302,18 @@ class TestFamilyMseMin:
             rho=1.0, rho_y=0.3, rho_x=0.3, s2_y2=12.0,
         )
         c = derived_constants(m, 4, 20)
-        assert family_mse_min(m, 4, 20, 0.0, 1.0, c) == pytest.approx(0.0, abs=1e-12)
+        assert family_mse_min(m, 4, 0.0, 1.0, c) == pytest.approx(0.0, abs=1e-12)
 
     def test_forest_frozen_value(self):
         c = derived_constants(FOREST, FOREST_SAMPLE, FOREST_N)
-        assert family_mse_min(FOREST, FOREST_SAMPLE, FOREST_N, 0.1, 2.0, c) == pytest.approx(
+        assert family_mse_min(FOREST, FOREST_SAMPLE, 0.1, 2.0, c) == pytest.approx(
             5200.368051221246, rel=1e-12
         )
 
     def test_forest_ratio_mse_dominated_by_minimum(self):
         c = derived_constants(FOREST, FOREST_SAMPLE, FOREST_N)
-        ratio = classical_mse("ratio", FOREST, FOREST_SAMPLE, FOREST_N, 0.1, 2.0, c)
-        minimum = family_mse_min(FOREST, FOREST_SAMPLE, FOREST_N, 0.1, 2.0, c)
+        ratio = classical_mse("ratio", FOREST, FOREST_SAMPLE, 0.1, 2.0, c)
+        minimum = family_mse_min(FOREST, FOREST_SAMPLE, 0.1, 2.0, c)
         assert ratio >= minimum
 
     def test_regression_equivalence_identity(self, rng):
@@ -323,7 +323,7 @@ class TestFamilyMseMin:
             w2 = float(rng.uniform(0, 0.45))
             ell = float(rng.uniform(1, 4))
             c = derived_constants(m, n, N)
-            direct = family_mse_min(m, n, N, w2, ell, c)
+            direct = family_mse_min(m, n, w2, ell, c)
             identity = fpc(n, N) * (1 + (n - 1) * m.rho_y) * m.s2_y * (
                 1 - m.rho**2
             ) + nonresponse_term(m, n, w2, ell)

@@ -42,6 +42,10 @@ COMMANDS = {
     "sim_exhaustive": [*SIM, "--exhaustive", "--alpha-policy", "explicit", "--alpha", "0.5",
                        "--g", "1.5", "--seed", "13"],
     "sim_sorted": [*SIM, "--sort-by", "x", "--s2y2-factor", "0.8", "--seed", "14"],
+    "sim_no_family": [*SIM, "--estimators", "hh,product", "--seed", "16"],
+    "sim_invalid": [*SIM, "--estimators", "hh,family", "--alpha-policy", "explicit",
+                    "--alpha", "3", "--b", "-41.0259", "--g", "0.5", "--seed", "15"],
+    "sim_k1": ["simulate", POP, "--n", "240", "--replicates", "50", "--seed", "17"],
     "params_non_divisor": ["params", POP, "--n", "7"],
     "table_incomplete": ["theory-table", "--n", "16", "--pop-size", "176"],
 }

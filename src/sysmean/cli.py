@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -270,14 +271,33 @@ def _with_s2y2_factor(
     return dataclasses.replace(moments, s2_y2=factor * moments.s2_y)
 
 
-def _kv_lines(pairs: list[tuple[str, object]]) -> str:
-    width = max(len(key) for key, _ in pairs)
-    return "\n".join(f"{key.ljust(width)}  {value}" for key, value in pairs) + "\n"
+@dataclasses.dataclass(frozen=True)
+class Column:
+    """One fixed-width table column: the row key it shows, its heading and cell template."""
+
+    key: str
+    head: str
+    cell: str
 
 
-def _csv_lines(header: list[str], rows: list[list[object]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
+def _render(fmt: str, payload: dict, csv_columns: list, csv_rows: list, text: list) -> str:
+    """The report as json of `payload`, csv of `csv_rows`, or the lines and (columns, rows)
+    tables of `text`, each table row a mapping of column keys."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(map(str, row)) for row in [csv_columns, *csv_rows]]
+    else:
+        lines = []
+        for item in text:
+            if isinstance(item, str):
+                lines.append(item)
+                continue
+            columns, rows = item
+            # A heading keeps its cell's alignment and width, not its precision and type.
+            heads = [re.sub(r"(\.\d+)?[a-z]}", "}", c.cell).format(c.head) for c in columns]
+            lines.append("".join(heads))
+            lines.extend("".join(c.cell.format(row[c.key]) for c in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -286,28 +306,27 @@ def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
     design = SystematicDesign.from_population_size(pop.N, args.n)
     moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
 
-    fields = [
-        ("N", pop.N),
-        ("n", design.n),
-        ("k", design.k),
-        ("arrangement", f"sorted by {args.sort_by}" if args.sort_by else "file order"),
-        ("mean_y", moments.mean_y),
-        ("mean_x", moments.mean_x),
-        ("s2_y", moments.s2_y),
-        ("s2_x", moments.s2_x),
-        ("cv_y", moments.cv_y),
-        ("cv_x", moments.cv_x),
-        ("rho", moments.rho),
-        ("rho_y", moments.rho_y),
-        ("rho_x", moments.rho_x),
-        ("s2_y2", moments.s2_y2 if moments.s2_y2 is not None else "unset"),
-    ]
-    if args.format == "json":
-        report = json.dumps({key: value for key, value in fields}, indent=2) + "\n"
-    elif args.format == "csv":
-        report = _csv_lines(["parameter", "value"], [[k, v] for k, v in fields])
-    else:
-        report = _kv_lines(fields)
+    payload = {
+        "N": pop.N,
+        "n": design.n,
+        "k": design.k,
+        "arrangement": f"sorted by {args.sort_by}" if args.sort_by else "file order",
+        "mean_y": moments.mean_y,
+        "mean_x": moments.mean_x,
+        "s2_y": moments.s2_y,
+        "s2_x": moments.s2_x,
+        "cv_y": moments.cv_y,
+        "cv_x": moments.cv_x,
+        "rho": moments.rho,
+        "rho_y": moments.rho_y,
+        "rho_x": moments.rho_x,
+        "s2_y2": moments.s2_y2 if moments.s2_y2 is not None else "unset",
+    }
+    width = max(map(len, payload))
+    report = _render(
+        args.format, payload, ["parameter", "value"], list(payload.items()),
+        [f"{key:<{width}}  {value}" for key, value in payload.items()],
+    )
 
     _emit(args, report, _manifest(args, argv, sha))
     return 0
@@ -362,50 +381,41 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     constants = derived_constants(moments, n, N, params)
     alpha_opt = optimum_alpha(constants, args.g)
 
-    rows = []
-    for w2 in args.w2_grid:
-        for ell in args.ell_grid:
-            variance = var_mean_y(moments, n, N, w2, ell)
-            mse_min = family_mse_min(moments, n, w2, ell, constants)
-            pre = pre_optimum(moments, n, N, w2, ell, constants)
-            rows.append((w2, ell, variance, mse_min, pre))
-
-    if args.format == "json":
-        payload = {
-            "N": N,
-            "n": n,
-            "alpha_opt": alpha_opt,
-            "rho_star": constants.rho_star,
-            "big_k": constants.big_k,
-            "lambda": constants.lam,
-            "rows": [
-                {
-                    "w2": w2,
-                    "ell": ell,
-                    "var_hh_mean": variance,
-                    "mse_family_min": mse_min,
-                    "pre": pre,
-                }
-                for w2, ell, variance, mse_min, pre in rows
-            ],
+    rows = [
+        {
+            "w2": w2,
+            "ell": ell,
+            "var_hh_mean": var_mean_y(moments, n, N, w2, ell),
+            "mse_family_min": family_mse_min(moments, n, w2, ell, constants),
+            "pre": pre_optimum(moments, n, N, w2, ell, constants),
         }
-        report = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        report = _csv_lines(
-            ["w2", "ell", "var_hh_mean", "mse_family_min", "pre"],
-            [list(row) for row in rows],
-        )
-    else:
-        lines = [
+        for w2 in args.w2_grid
+        for ell in args.ell_grid
+    ]
+    payload = {
+        "N": N,
+        "n": n,
+        "alpha_opt": alpha_opt,
+        "rho_star": constants.rho_star,
+        "big_k": constants.big_k,
+        "lambda": constants.lam,
+        "rows": rows,
+    }
+    columns = [
+        Column("w2", "w2", "{:>5.2f}"),
+        Column("ell", "L", " {:>5.2f}"),
+        Column("var_hh_mean", "var(hh mean)", " {:>16.4f}"),
+        Column("mse_family_min", "min MSE(family)", " {:>16.4f}"),
+        Column("pre", "PRE", " {:>9.2f}"),
+    ]
+    report = _render(
+        args.format, payload, list(rows[0]), [list(row.values()) for row in rows],
+        [
             f"N={N} n={n} k={design.k}  alpha_opt={alpha_opt:.6f}  "
             f"K={constants.big_k:.6f}  rho_star={constants.rho_star:.6f}",
-            f"{'w2':>5} {'L':>5} {'var(hh mean)':>16} {'min MSE(family)':>16} {'PRE':>9}",
-        ]
-        lines.extend(
-            f"{w2:>5.2f} {ell:>5.2f} {variance:>16.4f} {mse_min:>16.4f} {pre:>9.2f}"
-            for w2, ell, variance, mse_min, pre in rows
-        )
-        report = "\n".join(lines) + "\n"
+            (columns, rows),
+        ],
+    )
 
     _emit(args, report, _manifest(args, argv, sha, N=N, moments=dataclasses.asdict(moments)))
     return 0
@@ -505,60 +515,50 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         r.valid for r in report.results
     )
 
-    if args.format == "json":
-        payload = {
-            "population_sha256": report.population_sha256,
-            "true_mean_y": report.true_mean_y,
-            "replicates": report.replicates,
-            "seed": report.master_seed,
-            "exhaustive_start": args.exhaustive,
-            "w2_theory": w2_theory,
-            "alpha": alpha,
-            "results": [dataclasses.asdict(r) for r in report.results],
-            "comparisons": [
-                dict(dataclasses.asdict(c), target=target_names[c.label])
-                for c in comparisons
-            ],
-            "all_pass": all_pass,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        rows = []
-        for c in comparisons:
-            r = report.by_label(c.label)
-            rows.append(
-                [
-                    c.label,
-                    r.n_used,
-                    r.n_failed,
-                    r.empirical_mean,
-                    r.empirical_bias,
-                    r.empirical_mse,
-                    r.mc_se_mse,
-                    c.theory_value,
-                    c.z_score,
-                    c.rel_gap,
-                    c.verdict,
-                ]
-            )
-        text = _csv_lines(
-            [
-                "label",
-                "n_used",
-                "n_failed",
-                "mean",
-                "bias",
-                "mse",
-                "mc_se_mse",
-                "theory",
-                "z",
-                "rel_gap",
-                "verdict",
-            ],
-            rows,
-        )
-    else:
-        lines = [
+    payload = {
+        "population_sha256": report.population_sha256,
+        "true_mean_y": report.true_mean_y,
+        "replicates": report.replicates,
+        "seed": report.master_seed,
+        "exhaustive_start": args.exhaustive,
+        "w2_theory": w2_theory,
+        "alpha": alpha,
+        "results": [dataclasses.asdict(r) for r in report.results],
+        "comparisons": [
+            dict(dataclasses.asdict(c), target=target_names[c.label]) for c in comparisons
+        ],
+        "all_pass": all_pass,
+    }
+    csv_rows = [
+        [c.label, r.n_used, r.n_failed, r.empirical_mean, r.empirical_bias, r.empirical_mse,
+         r.mc_se_mse, c.theory_value, c.z_score, c.rel_gap, c.verdict]
+        for c in comparisons
+        for r in [report.by_label(c.label)]
+    ]
+    result_columns = [
+        Column("label", "label", "{:<10}"),
+        Column("empirical_mean", "mean", "{:>14.6f}"),
+        Column("empirical_bias", "bias", "{:>13.6f}"),
+        Column("empirical_mse", "MSE", "{:>15.6f}"),
+        Column("mc_se_mse", "MC-SE", "{:>12.6f}"),
+        Column("n_failed", "fail", "{:>6d}"),
+        Column("flag", "", "{}"),
+    ]
+    comparison_columns = [
+        Column("label", "label", "{:<10}"),
+        Column("target", "target", "{:<26}"),
+        Column("theory_value", "theory", "{:>15.6f}"),
+        Column("z_score", "z", "{:>9.3f}"),
+        Column("rel_gap", "rel-gap", "{:>10.4f}"),
+        Column("verdict", "verdict", "  {}"),
+    ]
+    results = [dict(r, flag="" if r["valid"] else "  INVALID") for r in payload["results"]]
+    text = _render(
+        args.format, payload,
+        ["label", "n_used", "n_failed", "mean", "bias", "mse", "mc_se_mse", "theory", "z",
+         "rel_gap", "verdict"],
+        csv_rows,
+        [
             f"population sha256={report.population_sha256[:16]}...  "
             f"N={pop.N} n={design.n} k={design.k}",
             f"true mean_y={report.true_mean_y:.6f}  replicates={report.replicates}  "
@@ -566,30 +566,14 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             f"non-response: mode={args.stratum_mode} w2={args.w2} L={args.ell}"
             + (f"  alpha={alpha:.6f}" if alpha is not None else ""),
             "",
-            f"{'label':<10}{'mean':>14}{'bias':>13}{'MSE':>15}{'MC-SE':>12}"
-            f"{'fail':>6}",
-        ]
-        for r in report.results:
-            lines.append(
-                f"{r.label:<10}{r.empirical_mean:>14.6f}{r.empirical_bias:>13.6f}"
-                f"{r.empirical_mse:>15.6f}{r.mc_se_mse:>12.6f}{r.n_failed:>6d}"
-                + ("" if r.valid else "  INVALID")
-            )
-        lines.append("")
-        lines.append(
-            f"theory comparison (tolerance {args.tolerance_sigma:g} sigma)"
-        )
-        lines.append(
-            f"{'label':<10}{'target':<26}{'theory':>15}{'z':>9}{'rel-gap':>10}  verdict"
-        )
-        for c in comparisons:
-            lines.append(
-                f"{c.label:<10}{target_names[c.label]:<26}{c.theory_value:>15.6f}"
-                f"{c.z_score:>9.3f}{c.rel_gap:>10.4f}  {c.verdict}"
-            )
-        lines.append("")
-        lines.append("overall: " + ("PASS" if all_pass else "FAIL"))
-        text = "\n".join(lines) + "\n"
+            (result_columns, results),
+            "",
+            f"theory comparison (tolerance {args.tolerance_sigma:g} sigma)",
+            (comparison_columns, payload["comparisons"]),
+            "",
+            "overall: " + ("PASS" if all_pass else "FAIL"),
+        ],
+    )
 
     _emit(args, text, _manifest(args, argv, sha, alpha=alpha))
     return 0 if all_pass else 1

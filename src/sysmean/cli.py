@@ -280,11 +280,25 @@ class Column:
     cell: str
 
 
+def _cells(cells: list[str]) -> str:
+    """Join table cells, with one space between two that would otherwise touch."""
+    line = ""
+    for cell in cells:
+        if cell[:1].strip() and line[-1:].strip():
+            line += " "
+        line += cell
+    return line
+
+
 def _render(fmt: str, payload: dict, csv_columns: list, csv_rows: list, text: list) -> str:
     """The report as json of `payload`, csv of `csv_rows`, or the lines and (columns, rows)
     tables of `text`, each table row a mapping of column keys."""
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        try:
+            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # RFC 8259 has no Infinity or NaN: write null for them
+            payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+            return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         lines = [",".join(map(str, row)) for row in [csv_columns, *csv_rows]]
     else:
@@ -296,8 +310,8 @@ def _render(fmt: str, payload: dict, csv_columns: list, csv_rows: list, text: li
             columns, rows = item
             # A heading keeps its cell's alignment and width, not its precision and type.
             heads = [re.sub(r"(\.\d+)?[a-z]}", "}", c.cell).format(c.head) for c in columns]
-            lines.append("".join(heads))
-            lines.extend("".join(c.cell.format(row[c.key]) for c in columns) for row in rows)
+            lines.append(_cells(heads))
+            lines.extend(_cells([c.cell.format(row[c.key]) for c in columns]) for row in rows)
     return "\n".join(lines) + "\n"
 
 

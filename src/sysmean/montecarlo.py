@@ -250,20 +250,20 @@ def compare_to_theory(
 
     PASS iff |z| <= tolerance_sigma, where z = (empirical - theory) / MC
     standard error.  A zero standard error with a nonzero gap fails with an
-    infinite z.
+    infinite z of the gap's sign.
     """
     comparisons = []
     for label, theory_value in theory_values:
         result = report.by_label(label)
         gap = result.empirical_mse - theory_value
         if result.mc_se_mse == 0 or math.isnan(result.mc_se_mse):
-            z_score = 0.0 if gap == 0 else math.inf
+            z_score = 0.0 if gap == 0 else math.copysign(math.inf, gap)
         else:
             z_score = gap / result.mc_se_mse
         if theory_value != 0:
             rel_gap = gap / theory_value
         else:
-            rel_gap = 0.0 if gap == 0 else math.inf
+            rel_gap = 0.0 if gap == 0 else math.copysign(math.inf, gap)
         verdict = "PASS" if abs(z_score) <= tolerance_sigma else "FAIL"
         comparisons.append(
             TheoryComparison(

@@ -86,6 +86,18 @@ def test_report_matches_golden(case, pop_csv):
         assert err.encode("utf-8") == (GOLDEN / f"{case}.stderr").read_bytes()
 
 
+def test_json_reports_are_strict_json():
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+    reports = sorted(GOLDEN.glob("*_json.stdout"))
+    assert reports
+    for path in reports:
+        text = path.read_text(encoding="utf-8")
+        if text:  # a usage error writes no report
+            json.loads(text, parse_constant=reject)
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}

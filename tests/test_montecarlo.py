@@ -208,6 +208,14 @@ class TestCompareToTheory:
         assert comparison.verdict == "FAIL"
         assert math.isinf(comparison.z_score)
 
+    @pytest.mark.parametrize("gap, expected", [(0.1, math.inf), (-0.1, -math.inf), (0.0, 0.0)])
+    def test_infinite_z_and_rel_gap_keep_the_sign_of_the_gap(self, gap, expected):
+        # z with a zero standard error, and rel_gap against a zero target
+        (z,) = compare_to_theory(self.report_with(mse=4.0 + gap, se=0.0), [("hh", 4.0)])
+        (rel,) = compare_to_theory(self.report_with(mse=gap, se=0.5), [("hh", 0.0)])
+        assert z.z_score == expected
+        assert rel.rel_gap == expected
+
     def test_missing_label_rejected(self):
         report = self.report_with(mse=4.0, se=0.5)
         with pytest.raises(ConfigurationError):

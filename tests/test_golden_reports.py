@@ -3,7 +3,8 @@
 Each case runs `sysmean.cli.main` on the population written by
 `synthesize --units 240 --seed 28` and compares the result with the files
 under tests/golden/: `<case>.stdout`, `<case>.stderr` (exit 2 only) and the
-exit codes in `exit_codes.json`.  The files are written by
+exit codes in `exit_codes.json`; any other file there fails the suite.
+The files are written, and files no case writes deleted, by
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -71,6 +72,12 @@ def run_case(case: str, pop: Path) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def expected_files(codes: dict[str, int]) -> set[str]:
+    """Every file the cases write: exit codes, each stdout, and stderr on exit 2."""
+    names = {"exit_codes.json"} | {f"{case}.stdout" for case in codes}
+    return names | {f"{case}.stderr" for case, code in codes.items() if code == 2}
+
+
 @pytest.fixture(scope="module")
 def pop_csv(tmp_path_factory):
     return write_population(tmp_path_factory.mktemp("golden"))
@@ -84,6 +91,13 @@ def test_report_matches_golden(case, pop_csv):
     assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
     if code == 2:
         assert err.encode("utf-8") == (GOLDEN / f"{case}.stderr").read_bytes()
+
+
+def test_every_golden_file_belongs_to_a_case():
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert sorted(codes) == sorted(CASES)
+    orphans = sorted({path.name for path in GOLDEN.iterdir()} - expected_files(codes))
+    assert not orphans, f"golden files that no case writes: {orphans}"
 
 
 def test_json_reports_are_strict_json():
@@ -110,6 +124,9 @@ def regenerate() -> None:
             if code == 2:
                 (GOLDEN / f"{case}.stderr").write_bytes(err.encode("utf-8"))
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    for path in GOLDEN.iterdir():
+        if path.name not in expected_files(codes):
+            path.unlink()
     print(f"wrote {len(codes)} golden cases to {GOLDEN}")
 
 

@@ -47,6 +47,9 @@ COMMANDS = {
     "sim_invalid": [*SIM, "--estimators", "hh,family", "--alpha-policy", "explicit",
                     "--alpha", "3", "--b", "-41.0259", "--g", "0.5", "--seed", "15"],
     "sim_k1": ["simulate", POP, "--n", "240", "--replicates", "50", "--seed", "17"],
+    "sim_full_followup": [*SIM, "--ell", "1", "--seed", "18"],
+    "sim_bernoulli_exhaustive": [*SIM, "--stratum-mode", "bernoulli", "--exhaustive",
+                                 "--seed", "19"],
     "params_non_divisor": ["params", POP, "--n", "7"],
     "table_incomplete": ["theory-table", "--n", "16", "--pop-size", "176"],
 }

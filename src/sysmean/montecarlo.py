@@ -10,31 +10,47 @@ spawn key (r+1,); key (0,) is reserved for design-level randomization such
 as stratum selection.  Aggregation reduces in replicate order, so a report
 is bit-identical for a given (population, design, config) regardless of how
 the replicates would be scheduled.
+
+`run_simulation` builds a per-start table once per call: for each start
+index i the auxiliary mean xbar_i and, with a fixed stratum, n1_i, the
+respondent y total, the non-respondents' y values in unit order and h2_i
+(and ybar*_i itself when no follow-up draw is needed).  A replicate then
+only draws and sums.  Each stream is consumed as the per-unit reference
+path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`) consumes
+it: the start index by `draw_sample`, in Bernoulli mode one
+`rng.random(n) < w2` vector, then `Generator.choice(n2, h2, replace=False)`
+whose sorted indices pick the same sub-sample as a choice over the sorted
+non-respondent units.  Totals are summed left to right with Python `sum`
+in unit order and ybar* is n1*(T1/n1) + n2*(T2/h2) over n, as in `hh_mean`,
+so the reports are bit-identical to that path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .design import (
     NonResponseModel,
+    StratumMode,
     SystematicDesign,
-    apply_nonresponse,
     draw_sample,
-    enumerate_samples,
+    follow_up_size,
 )
 from .errors import ConfigurationError, DomainError, SingularityError
 from .estimators import (
     FamilyParams,
-    aux_mean,
     family_estimate,
-    hh_mean,
     product_estimate,
     ratio_estimate,
 )
 from .population import FinitePopulation, population_fingerprint
+
+# Not called here; bound so that perfbench/tracing.py TARGETS still resolve.
+from .design import apply_nonresponse  # noqa: F401
+from .estimators import aux_mean, hh_mean  # noqa: F401
 
 ESTIMATOR_KINDS = ("hh", "ratio", "product", "family")
 
@@ -155,6 +171,45 @@ def _evaluate(
     return family_estimate(ybar_star, xbar, pop_mean_x, spec.params)
 
 
+def _hh_mean(n: int, n1: int, t1: float, n2: int, h2: int, t2: float) -> float:
+    """`hh_mean` from the respondent and follow-up y totals, in its operation order."""
+    total = 0.0
+    if n1 > 0:
+        total += n1 * (t1 / n1)
+    if n2 > 0:
+        total += n2 * (t2 / h2)
+    return total / n
+
+
+def _follow_up_total(nr_y: np.ndarray, h2: int, rng: np.random.Generator | None) -> float:
+    """y total of the follow-up sub-sample of the non-respondents `nr_y`.
+
+    When h2 < n2 the sub-sample is drawn as `apply_nonresponse` draws it,
+    from the same stream; it is summed in unit order.
+    """
+    n2 = len(nr_y)
+    if h2 < n2:
+        nr_y = nr_y[np.sort(rng.choice(n2, h2, replace=False))]
+    return sum(nr_y.tolist())
+
+
+def _fixed_stratum_table(
+    y_samples: list[np.ndarray], missing: np.ndarray, n: int, ell: float
+) -> list[tuple[int, float, np.ndarray, int, float | None]]:
+    """One row per start: (n1, respondent y total, non-respondent y in unit
+    order, h2, ybar*); ybar* is None when it depends on a follow-up draw."""
+    rows = []
+    for ys, miss in zip(y_samples, missing):
+        n1, t1 = n - int(np.count_nonzero(miss)), sum(ys[~miss].tolist())
+        nr_y = ys[miss]
+        h2 = follow_up_size(len(nr_y), ell)
+        ybar_star = None
+        if h2 >= len(nr_y):
+            ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, _follow_up_total(nr_y, h2, None))
+        rows.append((n1, t1, nr_y, h2, ybar_star))
+    return rows
+
+
 def run_simulation(
     pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig
 ) -> SimulationReport:
@@ -168,24 +223,55 @@ def run_simulation(
     if pop.N != design.N:
         raise DomainError(f"population has {pop.N} units but design expects {design.N}")
     cfg.nr.validate_for(design.N)
+    return _report(pop, cfg, _replicate_means(pop, design, cfg))
 
-    samples = enumerate_samples(design)
-    pop_mean_x = float(pop.x.mean())
-    true_mean_y = float(pop.y.mean())
 
-    n_est = len(cfg.estimators)
-    estimates = np.full((n_est, cfg.replicates), np.nan)
-    failed = np.zeros((n_est, cfg.replicates), dtype=bool)
+def _replicate_means(
+    pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig
+) -> Iterator[tuple[float, float]]:
+    """(ybar*, xbar) of each replicate in replicate order, from the per-start table."""
+    n, k, nr = design.n, design.k, cfg.nr
+    # Row i of a (k, n) view holds the sample with start index i + 1.
+    y_samples = list(pop.y.reshape(n, k).T.copy())
+    xbars = [sum(xs) / n for xs in pop.x.reshape(n, k).T.tolist()]
+    fixed = nr.mode is StratumMode.FIXED_STRATUM
+    if fixed:
+        missing = np.zeros(design.N, dtype=bool)
+        missing[[u - 1 for u in nr.stratum or ()]] = True
+        rows = _fixed_stratum_table(y_samples, missing.reshape(n, k).T, n, nr.ell)
 
     for rep in range(cfg.replicates):
         rng = replicate_rng(cfg.master_seed, rep)
         if cfg.exhaustive_start:
-            start = rep % design.k + 1
+            i = rep % k
         else:
-            start = draw_sample(design, rng)
-        realization = apply_nonresponse(samples[start - 1], pop, cfg.nr, rng)
-        ybar_star = hh_mean(realization)
-        xbar = aux_mean(realization)
+            i = draw_sample(design, rng) - 1
+        if fixed:
+            n1, t1, nr_y, h2, ybar_star = rows[i]
+            if ybar_star is None:
+                t2 = _follow_up_total(nr_y, h2, rng)
+                ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, t2)
+        else:
+            ys = y_samples[i]
+            miss = rng.random(n) < nr.w2
+            nr_y = ys[miss]
+            h2 = follow_up_size(len(nr_y), nr.ell)
+            t1 = sum(ys[~miss].tolist())
+            t2 = _follow_up_total(nr_y, h2, rng)
+            ybar_star = _hh_mean(n, n - len(nr_y), t1, len(nr_y), h2, t2)
+        yield ybar_star, xbars[i]
+
+
+def _report(
+    pop: FinitePopulation, cfg: SimulationConfig, means: Iterable[tuple[float, float]]
+) -> SimulationReport:
+    """Evaluate each estimator on every replicate's (ybar*, xbar) and aggregate."""
+    pop_mean_x = float(pop.x.mean())
+    true_mean_y = float(pop.y.mean())
+    n_est = len(cfg.estimators)
+    estimates = np.full((n_est, cfg.replicates), np.nan)
+    failed = np.zeros((n_est, cfg.replicates), dtype=bool)
+    for rep, (ybar_star, xbar) in enumerate(means):
         for j, spec in enumerate(cfg.estimators):
             try:
                 estimates[j, rep] = _evaluate(spec, ybar_star, xbar, pop_mean_x)

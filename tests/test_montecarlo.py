@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import sysmean.montecarlo
+from conftest import random_population
 from sysmean import (
     ConfigurationError,
     EstimatorSpec,
@@ -10,17 +14,28 @@ from sysmean import (
     FinitePopulation,
     NonResponseModel,
     SimulationConfig,
+    StratumMode,
     SystematicDesign,
+    apply_nonresponse,
+    aux_mean,
     compare_to_theory,
     compute_moments,
     derived_constants,
+    draw_sample,
+    enumerate_samples,
     enumerated_design_variance,
+    hh_mean,
     optimum_alpha,
     run_simulation,
     var_mean_y,
 )
 from sysmean.datasets import synthetic_linear_population
-from sysmean.montecarlo import EstimatorResult, SimulationReport
+from sysmean.montecarlo import (
+    EstimatorResult,
+    SimulationReport,
+    _report,
+    replicate_rng,
+)
 
 NO_NR = NonResponseModel(w2=0.0, ell=1.0)
 
@@ -244,3 +259,99 @@ class TestReportInvariants:
         )
         assert result.empirical_mse >= 0
         assert result.n_used + result.n_failed == report.replicates
+
+
+def per_unit_means(pop, design, cfg):
+    """(ybar*, xbar) per replicate along the per-unit reference path."""
+    samples = enumerate_samples(design)
+    for rep in range(cfg.replicates):
+        rng = replicate_rng(cfg.master_seed, rep)
+        if cfg.exhaustive_start:
+            start = rep % design.k + 1
+        else:
+            start = draw_sample(design, rng)
+        realization = apply_nonresponse(samples[start - 1], pop, cfg.nr, rng)
+        yield hh_mean(realization), aux_mean(realization)
+
+
+def simulation_case(pop_seed, n, k, w2, ell, bernoulli, exhaustive, replicates, seed):
+    rng = np.random.default_rng(pop_seed)
+    pop = random_population(rng, n * k)
+    if bernoulli:
+        nr = NonResponseModel(w2=w2, ell=ell, mode=StratumMode.BERNOULLI_PER_REPLICATE)
+    else:
+        size = round(w2 * n * k)
+        stratum = frozenset(int(u) + 1 for u in rng.choice(n * k, size=size, replace=False))
+        nr = NonResponseModel(w2=w2, ell=ell, stratum=stratum)
+    pop_mean_x = float(pop.x.mean())
+    specs = (
+        EstimatorSpec("hh", "hh"),
+        EstimatorSpec("ratio", "ratio"),
+        EstimatorSpec("product", "product"),
+        EstimatorSpec("family", "family", FamilyParams(alpha=0.8, g=1.5, b=2.0)),
+        # base < 0, a DomainError, on samples with xbar above Xbar + 1/6
+        EstimatorSpec(
+            "failing", "family", FamilyParams(alpha=3.0, g=0.5, b=-(pop_mean_x + 0.5))
+        ),
+    )
+    cfg = SimulationConfig(
+        replicates=replicates,
+        master_seed=seed,
+        estimators=specs,
+        nr=nr,
+        exhaustive_start=exhaustive,
+    )
+    return pop, SystematicDesign(N=n * k, n=n, k=k), cfg
+
+
+class TestPerStartTableKernel:
+    """run_simulation against the per-unit path it replaces, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pop_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 24),
+        k=st.integers(1, 6),
+        w2=st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.8]) | st.floats(0.0, 0.9),
+        ell=st.sampled_from([1.0, 1.5, 2.0, 3.0, 1e9]) | st.floats(1.0, 10.0),
+        bernoulli=st.booleans(),
+        exhaustive=st.booleans(),
+        replicates=st.integers(1, 40),
+        seed=st.integers(0, 2**63),
+    )
+    @example(pop_seed=1, n=20, k=1, w2=0.5, ell=1.5, bernoulli=False, exhaustive=False,
+             replicates=30, seed=3)
+    @example(pop_seed=2, n=24, k=4, w2=0.0, ell=2.0, bernoulli=False, exhaustive=True,
+             replicates=12, seed=4)
+    @example(pop_seed=3, n=24, k=4, w2=0.5, ell=1.0, bernoulli=True, exhaustive=False,
+             replicates=30, seed=5)
+    @example(pop_seed=4, n=24, k=3, w2=0.5, ell=1e9, bernoulli=False, exhaustive=False,
+             replicates=30, seed=6)
+    @example(pop_seed=5, n=24, k=3, w2=0.5, ell=1.6, bernoulli=True, exhaustive=True,
+             replicates=30, seed=7)
+    def test_reports_match_the_per_unit_path(self, **case):
+        pop, design, cfg = simulation_case(**case)
+        expected = _report(pop, cfg, per_unit_means(pop, design, cfg))
+        assert repr(run_simulation(pop, design, cfg)) == repr(expected)
+
+    def test_failing_family_spec_fails_on_some_replicates(self):
+        pop, design, cfg = simulation_case(
+            pop_seed=1, n=4, k=6, w2=0.25, ell=2.0, bernoulli=False, exhaustive=True,
+            replicates=12, seed=3,
+        )
+        failing = run_simulation(pop, design, cfg).by_label("failing")
+        assert 0 < failing.n_failed < cfg.replicates
+
+    def test_per_unit_path_is_not_called(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_simulation called the per-unit path")
+
+        for name in ("apply_nonresponse", "hh_mean", "aux_mean"):
+            monkeypatch.setattr(sysmean.montecarlo, name, refuse)
+        for bernoulli in (False, True):
+            pop, design, cfg = simulation_case(
+                pop_seed=9, n=12, k=5, w2=0.25, ell=2.0, bernoulli=bernoulli,
+                exhaustive=False, replicates=50, seed=11,
+            )
+            report = run_simulation(pop, design, cfg)
+            assert report.by_label("hh").n_used == 50

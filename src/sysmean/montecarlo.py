@@ -27,6 +27,7 @@ so the reports are bit-identical to that path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -335,15 +336,19 @@ def compare_to_theory(
     """z-test each labelled empirical MSE against its closed-form target.
 
     PASS iff |z| <= tolerance_sigma, where z = (empirical - theory) / MC
-    standard error.  A zero standard error with a nonzero gap fails with an
-    infinite z of the gap's sign.
+    standard error.  With a zero standard error a gap within round-off,
+    |gap| <= 8*eps*max(Ybar^2, |theory|), has z = 0; a larger gap fails
+    with an infinite z of the gap's sign.
     """
     comparisons = []
     for label, theory_value in theory_values:
         result = report.by_label(label)
         gap = result.empirical_mse - theory_value
         if result.mc_se_mse == 0 or math.isnan(result.mc_se_mse):
-            z_score = 0.0 if gap == 0 else math.copysign(math.inf, gap)
+            roundoff = 8 * sys.float_info.epsilon * max(
+                report.true_mean_y**2, abs(theory_value)
+            )
+            z_score = 0.0 if abs(gap) <= roundoff else math.copysign(math.inf, gap)
         else:
             z_score = gap / result.mc_se_mse
         if theory_value != 0:

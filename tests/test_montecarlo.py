@@ -231,6 +231,27 @@ class TestCompareToTheory:
         assert z.z_score == expected
         assert rel.rel_gap == expected
 
+    def test_zero_standard_error_with_roundoff_gap_passes(self):
+        # a census (k = 1): the empirical MSE and the theory are both
+        # round-off, far below 8*eps*Ybar^2 = 1.8e-13 with Ybar = 10
+        (comparison,) = compare_to_theory(self.report_with(mse=3.2e-27, se=0.0),
+                                          [("hh", 7.3e-16)])
+        assert comparison.verdict == "PASS"
+        assert comparison.z_score == 0.0
+
+    @pytest.mark.parametrize("gap", [1e-12, -1e-12])
+    def test_zero_standard_error_with_gap_beyond_roundoff_fails(self, gap):
+        (comparison,) = compare_to_theory(self.report_with(mse=4.0 + gap, se=0.0),
+                                          [("hh", 4.0)])
+        assert comparison.verdict == "FAIL"
+        assert comparison.z_score == math.copysign(math.inf, gap)
+
+    def test_roundoff_rule_leaves_nonzero_standard_error_alone(self):
+        (comparison,) = compare_to_theory(self.report_with(mse=1e-15, se=1e-17),
+                                          [("hh", 0.0)])
+        assert comparison.verdict == "FAIL"
+        assert comparison.z_score == pytest.approx(100.0)
+
     def test_missing_label_rejected(self):
         report = self.report_with(mse=4.0, se=0.5)
         with pytest.raises(ConfigurationError):

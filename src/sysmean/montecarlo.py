@@ -182,7 +182,7 @@ def _hh_mean(n: int, n1: int, t1: float, n2: int, h2: int, t2: float) -> float:
     return total / n
 
 
-def _follow_up_total(nr_y: np.ndarray, h2: int, rng: np.random.Generator | None) -> float:
+def _follow_up_total(nr_y: np.ndarray, h2: int, rng: np.random.Generator) -> float:
     """y total of the follow-up sub-sample of the non-respondents `nr_y`.
 
     When h2 < n2 the sub-sample is drawn as `apply_nonresponse` draws it,
@@ -201,12 +201,12 @@ def _fixed_stratum_table(
     order, h2, ybar*); ybar* is None when it depends on a follow-up draw."""
     rows = []
     for ys, miss in zip(y_samples, missing):
-        n1, t1 = n - int(np.count_nonzero(miss)), sum(ys[~miss].tolist())
         nr_y = ys[miss]
+        n1, t1 = n - len(nr_y), sum(ys[~miss].tolist())
         h2 = follow_up_size(len(nr_y), ell)
         ybar_star = None
         if h2 >= len(nr_y):
-            ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, _follow_up_total(nr_y, h2, None))
+            ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, sum(nr_y.tolist()))
         rows.append((n1, t1, nr_y, h2, ybar_star))
     return rows
 
@@ -232,7 +232,7 @@ def _replicate_means(
 ) -> Iterator[tuple[float, float]]:
     """(ybar*, xbar) of each replicate in replicate order, from the per-start table."""
     n, k, nr = design.n, design.k, cfg.nr
-    # Row i of a (k, n) view holds the sample with start index i + 1.
+    # Row i of the (k, n) transpose holds the sample with start index i + 1.
     y_samples = list(pop.y.reshape(n, k).T.copy())
     xbars = [sum(xs) / n for xs in pop.x.reshape(n, k).T.tolist()]
     fixed = nr.mode is StratumMode.FIXED_STRATUM

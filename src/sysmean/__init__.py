@@ -7,7 +7,7 @@ family, and checking its closed-form first-order bias/MSE theory by
 design-based Monte Carlo.
 """
 
-__version__ = "0.1.2"
+__version__ = "0.1.3"
 
 from .design import (
     NonResponseModel,
@@ -56,11 +56,9 @@ from .population import (
 )
 from .theory import (
     DerivedConstants,
-    ErrorMoments,
     classical_bias,
     classical_mse,
     derived_constants,
-    error_moments,
     family_bias,
     family_mse,
     family_mse_min,
@@ -90,7 +88,6 @@ __all__ = [
     "SampleRealization",
     "FamilyParams",
     "DerivedConstants",
-    "ErrorMoments",
     "EstimatorSpec",
     "SimulationConfig",
     "SimulationReport",
@@ -112,7 +109,6 @@ __all__ = [
     "lambda_coefficient",
     "fpc",
     "derived_constants",
-    "error_moments",
     "nonresponse_term",
     "var_mean_y",
     "var_mean_x",

@@ -34,14 +34,20 @@ def synthetic_linear_population(
 ) -> FinitePopulation:
     """Generate y linear in x plus Gaussian noise with a target correlation.
 
-    The noise standard deviation is chosen so that the population correlation
-    is approximately `rho_target`; the realized value varies with the seed.
-    Units keep their generation order unless `sort_by_x` is set.
+    The noise standard deviation is chosen so that the magnitude of the
+    population correlation is approximately `rho_target`; its sign is the
+    sign of `slope`, and the realized value varies with the seed.  Units keep
+    their generation order unless `sort_by_x` is set.
     """
     if n_units < 2:
         raise DomainError(f"need at least 2 units, got {n_units}")
-    if not 0.0 < abs(rho_target) <= 1.0:
-        raise DomainError(f"target correlation must be in (0, 1], got {rho_target}")
+    if not 0.0 < rho_target <= 1.0:
+        raise DomainError(
+            f"target correlation magnitude must be in (0, 1], got {rho_target}; "
+            "the sign of the slope gives the sign of the correlation"
+        )
+    if slope == 0:
+        raise DomainError("slope must be nonzero: a zero slope gives a constant y")
     if not x_low < x_high:
         raise DomainError(f"x_low must be below x_high, got {x_low} and {x_high}")
     rng = np.random.default_rng(seed)

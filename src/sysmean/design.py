@@ -8,6 +8,7 @@ while non-respondents are re-contacted on a sub-sample of h2 out of n2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -64,8 +65,10 @@ class SystematicDesign:
 
 
 def valid_sample_sizes(N: int) -> list[int]:
-    """All sample sizes n >= 2 with N divisible by n."""
-    return [n for n in range(2, N + 1) if N % n == 0]
+    """All sample sizes n >= 2 with N divisible by n, ascending, in O(sqrt(N)) steps."""
+    small = [d for d in range(1, math.isqrt(max(N, 0)) + 1) if N % d == 0]
+    large = [N // d for d in reversed(small) if d * d != N]
+    return [d for d in small + large if d >= 2]
 
 
 def nearest_valid_sample_sizes(N: int, n: int, count: int = 5) -> list[int]:

@@ -1,9 +1,11 @@
 """Point estimators of the population mean computed from a realized sample.
 
-All estimators take pre-computed summary inputs (the non-response-adjusted
-sample mean, the auxiliary sample mean, and the known auxiliary population
-mean) so that the closed-form theory and the simulation harness exercise one
-and the same code path.
+Every estimator is ybar*·h(xbar), the non-response-adjusted sample mean
+rescaled by a function of the auxiliary sample mean.  The adjusted mean
+(h = 1), the ratio (alpha=1, g=1) and the product (alpha=1, g=-1) estimators
+are members of the general family in `family_estimate`, which is ybar* times
+its value at ybar* = 1, bit for bit.  `ratio_estimate` and `product_estimate`
+are the classical definitions, kept as independent references.
 """
 from __future__ import annotations
 
@@ -74,26 +76,26 @@ def family_estimate(
 ) -> float:
     """Evaluate the general family at the given summary inputs.
 
-    Raises SingularityError on a zero denominator (or a zero bracket base
-    with negative g) and DomainError when the bracket base is not positive
-    while g is non-integer, which signals an (a, b) choice invalid for this
-    sample rather than a numerical accident.
+    Raises SingularityError on a zero denominator when g != -1 (or a zero
+    bracket base with negative g) and DomainError when the bracket base is
+    not positive while g is non-integer, which signals an (a, b) choice
+    invalid for this sample rather than a numerical accident.
     """
     t_pop = p.a * pop_mean_x + p.b
     t_smp = p.a * xbar + p.b
     denom = p.alpha * t_smp + (1.0 - p.alpha) * t_pop
-    if denom == 0:
-        raise SingularityError("family denominator is zero for this sample")
-    if p.g == 0.0:
-        return ybar_star
     # g = +-1 covers the ratio/product sub-family; a single division avoids
-    # the double rounding of base**g there.
-    if p.g == 1.0:
-        return ybar_star * (t_pop / denom)
+    # the double rounding of base**g there.  g = -1 needs only t_pop != 0.
     if p.g == -1.0:
         if t_pop == 0:
             raise SingularityError("bracket base is zero with negative exponent")
         return ybar_star * (denom / t_pop)
+    if denom == 0:
+        raise SingularityError("family denominator is zero for this sample")
+    if p.g == 0.0:
+        return ybar_star
+    if p.g == 1.0:
+        return ybar_star * (t_pop / denom)
     base = t_pop / denom
     if base < 0 and not float(p.g).is_integer():
         raise DomainError(

@@ -1,9 +1,16 @@
 """Design-based Monte Carlo engine for verifying the closed-form theory.
 
 Replicates the full mechanism (random or cycled start index, non-response,
-follow-up sub-sampling), evaluates each configured estimator per replicate,
-and aggregates empirical bias/MSE with a Monte Carlo standard error so that
-theory comparisons can use a principled z-score.
+follow-up sub-sampling), evaluates each configured estimator, and aggregates
+empirical bias/MSE with a Monte Carlo standard error so that theory
+comparisons can use a principled z-score.
+
+Every estimator is ybar*·h(xbar) with h from the general family: kind 'hh'
+is h = 1, 'ratio' and 'product' are the presets (alpha=1, g=+-1) and
+'family' has its own parameters.  xbar depends on the start index alone, so
+h(xbar_i) = `family_estimate(1.0, xbar_i, Xbar, params)` and its failure
+flag are evaluated once per drawn start; ybar* times it has the same bits
+as the family evaluated per replicate.
 
 Replicate r draws from its own stream, derived from the master seed with
 spawn key (r+1,); key (0,) is reserved for design-level randomization such
@@ -12,24 +19,23 @@ is bit-identical for a given (population, design, config) regardless of how
 the replicates would be scheduled.
 
 `run_simulation` builds a per-start table once per call: for each start
-index i the auxiliary mean xbar_i and, with a fixed stratum, n1_i, the
-respondent y total, the non-respondents' y values in unit order and h2_i
-(and ybar*_i itself when no follow-up draw is needed).  A replicate then
-only draws and sums.  Each stream is consumed as the per-unit reference
-path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`) consumes
-it: the start index by `draw_sample`, in Bernoulli mode one
-`rng.random(n) < w2` vector, then `Generator.choice(n2, h2, replace=False)`
-whose sorted indices pick the same sub-sample as a choice over the sorted
-non-respondent units.  Totals are summed left to right with Python `sum`
-in unit order and ybar* is n1*(T1/n1) + n2*(T2/h2) over n, as in `hh_mean`,
-so the reports are bit-identical to that path.
+index i the auxiliary mean xbar_i, h(xbar_i) and, with a fixed stratum,
+n1_i, the respondent y total, the non-respondents' y values in unit order
+and h2_i (and ybar*_i itself when no follow-up draw is needed).  A
+replicate then only draws and sums.  Each stream is consumed as the
+per-unit reference path (`draw_sample`, `apply_nonresponse`, `hh_mean`,
+`aux_mean`) consumes it: the start index by `draw_sample`, in Bernoulli
+mode one `rng.random(n) < w2` vector, then
+`Generator.choice(n2, h2, replace=False)` whose sorted indices pick the
+same sub-sample as a choice over the sorted non-respondent units.  Totals are summed left to right
+with Python `sum` in unit order and ybar* is n1*(T1/n1) + n2*(T2/h2) over
+n, as in `hh_mean`, so the reports are bit-identical to that path.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,19 +47,16 @@ from .design import (
     follow_up_size,
 )
 from .errors import ConfigurationError, DomainError, SingularityError
-from .estimators import (
-    FamilyParams,
-    family_estimate,
-    product_estimate,
-    ratio_estimate,
-)
+from .estimators import FamilyParams, family_estimate
 from .population import FinitePopulation, population_fingerprint
 
 # Not called here; bound so that perfbench/tracing.py TARGETS still resolve.
 from .design import apply_nonresponse  # noqa: F401
-from .estimators import aux_mean, hh_mean  # noqa: F401
+from .estimators import aux_mean, hh_mean, product_estimate, ratio_estimate  # noqa: F401
 
-ESTIMATOR_KINDS = ("hh", "ratio", "product", "family")
+# The family parameters of h for each preset kind; None is h = 1.
+PRESETS = {"hh": None, "ratio": FamilyParams(1.0, 1.0), "product": FamilyParams(1.0, -1.0)}
+ESTIMATOR_KINDS = (*PRESETS, "family")
 
 # An estimator whose replicates fail more often than this is reported invalid.
 MAX_FAILURE_RATE = 0.01
@@ -61,19 +64,30 @@ MAX_FAILURE_RATE = 0.01
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One estimator to evaluate per replicate; `params` only for kind 'family'."""
+    """One estimator ybar*·h(xbar), h given by family `params` (None: h = 1).
+
+    A preset kind fills in its `params` and rejects others; 'family' needs them."""
 
     label: str
     kind: str
     params: FamilyParams | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ESTIMATOR_KINDS:
+        if self.kind == "family":
+            if self.params is None:
+                raise ConfigurationError("estimator kind 'family' requires FamilyParams")
+            return
+        if self.kind not in PRESETS:
             raise ConfigurationError(
                 f"unknown estimator kind {self.kind!r}; expected one of {ESTIMATOR_KINDS}"
             )
-        if self.kind == "family" and self.params is None:
-            raise ConfigurationError("estimator kind 'family' requires FamilyParams")
+        preset = PRESETS[self.kind]
+        if self.params not in (None, preset):
+            raise ConfigurationError(
+                f"estimator kind {self.kind!r} has the preset parameters {preset}, "
+                f"got {self.params}"
+            )
+        object.__setattr__(self, "params", preset)
 
 
 @dataclass(frozen=True)
@@ -159,19 +173,6 @@ def design_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
 
 
-def _evaluate(
-    spec: EstimatorSpec, ybar_star: float, xbar: float, pop_mean_x: float
-) -> float:
-    if spec.kind == "hh":
-        return ybar_star
-    if spec.kind == "ratio":
-        return ratio_estimate(ybar_star, xbar, pop_mean_x)
-    if spec.kind == "product":
-        return product_estimate(ybar_star, xbar, pop_mean_x)
-    assert spec.params is not None
-    return family_estimate(ybar_star, xbar, pop_mean_x, spec.params)
-
-
 def _hh_mean(n: int, n1: int, t1: float, n2: int, h2: int, t2: float) -> float:
     """`hh_mean` from the respondent and follow-up y totals, in its operation order."""
     total = 0.0
@@ -216,31 +217,48 @@ def run_simulation(
 ) -> SimulationReport:
     """Replicate the design and aggregate empirical bias/MSE per estimator.
 
-    Deterministic given (population, design, config).  A replicate on which
-    an estimator raises a singularity or domain error is recorded as failed
-    for that estimator only; estimators with more than 1% failures are
-    flagged invalid in the report.
+    Deterministic given (population, design, config).  A start index on
+    which h raises a singularity or domain error fails every replicate that
+    draws it, for that estimator only; estimators with more than 1% failures
+    are flagged invalid in the report.
     """
     if pop.N != design.N:
         raise DomainError(f"population has {pop.N} units but design expects {design.N}")
     cfg.nr.validate_for(design.N)
-    return _report(pop, cfg, _replicate_means(pop, design, cfg))
+    n, k = design.n, design.k
+    # Row i of the (k, n) transpose holds the sample with start index i + 1.
+    xbars = [sum(xs) / n for xs in pop.x.reshape(n, k).T.tolist()]
+    pop_mean_x = float(pop.x.mean())
+    ybar_star, starts = _replicate_means(pop, design, cfg)
+    drawn = sorted(set(starts.tolist()))  # np.unique would import numpy.ma
+    estimates, failed = [], []
+    for spec in cfg.estimators:
+        h, bad = np.ones(k), np.zeros(k, dtype=bool)
+        if spec.params is not None:
+            for i in drawn:
+                try:
+                    h[i] = family_estimate(1.0, xbars[i], pop_mean_x, spec.params)
+                except (SingularityError, DomainError):
+                    bad[i] = True
+        estimates.append(ybar_star * h[starts])
+        failed.append(bad[starts])
+    return _report(pop, cfg, np.array(estimates), np.array(failed))
 
 
 def _replicate_means(
     pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig
-) -> Iterator[tuple[float, float]]:
-    """(ybar*, xbar) of each replicate in replicate order, from the per-start table."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """ybar* and the 0-based start index of each replicate, in replicate order,
+    from the per-start table."""
     n, k, nr = design.n, design.k, cfg.nr
-    # Row i of the (k, n) transpose holds the sample with start index i + 1.
     y_samples = list(pop.y.reshape(n, k).T.copy())
-    xbars = [sum(xs) / n for xs in pop.x.reshape(n, k).T.tolist()]
     fixed = nr.mode is StratumMode.FIXED_STRATUM
     if fixed:
         missing = np.zeros(design.N, dtype=bool)
         missing[[u - 1 for u in nr.stratum or ()]] = True
         rows = _fixed_stratum_table(y_samples, missing.reshape(n, k).T, n, nr.ell)
 
+    ybar_stars, starts = [], []
     for rep in range(cfg.replicates):
         rng = replicate_rng(cfg.master_seed, rep)
         if cfg.exhaustive_start:
@@ -260,52 +278,31 @@ def _replicate_means(
             t1 = sum(ys[~miss].tolist())
             t2 = _follow_up_total(nr_y, h2, rng)
             ybar_star = _hh_mean(n, n - len(nr_y), t1, len(nr_y), h2, t2)
-        yield ybar_star, xbars[i]
+        ybar_stars.append(ybar_star)
+        starts.append(i)
+    return np.array(ybar_stars), np.array(starts, dtype=np.intp)
 
 
 def _report(
-    pop: FinitePopulation, cfg: SimulationConfig, means: Iterable[tuple[float, float]]
+    pop: FinitePopulation, cfg: SimulationConfig, estimates: np.ndarray, failed: np.ndarray
 ) -> SimulationReport:
-    """Evaluate each estimator on every replicate's (ybar*, xbar) and aggregate."""
-    pop_mean_x = float(pop.x.mean())
+    """Aggregate the (estimator, replicate) estimates, skipping the failed ones."""
     true_mean_y = float(pop.y.mean())
-    n_est = len(cfg.estimators)
-    estimates = np.full((n_est, cfg.replicates), np.nan)
-    failed = np.zeros((n_est, cfg.replicates), dtype=bool)
-    for rep, (ybar_star, xbar) in enumerate(means):
-        for j, spec in enumerate(cfg.estimators):
-            try:
-                estimates[j, rep] = _evaluate(spec, ybar_star, xbar, pop_mean_x)
-            except (SingularityError, DomainError):
-                failed[j, rep] = True
-
     results = []
     for j, spec in enumerate(cfg.estimators):
         ok = ~failed[j]
         values = estimates[j, ok]
         n_used = int(ok.sum())
         n_failed = cfg.replicates - n_used
-        if n_used == 0:
-            results.append(
-                EstimatorResult(
-                    label=spec.label,
-                    n_used=0,
-                    n_failed=n_failed,
-                    empirical_mean=math.nan,
-                    empirical_bias=math.nan,
-                    empirical_mse=math.nan,
-                    mc_se_mse=math.nan,
-                    valid=False,
-                )
+        # With every replicate failed (then also invalid) the moments are nan.
+        empirical_mean = empirical_mse = mc_se_mse = math.nan
+        if n_used > 0:
+            empirical_mean = float(values.mean())
+            squared_errors = (values - true_mean_y) ** 2
+            empirical_mse = float(squared_errors.mean())
+            mc_se_mse = (
+                float(squared_errors.std(ddof=1) / math.sqrt(n_used)) if n_used >= 2 else 0.0
             )
-            continue
-        empirical_mean = float(values.mean())
-        squared_errors = (values - true_mean_y) ** 2
-        empirical_mse = float(squared_errors.mean())
-        if n_used >= 2:
-            mc_se_mse = float(squared_errors.std(ddof=1) / math.sqrt(n_used))
-        else:
-            mc_se_mse = 0.0
         results.append(
             EstimatorResult(
                 label=spec.label,

@@ -34,21 +34,6 @@ class DerivedConstants:
     f: float
 
 
-@dataclass(frozen=True)
-class ErrorMoments:
-    """Second moments of the relative errors of the adjusted mean and x-mean."""
-
-    e0_sq: float
-    e1_sq: float
-    e0_e1: float
-
-    def __post_init__(self) -> None:
-        if self.e0_sq < 0 or self.e1_sq < 0:
-            raise DomainError("squared relative errors must be nonnegative")
-        if self.e0_e1**2 > self.e0_sq * self.e1_sq * (1.0 + 1e-12) + 1e-300:
-            raise DomainError("cross moment violates the Cauchy-Schwarz bound")
-
-
 def fpc(n: int, N: int) -> float:
     """Design factor (N-1)/(n*N)."""
     return (N - 1) / (n * N)
@@ -106,18 +91,6 @@ def derived_constants(
     big_k = m.rho * m.cv_y / m.cv_x
     lam = 1.0 if params is None else lambda_coefficient(params, m.mean_x)
     return DerivedConstants(rho_star=rho_star, big_k=big_k, lam=lam, f=fpc(n, N))
-
-
-def error_moments(
-    m: PopulationMoments, n: int, N: int, w2: float, ell: float
-) -> ErrorMoments:
-    """Second moments of e0 = ybar*/Ybar - 1 and e1 = xbar/Xbar - 1."""
-    _require_valid_clustering(m, n)
-    f = fpc(n, N)
-    e0_sq = f * _gy(m, n) * m.cv_y**2 + nonresponse_term(m, n, w2, ell) / m.mean_y**2
-    e1_sq = f * _gx(m, n) * m.cv_x**2
-    e0_e1 = f * math.sqrt(_gy(m, n)) * math.sqrt(_gx(m, n)) * m.rho * m.cv_y * m.cv_x
-    return ErrorMoments(e0_sq=e0_sq, e1_sq=e1_sq, e0_e1=e0_e1)
 
 
 def var_mean_y(

@@ -3,7 +3,13 @@ import shutil
 
 import pytest
 
-from sysmean import load_population
+from sysmean import (
+    SystematicDesign,
+    classical_mse,
+    compute_moments,
+    derived_constants,
+    load_population,
+)
 from sysmean.cli import main
 from sysmean.datasets import file_sha256
 
@@ -238,6 +244,25 @@ class TestSimulate:
         assert code == 2
         assert "--alpha-policy explicit" in capsys.readouterr().err
 
+    def test_ratio_and_product_targets_ignore_the_family_options(self, pop_csv, capsys):
+        # the presets have a = 1, b = 0, so lambda = 1 whatever --a and --b say
+        code = main([
+            "simulate", str(pop_csv), "--n", "12", "--w2", "0", "--ell", "1",
+            "--estimators", "ratio,product,family", "--a", "2", "--b", "5",
+            "--replicates", "200", "--seed", "9", "--format", "json",
+        ])
+        assert code in (0, 1)
+        targets = {c["label"]: c["theory_value"] for c in
+                   json.loads(capsys.readouterr().out)["comparisons"]}
+        pop = load_population(pop_csv)
+        design = SystematicDesign.from_population_size(pop.N, 12)
+        m = compute_moments(pop, design)
+        c = derived_constants(m, 12, pop.N)
+        for kind in ("ratio", "product"):
+            assert targets[kind] == pytest.approx(
+                classical_mse(kind, m, 12, 0.0, 1.0, c), rel=1e-14
+            )
+
     def test_bernoulli_mode_runs(self, pop_csv, capsys):
         code = main([
             "simulate", str(pop_csv), "--n", "12", "--w2", "0.25", "--ell", "2",
@@ -363,14 +388,25 @@ class TestUsageErrors:
              "argument --s2y2-factor"),
             (["simulate", "{pop}", "--n", "12", "--tolerance-sigma", "-1"],
              "sysmean: error: --tolerance-sigma"),
+            (["simulate", "{pop}", "--n", "12", "--seed", "-1"], "argument --seed"),
+            (["simulate", "{pop}", "--n", "12", "--seed", "1.5"], "argument --seed"),
+            (["synthesize", "--units", "20", "--seed", "-3", "--out", "{out}"],
+             "argument --seed"),
+            (["synthesize", "--units", "20", "--slope", "0", "--out", "{out}"],
+             "sysmean: error: slope must be nonzero"),
+            (["synthesize", "--units", "20", "--rho", "-0.5", "--out", "{out}"],
+             "sysmean: error: target correlation magnitude must be in (0, 1]"),
         ],
     )
-    def test_non_finite_and_negative_numbers(self, pop_csv, capsys, argv, message):
-        code = main([str(pop_csv) if tok == "{pop}" else tok for tok in argv])
+    def test_non_finite_and_negative_numbers(self, pop_csv, tmp_path, capsys, argv, message):
+        out = tmp_path / "synth.csv"
+        paths = {"{pop}": str(pop_csv), "{out}": str(out)}
+        code = main([paths.get(tok, tok) for tok in argv])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rho_w, code", [("2", 2), ("1", 0)])
     def test_intraclass_correlation_above_one_is_usage_error(self, capsys, rho_w, code):

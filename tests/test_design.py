@@ -42,6 +42,17 @@ class TestSystematicDesign:
         for candidate in nearest_valid_sample_sizes(176, 15):
             assert 176 % candidate == 0
 
+    @pytest.mark.parametrize("n", [2, 7, 15, 100])
+    def test_nearest_suggestions_match_brute_force(self, n):
+        for N in range(-2, 3001):
+            divisors = [d for d in range(2, N + 1) if N % d == 0]
+            expected = sorted(divisors, key=lambda c: (abs(c - n), c))[:5]
+            assert nearest_valid_sample_sizes(N, n) == expected
+
+    def test_huge_population_size_is_answered_at_once(self):
+        with pytest.raises(DesignError, match=r"nearest valid sample sizes: \[8, 5, 4, 10, 2\]"):
+            SystematicDesign.from_population_size(10**12, 7)
+
 
 class TestEnumerateSamples:
     def test_small_design(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ import sysmean.montecarlo
 from conftest import random_population
 from sysmean import (
     ConfigurationError,
+    DomainError,
     EstimatorSpec,
     FamilyParams,
     FinitePopulation,
     NonResponseModel,
     SimulationConfig,
+    SingularityError,
     StratumMode,
     SystematicDesign,
     apply_nonresponse,
@@ -24,8 +27,11 @@ from sysmean import (
     draw_sample,
     enumerate_samples,
     enumerated_design_variance,
+    family_estimate,
     hh_mean,
     optimum_alpha,
+    product_estimate,
+    ratio_estimate,
     run_simulation,
     var_mean_y,
 )
@@ -126,6 +132,50 @@ class TestFailureHandling:
         assert ratio.n_used == 1
         assert not ratio.valid  # 50% failure rate exceeds the 1% threshold
         assert report.by_label("hh").valid
+
+    def test_product_member_of_the_family_survives_a_zero_denominator(self):
+        # on the sample (1,3) xbar = 0 zeroes the family denominator, but the
+        # g = -1 member is ybar*·xbar/Xbar and needs only Xbar != 0
+        pop = FinitePopulation(y=(4.0, 6.0, 8.0, 2.0), x=(1.0, 2.0, -1.0, 3.0))
+        design = SystematicDesign(N=4, n=2, k=2)
+        specs = (
+            EstimatorSpec("product", "product"),
+            EstimatorSpec("family", "family", FamilyParams(alpha=1.0, g=-1.0)),
+        )
+        cfg = SimulationConfig(
+            replicates=2, master_seed=0, estimators=specs, nr=NO_NR, exhaustive_start=True
+        )
+        report = run_simulation(pop, design, cfg)
+        family = report.by_label("family")
+        assert family.n_failed == 0
+        assert family == dataclasses.replace(report.by_label("product"), label="family")
+        by_hand = [product_estimate(6.0, 0.0, 1.25), product_estimate(4.0, 2.5, 1.25)]
+        assert family.empirical_mean == sum(by_hand) / 2
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("hh", FamilyParams(alpha=0.0)),
+            ("ratio", FamilyParams(alpha=1.0, g=-1.0)),
+            ("product", FamilyParams(alpha=1.0, g=1.0)),
+            ("ratio", FamilyParams(alpha=1.0, g=1.0, b=2.0)),
+        ],
+    )
+    def test_preset_kind_rejects_other_params(self, kind, params):
+        with pytest.raises(ConfigurationError, match="preset"):
+            EstimatorSpec(kind, kind, params)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("hh", None),
+            ("ratio", FamilyParams(alpha=1.0, g=1.0)),
+            ("product", FamilyParams(alpha=1.0, g=-1.0)),
+        ],
+    )
+    def test_preset_kind_fills_in_its_params(self, kind, params):
+        assert EstimatorSpec(kind, kind).params == params
+        assert EstimatorSpec(kind, kind, params) == EstimatorSpec(kind, kind)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -282,9 +332,22 @@ class TestReportInvariants:
         assert result.n_used + result.n_failed == report.replicates
 
 
-def per_unit_means(pop, design, cfg):
-    """(ybar*, xbar) per replicate along the per-unit reference path."""
+# Each estimator kind by its own public definition, not by the family preset.
+REFERENCE_ESTIMATORS = {
+    "hh": lambda spec, ybar_star, xbar, pop_mean_x: ybar_star,
+    "ratio": lambda spec, *means: ratio_estimate(*means),
+    "product": lambda spec, *means: product_estimate(*means),
+    "family": lambda spec, *means: family_estimate(*means, spec.params),
+}
+
+
+def per_unit_report(pop, design, cfg):
+    """The report along the per-unit reference path: every replicate realized
+    unit by unit, and every estimator evaluated on it."""
     samples = enumerate_samples(design)
+    pop_mean_x = float(pop.x.mean())
+    shape = (len(cfg.estimators), cfg.replicates)
+    estimates, failed = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
     for rep in range(cfg.replicates):
         rng = replicate_rng(cfg.master_seed, rep)
         if cfg.exhaustive_start:
@@ -292,7 +355,15 @@ def per_unit_means(pop, design, cfg):
         else:
             start = draw_sample(design, rng)
         realization = apply_nonresponse(samples[start - 1], pop, cfg.nr, rng)
-        yield hh_mean(realization), aux_mean(realization)
+        ybar_star, xbar = hh_mean(realization), aux_mean(realization)
+        for j, spec in enumerate(cfg.estimators):
+            try:
+                estimates[j, rep] = REFERENCE_ESTIMATORS[spec.kind](
+                    spec, ybar_star, xbar, pop_mean_x
+                )
+            except (SingularityError, DomainError):
+                failed[j, rep] = True
+    return _report(pop, cfg, estimates, failed)
 
 
 def simulation_case(pop_seed, n, k, w2, ell, bernoulli, exhaustive, replicates, seed):
@@ -326,7 +397,8 @@ def simulation_case(pop_seed, n, k, w2, ell, bernoulli, exhaustive, replicates, 
 
 
 class TestPerStartTableKernel:
-    """run_simulation against the per-unit path it replaces, bit for bit."""
+    """run_simulation against the per-unit path and the per-replicate estimators
+    it replaces, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -352,7 +424,7 @@ class TestPerStartTableKernel:
              replicates=30, seed=7)
     def test_reports_match_the_per_unit_path(self, **case):
         pop, design, cfg = simulation_case(**case)
-        expected = _report(pop, cfg, per_unit_means(pop, design, cfg))
+        expected = per_unit_report(pop, design, cfg)
         assert repr(run_simulation(pop, design, cfg)) == repr(expected)
 
     def test_failing_family_spec_fails_on_some_replicates(self):
@@ -376,3 +448,27 @@ class TestPerStartTableKernel:
             )
             report = run_simulation(pop, design, cfg)
             assert report.by_label("hh").n_used == 50
+
+    @pytest.mark.parametrize(
+        "k, replicates, exhaustive", [(6, 40, True), (40, 5, True), (6, 40, False)]
+    )
+    def test_estimators_evaluated_once_per_drawn_start(
+        self, monkeypatch, k, replicates, exhaustive
+    ):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return family_estimate(*args)
+
+        monkeypatch.setattr(sysmean.montecarlo, "family_estimate", counting)
+        pop, design, cfg = simulation_case(
+            pop_seed=9, n=4, k=k, w2=0.25, ell=2.0, bernoulli=False,
+            exhaustive=exhaustive, replicates=replicates, seed=11,
+        )
+        run_simulation(pop, design, cfg)
+        with_params = sum(spec.params is not None for spec in cfg.estimators)
+        assert with_params == 4
+        assert 0 < len(calls) <= with_params * min(k, replicates)
+        if exhaustive:
+            assert len(calls) == with_params * min(k, replicates)

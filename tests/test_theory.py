@@ -12,7 +12,6 @@ from sysmean import (
     classical_bias,
     classical_mse,
     derived_constants,
-    error_moments,
     family_bias,
     family_mse,
     family_mse_min,
@@ -65,34 +64,6 @@ class TestDerivedConstants:
         m = dataclasses.replace(FOREST, rho_x=-0.2)  # 1 + 15*(-0.2) = -2
         with pytest.raises(DomainError):
             derived_constants(m, FOREST_SAMPLE, FOREST_N)
-
-
-class TestErrorMoments:
-    def test_no_nonresponse_term_when_w2_zero(self):
-        a = error_moments(FOREST, FOREST_SAMPLE, FOREST_N, 0.0, 2.0)
-        b = error_moments(FOREST, FOREST_SAMPLE, FOREST_N, 0.1, 1.0)
-        assert a.e0_sq == b.e0_sq
-        f = fpc(FOREST_SAMPLE, FOREST_N)
-        assert a.e0_sq == pytest.approx(f * (1 + 15 * 0.871) * FOREST.cv_y**2, rel=1e-14)
-
-    def test_uncorrelated_variables_have_zero_cross_moment(self):
-        m = dataclasses.replace(FOREST, rho=0.0)
-        assert error_moments(m, FOREST_SAMPLE, FOREST_N, 0.1, 2.0).e0_e1 == 0.0
-
-    def test_consistency_with_variance(self):
-        em = error_moments(FOREST, FOREST_SAMPLE, FOREST_N, 0.1, 2.0)
-        assert em.e0_sq * FOREST.mean_y**2 == pytest.approx(
-            var_mean_y(FOREST, FOREST_SAMPLE, FOREST_N, 0.1, 2.0), rel=1e-12
-        )
-        assert em.e1_sq * FOREST.mean_x**2 == pytest.approx(
-            var_mean_x(FOREST, FOREST_SAMPLE, FOREST_N), rel=1e-12
-        )
-
-    def test_cauchy_schwarz_enforced(self, rng):
-        for _ in range(200):
-            m, n, N = random_moments(rng)
-            em = error_moments(m, n, N, float(rng.uniform(0, 0.45)), float(rng.uniform(1, 4)))
-            assert em.e0_e1**2 <= em.e0_sq * em.e1_sq * (1 + 1e-12)
 
 
 class TestNonresponseTerm:

@@ -52,6 +52,13 @@ COMMANDS = {
                                  "--seed", "19"],
     "params_non_divisor": ["params", POP, "--n", "7"],
     "table_incomplete": ["theory-table", "--n", "16", "--pop-size", "176"],
+    "table_grid_edges": ["theory-table", POP, "--n", "12", "--w2-grid", "0,0.5,0.99",
+                         "--ell-grid", "1,1.5,1e9"],
+    "table_no_s2y2": ["theory-table", *FOREST_MOMENTS[:-2]],
+    "table_bad_w2": ["theory-table", POP, "--n", "12", "--w2-grid", "0.1,1.0"],
+    "table_bad_ell": ["theory-table", POP, "--n", "12", "--ell-grid", "2,0.5"],
+    "table_pre_undefined": ["theory-table", *FOREST_MOMENTS, "--rho", "1", "--s2-y2", "100",
+                            "--w2-grid", "0,0.1", "--ell-grid", "1,2"],
 }
 CASES = {
     f"{name}_{fmt}": [*argv, "--format", fmt]

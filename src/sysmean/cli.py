@@ -19,6 +19,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .datasets import file_sha256, synthetic_linear_population, write_population_csv
@@ -44,12 +45,12 @@ from .theory import (
     family_mse,
     family_mse_min,
     optimum_alpha,
-    pre_optimum,
+    pre_grid,
     var_mean_y,
 )
 
 # Not called here; bound so that perfbench/tracing.py TARGETS still resolve.
-from .theory import classical_mse  # noqa: F401
+from .theory import classical_mse, pre_optimum  # noqa: F401
 
 DEFAULT_W2_GRID = (0.1, 0.2, 0.3, 0.4)
 DEFAULT_ELL_GRID = (2.0, 2.5, 3.0, 3.5)
@@ -306,28 +307,108 @@ def _cells(cells: list[str]) -> str:
     return line
 
 
-def _render(fmt: str, payload: dict, csv_columns: list, csv_rows: list, text: list) -> str:
-    """The report as json of `payload`, csv of `csv_rows`, or the lines and (columns, rows)
-    tables of `text`, each table row a mapping of column keys."""
+class Table:
+    """Records held as columns, written as a JSON list of objects, csv or a fixed-width table.
+
+    The rows are the product of `axes` (key -> values, the first axis outermost);
+    each of `columns` holds one value per row.  Keys run axes first.
+    """
+
+    def __init__(self, columns: dict[str, list], axes: dict[str, list] | None = None) -> None:
+        self.axes = axes or {}
+        self.columns = columns
+        self.keys = [*self.axes, *columns]
+
+    def strings(self, key: str, fmt: Callable[[list], list[str]]) -> list[str]:
+        """Column `key` as `fmt` formats it; an axis is formatted once per position."""
+        if key in self.columns:
+            return fmt(self.columns[key])
+        sizes = [len(values) for values in self.axes.values()]
+        i = self.keys.index(key)
+        repeat, tile = math.prod(sizes[i + 1:]), math.prod(sizes[:i])
+        return [text for text in fmt(self.axes[key]) for _ in range(repeat)] * tile
+
+
+def _records(items: list[dict]) -> Table:
+    """A Table of mappings that share their keys."""
+    return Table({key: [item[key] for item in items] for key in (items[0] if items else ())})
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json(value: object, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` for str-keyed data, with null for nan and +-inf
+    (RFC 8259 has neither); a Table is written as its list of records."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_json_string(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+    if isinstance(value, Table):
+        return _json_table(value, indent)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_column(values: list, indent: str) -> list[str]:
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # not all floats
+        return [_json(value, indent) for value in values]
+    if all(map(math.isfinite, values)):
+        return texts
+    return [text if math.isfinite(value) else "null" for text, value in zip(texts, values)]
+
+
+def _json_table(table: Table, indent: str) -> str:
+    """Each column formatted once, then each record from one template."""
+    inner, field = indent + "  ", indent + "    "
+    columns = [table.strings(key, lambda values: _json_column(values, field)) for key in table.keys]
+    members = ",\n".join(
+        f"{field}{_json_string(key).replace('%', '%%')}: %s" for key in table.keys
+    )
+    template = f"{inner}{{\n{members}\n{inner}}}"
+    records = [template % row for row in zip(*columns)]
+    return "[\n" + ",\n".join(records) + "\n" + indent + "]" if records else "[]"
+
+
+def _render(fmt: str, payload: dict, csv: Table, text: list) -> str:
+    """The report as json of `payload`, csv of `csv`, or the lines and (columns, Table)
+    tables of `text`."""
     if fmt == "json":
-        try:
-            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        except ValueError:  # RFC 8259 has no Infinity or NaN: write null for them
-            payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-            return json.dumps(payload, indent=2) + "\n"
+        return _json(payload) + "\n"
     if fmt == "csv":
-        lines = [",".join(map(str, row)) for row in [csv_columns, *csv_rows]]
+        cells = [csv.strings(key, lambda values: list(map(str, values))) for key in csv.keys]
+        lines = [",".join(csv.keys), *map(",".join, zip(*cells))]
     else:
         lines = []
         for item in text:
             if isinstance(item, str):
                 lines.append(item)
                 continue
-            columns, rows = item
+            columns, table = item
             # A heading keeps its cell's alignment and width, not its precision and type.
             heads = [re.sub(r"(\.\d+)?[a-z]}", "}", c.cell).format(c.head) for c in columns]
             lines.append(_cells(heads))
-            lines.extend(_cells([c.cell.format(row[c.key]) for c in columns]) for row in rows)
+            cells = [
+                table.strings(c.key, lambda values, c=c: list(map(c.cell.format, values)))
+                for c in columns
+            ]
+            lines.extend(map(_cells, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -354,7 +435,8 @@ def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
     }
     width = max(map(len, payload))
     report = _render(
-        args.format, payload, ["parameter", "value"], list(payload.items()),
+        args.format, payload,
+        Table({"parameter": list(payload), "value": list(payload.values())}),
         [f"{key:<{width}}  {value}" for key, value in payload.items()],
     )
 
@@ -411,17 +493,11 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     constants = derived_constants(moments, n, N, params)
     alpha_opt = optimum_alpha(constants, args.g)
 
-    rows = [
-        {
-            "w2": w2,
-            "ell": ell,
-            "var_hh_mean": var_mean_y(moments, n, N, w2, ell),
-            "mse_family_min": family_mse_min(moments, n, w2, ell, constants),
-            "pre": pre_optimum(moments, n, N, w2, ell, constants),
-        }
-        for w2 in args.w2_grid
-        for ell in args.ell_grid
-    ]
+    var, mse_min, pre = pre_grid(moments, n, N, args.w2_grid, args.ell_grid, constants)
+    rows = Table(
+        {"var_hh_mean": var, "mse_family_min": mse_min, "pre": pre},
+        axes={"w2": args.w2_grid, "ell": args.ell_grid},
+    )
     payload = {
         "N": N,
         "n": n,
@@ -439,7 +515,7 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
         Column("pre", "PRE", " {:>9.2f}"),
     ]
     report = _render(
-        args.format, payload, list(rows[0]), [list(row.values()) for row in rows],
+        args.format, payload, rows,
         [
             f"N={N} n={n} k={design.k}  alpha_opt={alpha_opt:.6f}  "
             f"K={constants.big_k:.6f}  rho_star={constants.rho_star:.6f}",
@@ -536,6 +612,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         r.valid for r in report.results
     )
 
+    results = _records([dataclasses.asdict(r) for r in report.results])
     payload = {
         "population_sha256": report.population_sha256,
         "true_mean_y": report.true_mean_y,
@@ -544,18 +621,20 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         "exhaustive_start": args.exhaustive,
         "w2_theory": w2_theory,
         "alpha": alpha,
-        "results": [dataclasses.asdict(r) for r in report.results],
-        "comparisons": [
-            dict(dataclasses.asdict(c), target=target_names[c.label]) for c in comparisons
-        ],
+        "results": results,
+        "comparisons": _records(
+            [dict(dataclasses.asdict(c), target=target_names[c.label]) for c in comparisons]
+        ),
         "all_pass": all_pass,
     }
-    csv_rows = [
-        [c.label, r.n_used, r.n_failed, r.empirical_mean, r.empirical_bias, r.empirical_mse,
-         r.mc_se_mse, c.theory_value, c.z_score, c.rel_gap, c.verdict]
+    csv = _records([
+        {"label": c.label, "n_used": r.n_used, "n_failed": r.n_failed,
+         "mean": r.empirical_mean, "bias": r.empirical_bias, "mse": r.empirical_mse,
+         "mc_se_mse": r.mc_se_mse, "theory": c.theory_value, "z": c.z_score,
+         "rel_gap": c.rel_gap, "verdict": c.verdict}
         for c in comparisons
         for r in [report.by_label(c.label)]
-    ]
+    ])
     result_columns = [
         Column("label", "label", "{:<10}"),
         Column("empirical_mean", "mean", "{:>14.6f}"),
@@ -573,12 +652,9 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         Column("rel_gap", "rel-gap", "{:>10.4f}"),
         Column("verdict", "verdict", "  {}"),
     ]
-    results = [dict(r, flag="" if r["valid"] else "  INVALID") for r in payload["results"]]
+    flags = ["" if valid else "  INVALID" for valid in results.columns["valid"]]
     text = _render(
-        args.format, payload,
-        ["label", "n_used", "n_failed", "mean", "bias", "mse", "mc_se_mse", "theory", "z",
-         "rel_gap", "verdict"],
-        csv_rows,
+        args.format, payload, csv,
         [
             f"population sha256={report.population_sha256[:16]}...  "
             f"N={pop.N} n={design.n} k={design.k}",
@@ -587,7 +663,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             f"non-response: mode={args.stratum_mode} w2={args.w2} L={args.ell}"
             + (f"  alpha={alpha:.6f}" if alpha is not None else ""),
             "",
-            (result_columns, results),
+            (result_columns, Table({**results.columns, "flag": flags})),
             "",
             f"theory comparison (tolerance {args.tolerance_sigma:g} sigma)",
             (comparison_columns, payload["comparisons"]),

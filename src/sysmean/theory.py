@@ -98,7 +98,11 @@ def var_mean_y(
 ) -> float:
     """Variance of the non-response-adjusted mean under the design."""
     _require_valid_clustering(m, n)
-    return fpc(n, N) * _gy(m, n) * m.s2_y + nonresponse_term(m, n, w2, ell)
+    return _full_response_var(m, n, N) + nonresponse_term(m, n, w2, ell)
+
+
+def _full_response_var(m: PopulationMoments, n: int, N: int) -> float:
+    return fpc(n, N) * _gy(m, n) * m.s2_y
 
 
 def var_mean_x(m: PopulationMoments, n: int, N: int) -> float:
@@ -200,8 +204,18 @@ def family_mse_min(
     regression estimator under this design.
     """
     _require_valid_clustering(m, n)
+    return _full_response_mse_min(m, n, c) + nonresponse_term(m, n, w2, ell)
+
+
+def _full_response_mse_min(m: PopulationMoments, n: int, c: DerivedConstants) -> float:
     bracket = (m.cv_y**2 - c.big_k**2 * m.cv_x**2) * c.rho_star**2
-    return _mse_prefactor(m, n, c) * bracket + nonresponse_term(m, n, w2, ell)
+    return _mse_prefactor(m, n, c) * bracket
+
+
+def _pre(var: float, mse_min: float) -> float:
+    if mse_min <= 0:
+        raise DomainError("minimum MSE is not positive: PRE undefined")
+    return 100.0 * var / mse_min
 
 
 def pre_optimum(
@@ -219,9 +233,35 @@ def pre_optimum(
     non-response rate and the sub-sampling ratio.
     """
     mse_min = family_mse_min(m, n, w2, ell, c)
-    if mse_min <= 0:
-        raise DomainError("minimum MSE is not positive: PRE undefined")
-    return 100.0 * var_mean_y(m, n, N, w2, ell) / mse_min
+    return _pre(var_mean_y(m, n, N, w2, ell), mse_min)
+
+
+def pre_grid(
+    m: PopulationMoments,
+    n: int,
+    N: int,
+    w2_grid: list[float],
+    ell_grid: list[float],
+    c: DerivedConstants,
+) -> tuple[list[float], list[float], list[float]]:
+    """var_mean_y, family_mse_min and pre_optimum over the (w2, ell) grid, w2 outermost.
+
+    The full-response parts are computed once and each cell adds its one
+    non-response term, in the same operations as the per-cell functions: the
+    columns equal theirs bit for bit, and the first failing cell raises the
+    error they would raise.
+    """
+    _require_valid_clustering(m, n)
+    var0 = _full_response_var(m, n, N)
+    mse0 = _full_response_mse_min(m, n, c)
+    var, mse_min, pre = [], [], []
+    for w2 in w2_grid:
+        for ell in ell_grid:
+            nr = nonresponse_term(m, n, w2, ell)
+            var.append(var0 + nr)
+            mse_min.append(mse0 + nr)
+            pre.append(_pre(var[-1], mse_min[-1]))
+    return var, mse_min, pre
 
 
 def intraclass_from_pre(

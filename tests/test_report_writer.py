@@ -1,0 +1,102 @@
+"""The JSON report writer against `json.dumps(..., indent=2)`.
+
+Reports write null for nan and +-inf (RFC 8259 has neither), so the
+reference is json.dumps of the value with every non-finite float replaced by
+None.  A Table is compared with json.dumps of the records it stands for.
+"""
+import itertools
+import json
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sysmean.cli import Table, _json
+
+
+class Float64Like(float):
+    """A float subclass that prints differently from its value, as numpy's float64 does."""
+
+    def __repr__(self) -> str:
+        return f"Float64Like({float(self)!r})"
+
+    __str__ = __repr__
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+               math.nan, math.inf, -math.inf]
+floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | floats
+    | floats.map(Float64Like)
+    | st.text()
+)
+keys = st.text()  # any code point but surrogates: non-ASCII and control characters too
+values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(keys, children, max_size=4),
+    max_leaves=24,
+)
+
+
+def finite(value):
+    """`value` with every nan and +-inf replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite(item) for item in value]
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(values)
+@example({"a": [0.0, -0.0, True, 1, 1.0, None, math.nan, -math.inf]})
+@example({"%s": {"": [], "\x00é": {}}, "k": (Float64Like(0.1), 2**64)})
+def test_writer_equals_json_dumps(value):
+    assert _json(value) == json.dumps(finite(value), indent=2)
+
+
+@st.composite
+def tables(draw):
+    """(Table, its records): 0-2 axes and value columns with one value per row."""
+    names = draw(st.lists(keys, unique=True, max_size=5))
+    n_axes = draw(st.integers(0, min(2, len(names))))
+    axes = {name: draw(st.lists(scalars, max_size=4)) for name in names[:n_axes]}
+    if axes:
+        n_rows = math.prod(len(axis) for axis in axes.values())
+    else:
+        n_rows = draw(st.integers(0, 5)) if names else 0
+    columns = {
+        name: draw(st.lists(values | scalars, min_size=n_rows, max_size=n_rows))
+        for name in names[n_axes:]
+    }
+    cells = itertools.product(*axes.values()) if axes else itertools.repeat(())
+    records = [
+        {**dict(zip(axes, cell)), **{name: column[i] for name, column in columns.items()}}
+        for i, cell in zip(range(n_rows), cells)
+    ]
+    return Table(columns, axes=axes), records
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_table_equals_json_dumps_of_its_records(table_and_records):
+    table, records = table_and_records
+    assert _json({"rows": table}) == json.dumps({"rows": finite(records)}, indent=2)
+    assert _json([[table]]) == json.dumps([[finite(records)]], indent=2)
+
+
+def test_equal_values_keep_their_own_text_in_a_table():
+    grid = list(itertools.product([0.0, -0.0], [1, 2.0]))
+    column = [0.0, -0.0, True, 1.0]
+    table = Table({"v": column}, axes={"w2": [0.0, -0.0], "ell": [1, 2.0]})
+    records = [{"w2": w2, "ell": ell, "v": v} for (w2, ell), v in zip(grid, column)]
+    assert _json(table) == json.dumps(records, indent=2)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sysmean import (
     DegenerateInputError,
@@ -23,6 +25,7 @@ from sysmean import (
     var_mean_x,
     var_mean_y,
 )
+from sysmean.theory import pre_grid
 
 # Forest-strip study parameters (176 strips of timber volume vs. length),
 # with both intraclass correlations at the published working value.
@@ -351,6 +354,67 @@ class TestPreOptimum:
             for ell in (1.5, 2.0, 2.5, 3.0)
         ]
         assert all(a > b for a, b in zip(pres_ell, pres_ell[1:]))
+
+
+def per_cell_grid(m, n, N, w2_grid, ell_grid, c):
+    """var_mean_y, family_mse_min and pre_optimum called cell by cell, w2 outermost."""
+    columns = ([], [], [])
+    for w2 in w2_grid:
+        for ell in ell_grid:
+            columns[0].append(var_mean_y(m, n, N, w2, ell))
+            columns[1].append(family_mse_min(m, n, w2, ell, c))
+            columns[2].append(pre_optimum(m, n, N, w2, ell, c))
+    return columns
+
+
+def outcome(grid, *args):
+    """Each column as reprs, or the type and text of the error raised."""
+    try:
+        columns = grid(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    assert all(type(value) is float for column in columns for value in column)
+    return [list(map(repr, column)) for column in columns]
+
+
+class TestPreGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        w2s=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4),
+        ells=st.lists(st.floats(1.0, 1e9), max_size=4),
+        s2y2_unset=st.booleans(),
+        unit_rho=st.sampled_from([None, 1.0, -1.0]),
+        bad=st.none()
+        | st.tuples(st.just("w2"), st.floats(1.0, 10.0) | st.floats(-10.0, -1e-300))
+        | st.tuples(st.just("ell"), st.floats(-10.0, 1.0, exclude_max=True)),
+    )
+    def test_columns_and_errors_equal_the_per_cell_functions(
+        self, data, seed, w2s, ells, s2y2_unset, unit_rho, bad
+    ):
+        m, n, N = random_moments(np.random.default_rng(seed), with_s2y2=not s2y2_unset)
+        if unit_rho is not None:  # the minimum MSE is round-off around zero at w2 = 0
+            m = PopulationMoments.from_parameters(
+                mean_y=m.mean_y, mean_x=m.mean_x, s2_y=m.s2_y, s2_x=m.s2_x, rho=unit_rho,
+                rho_y=m.rho_y, rho_x=m.rho_y, s2_y2=m.s2_y2,
+            )
+        grids = {"w2": w2s + [0.0], "ell": ells + [1.0]}
+        if bad is not None:
+            axis, value = bad
+            grids[axis].append(value)
+        w2_grid = data.draw(st.permutations(grids["w2"]))
+        ell_grid = data.draw(st.permutations(grids["ell"]))
+        c = derived_constants(m, n, N)
+        args = (m, n, N, w2_grid, ell_grid, c)
+        assert outcome(pre_grid, *args) == outcome(per_cell_grid, *args)
+
+    def test_forest_grid(self):
+        c = derived_constants(FOREST, FOREST_SAMPLE, FOREST_N)
+        var, mse_min, pre = pre_grid(FOREST, FOREST_SAMPLE, FOREST_N, [0.1, 0.3], [2.0, 3.5], c)
+        assert pre[0] == pytest.approx(407.48836439078315, rel=1e-12)
+        assert pre[3] == pytest.approx(369.42, abs=0.05)
+        assert len(var) == len(mse_min) == 4
 
 
 class TestIntraclassFromPre:

@@ -125,8 +125,21 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--g", type=_finite_float, default=1.0, help="family exponent g")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Takes a negative number in exponent notation (-1e300, -2E+3) as a value.
+
+    argparse reads only -D and -D.D as negative numbers, and anything else
+    starting with '-' as an option; no option string here looks like a number.
+    Subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sysmean",
         description="Population-mean estimation from systematic samples under "
         "non-response: parameter reports, efficiency tables, and Monte Carlo checks.",

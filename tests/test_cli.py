@@ -10,7 +10,7 @@ from sysmean import (
     derived_constants,
     load_population,
 )
-from sysmean.cli import main
+from sysmean.cli import build_parser, main
 from sysmean.datasets import file_sha256
 
 
@@ -407,6 +407,24 @@ class TestUsageErrors:
         assert captured.out == ""
         assert message in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [
+            (["simulate", "pop.csv", "--n", "12", "--b", "-1e300"], "b", -1e300),
+            (["theory-table", "--n", "12", "--a", "-2E+3"], "a", -2000.0),
+            (["theory-table", "--n", "12", "--rho", "-1e-1"], "rho", -0.1),
+            (["synthesize", "--units", "9", "--out", "o", "--slope", "-.5e1"], "slope", -5.0),
+        ],
+    )
+    def test_negative_numbers_in_exponent_notation_are_values(self, argv, dest, value):
+        assert getattr(build_parser().parse_args(argv), dest) == value
+
+    def test_negative_exponent_option_runs(self, pop_csv, capsys):
+        argv = ["simulate", str(pop_csv), "--n", "12", "--estimators", "ratio", "--a", "1",
+                "--b", "-1e300", "--replicates", "10", "--format", "json"]
+        assert main(argv) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["results"][0]["label"] == "ratio"
 
     @pytest.mark.parametrize("rho_w, code", [("2", 2), ("1", 0)])
     def test_intraclass_correlation_above_one_is_usage_error(self, capsys, rho_w, code):

@@ -12,11 +12,16 @@ h(xbar_i) = `family_estimate(1.0, xbar_i, Xbar, params)` and its failure
 flag are evaluated once per drawn start; ybar* times it has the same bits
 as the family evaluated per replicate.
 
-Replicate r draws from its own stream, derived from the master seed with
-spawn key (r+1,); key (0,) is reserved for design-level randomization such
-as stratum selection.  Aggregation reduces in replicate order, so a report
-is bit-identical for a given (population, design, config) regardless of how
-the replicates would be scheduled.
+Replicate r draws from its own stream, PCG64 seeded from the master seed
+with spawn key (r+1,), as `replicate_rng` defines it; key (0,) is reserved
+for design-level randomization such as stratum selection.  The loop builds
+no SeedSequence per replicate: `_stream_words` computes the seed words of
+SEED_BLOCK replicates at once with one vectorised pass of the SeedSequence
+hash, which numpy keeps stable (NEP 19), so the streams are bit for bit
+those of `replicate_rng`.  A spawn key is one 32-bit word, so a run has at
+most 2**32 - 1 replicates.  Aggregation reduces in replicate order, so a
+report is bit-identical for a given (population, design, config)
+regardless of how the replicates would be scheduled.
 
 `run_simulation` builds a per-start table once per call: for each start
 index i the auxiliary mean xbar_i, h(xbar_i) and, with a fixed stratum,
@@ -60,6 +65,12 @@ ESTIMATOR_KINDS = (*PRESETS, "family")
 
 # An estimator whose replicates fail more often than this is reported invalid.
 MAX_FAILURE_RATE = 0.01
+
+# Replicate r's spawn key (r+1,) is one 32-bit word.
+MAX_REPLICATES = 2**32 - 1
+
+# Replicate streams are seeded this many at a time, so seeding holds O(block) memory.
+SEED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
+        if self.replicates > MAX_REPLICATES:
+            raise ConfigurationError(
+                f"replicates must be <= {MAX_REPLICATES} (2**32 - 1), got {self.replicates}"
+            )
         labels = [spec.label for spec in self.estimators]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"estimator labels must be unique, got {labels}")
@@ -162,10 +177,61 @@ class TheoryComparison:
 
 
 def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one replicate."""
+    """Independent, reproducible stream for one replicate: the reference
+    definition that `_stream_words` computes for a block of replicates at once."""
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(replicate_index + 1,))
     )
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx); the
+# hash and the PCG64 seeding are stable across numpy versions (NEP 19).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(values: np.ndarray, hash_const: int, mult: int) -> np.ndarray:
+    """SeedSequence's hashmix of each column t of `values` with the t-th hash
+    constant from `hash_const`: uint32 arithmetic held in uint64."""
+    consts = [hash_const]
+    for _ in range(values.shape[1]):
+        consts.append(consts[-1] * mult & _MASK32)
+    values = (values ^ np.array(consts[:-1], np.uint64)) * np.array(consts[1:], np.uint64)
+    values &= _MASK32
+    return values ^ values >> 16
+
+
+def _stream_words(master_seed: int, first: int, stop: int) -> np.ndarray:
+    """The PCG64 seed words of replicates first..stop-1, a (stop - first, 4)
+    uint64 array whose row j is
+    `SeedSequence(master_seed, spawn_key=(first + j + 1,)).generate_state(4, np.uint64)`.
+
+    The seed's own pool is the entropy mix just before the spawn-key word;
+    that word is hashed against the constant after 16 + 4·max(0, w − 4)
+    hashmix calls (w = the seed's 32-bit words) and mixed into each pool
+    word, and the result is hashed into 8 uint32 words paired little-endian.
+    """
+    pool = np.random.SeedSequence(master_seed).pool.astype(np.uint64)
+    words = max(1, -(-int(master_seed).bit_length() // 32))
+    spawn_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    keys = np.arange(first + 1, stop + 1, dtype=np.uint64)[:, None].repeat(4, axis=1)
+    mixed = (pool * _MIX_MULT_L - _hashmix(keys, spawn_const, _MULT_A) * _MIX_MULT_R) & _MASK32
+    state = _hashmix((mixed ^ mixed >> 16)[:, [0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B)
+    # PCG64 reads a row as 4 consecutive words.
+    return np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
+
+
+class _StreamSeed(np.random.bit_generator.ISeedSequence):
+    """One row of `_stream_words`, handed to `PCG64`, which asks for exactly
+    those 4 uint64 words and seeds itself from them in C."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def design_rng(master_seed: int) -> np.random.Generator:
@@ -259,27 +325,29 @@ def _replicate_means(
         rows = _fixed_stratum_table(y_samples, missing.reshape(n, k).T, n, nr.ell)
 
     ybar_stars, starts = [], []
-    for rep in range(cfg.replicates):
-        rng = replicate_rng(cfg.master_seed, rep)
-        if cfg.exhaustive_start:
-            i = rep % k
-        else:
-            i = draw_sample(design, rng) - 1
-        if fixed:
-            n1, t1, nr_y, h2, ybar_star = rows[i]
-            if ybar_star is None:
+    for first in range(0, cfg.replicates, SEED_BLOCK):
+        stop = min(first + SEED_BLOCK, cfg.replicates)
+        for rep, words in enumerate(_stream_words(cfg.master_seed, first, stop), first):
+            rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+            if cfg.exhaustive_start:
+                i = rep % k
+            else:
+                i = draw_sample(design, rng) - 1
+            if fixed:
+                n1, t1, nr_y, h2, ybar_star = rows[i]
+                if ybar_star is None:
+                    t2 = _follow_up_total(nr_y, h2, rng)
+                    ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, t2)
+            else:
+                ys = y_samples[i]
+                miss = rng.random(n) < nr.w2
+                nr_y = ys[miss]
+                h2 = follow_up_size(len(nr_y), nr.ell)
+                t1 = sum(ys[~miss].tolist())
                 t2 = _follow_up_total(nr_y, h2, rng)
-                ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, t2)
-        else:
-            ys = y_samples[i]
-            miss = rng.random(n) < nr.w2
-            nr_y = ys[miss]
-            h2 = follow_up_size(len(nr_y), nr.ell)
-            t1 = sum(ys[~miss].tolist())
-            t2 = _follow_up_total(nr_y, h2, rng)
-            ybar_star = _hh_mean(n, n - len(nr_y), t1, len(nr_y), h2, t2)
-        ybar_stars.append(ybar_star)
-        starts.append(i)
+                ybar_star = _hh_mean(n, n - len(nr_y), t1, len(nr_y), h2, t2)
+            ybar_stars.append(ybar_star)
+            starts.append(i)
     return np.array(ybar_stars), np.array(starts, dtype=np.intp)
 
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -272,6 +273,23 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().out)
         assert code in (0, 1)  # stochastic verdict, but it must run and report
         assert payload["results"][0]["n_used"] == 2000
+
+    def test_replicates_beyond_one_word_spawn_keys_is_usage_error(
+        self, pop_csv, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran the replicates")
+
+        monkeypatch.setattr("sysmean.cli.run_simulation", refuse)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", str(pop_csv), "--n", "12", "--replicates", "4294967296"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "replicates must be <= 4294967295" in capsys.readouterr().err
+        assert peak < 2**22  # ingest takes about 0.2 MB; a byte per replicate would be 4 GB
 
 
 class TestManifestAndRerun:

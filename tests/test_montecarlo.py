@@ -37,9 +37,13 @@ from sysmean import (
 )
 from sysmean.datasets import synthetic_linear_population
 from sysmean.montecarlo import (
+    MAX_REPLICATES,
+    SEED_BLOCK,
     EstimatorResult,
     SimulationReport,
     _report,
+    _stream_words,
+    _StreamSeed,
     replicate_rng,
 )
 
@@ -472,3 +476,53 @@ class TestPerStartTableKernel:
         assert 0 < len(calls) <= with_params * min(k, replicates)
         if exhaustive:
             assert len(calls) == with_params * min(k, replicates)
+
+
+# Master seeds of 1, 2, 4 and 5 or more 32-bit words.
+SEEDS = [0, 1, 28, 20250811, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**128 + 1, 10**50]
+INDICES = [0, 1, SEED_BLOCK - 1, SEED_BLOCK, SEED_BLOCK + 1]
+
+
+def assert_same_stream(words, master_seed, rep):
+    batched = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+    reference = replicate_rng(master_seed, rep)
+    assert batched.bit_generator.state == reference.bit_generator.state
+    assert batched.random(3).tolist() == reference.random(3).tolist()
+    assert batched.integers(1, 21, size=4).tolist() == reference.integers(1, 21, size=4).tolist()
+    draws = [rng.choice(7, 3, replace=False).tolist() for rng in (batched, reference)]
+    assert draws[0] == draws[1]
+
+
+class TestBlockSeeding:
+    """The streams seeded a block at a time are replicate_rng's streams, bit for bit."""
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    @pytest.mark.parametrize("rep", INDICES)
+    def test_block_row_is_the_reference_stream(self, master_seed, rep):
+        first = rep // SEED_BLOCK * SEED_BLOCK
+        words = _stream_words(master_seed, first, first + SEED_BLOCK)[rep - first]
+        spawned = np.random.SeedSequence(master_seed, spawn_key=(rep + 1,))
+        assert words.tolist() == spawned.generate_state(4, np.uint64).tolist()
+        assert_same_stream(words, master_seed, rep)
+
+    @settings(max_examples=200, deadline=None)
+    @given(master_seed=st.integers(0, 2**192 - 1), rep=st.integers(0, 2**20 - 1))
+    def test_any_seed_and_index(self, master_seed, rep):
+        assert_same_stream(_stream_words(master_seed, rep, rep + 1)[0], master_seed, rep)
+
+    def test_last_spawn_key_is_one_word(self):
+        rep = MAX_REPLICATES - 1
+        assert_same_stream(_stream_words(7, rep, rep + 1)[0], 7, rep)
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    def test_reports_match_the_per_unit_path_across_a_block(self, bernoulli):
+        pop, design, cfg = simulation_case(
+            pop_seed=8, n=6, k=5, w2=0.5, ell=2.0, bernoulli=bernoulli, exhaustive=False,
+            replicates=SEED_BLOCK + 3, seed=2**40 + 9,
+        )
+        assert repr(run_simulation(pop, design, cfg)) == repr(per_unit_report(pop, design, cfg))
+
+    def test_replicate_count_is_bounded_by_one_word_spawn_keys(self):
+        hh_only(MAX_REPLICATES, seed=1)
+        with pytest.raises(ConfigurationError, match="replicates must be <= 4294967295"):
+            hh_only(MAX_REPLICATES + 1, seed=1)

@@ -57,6 +57,8 @@ COMMANDS = {
     "table_no_s2y2": ["theory-table", *FOREST_MOMENTS[:-2]],
     "table_bad_w2": ["theory-table", POP, "--n", "12", "--w2-grid", "0.1,1.0"],
     "table_bad_ell": ["theory-table", POP, "--n", "12", "--ell-grid", "2,0.5"],
+    "table_close_axes": ["theory-table", POP, "--n", "12", "--w2-grid", "0,0.001,0.999",
+                         "--ell-grid", "2,2.004"],
     "table_pre_undefined": ["theory-table", *FOREST_MOMENTS, "--rho", "1", "--s2-y2", "100",
                             "--w2-grid", "0,0.1", "--ell-grid", "1,2"],
 }

@@ -310,14 +310,29 @@ class Column:
     cell: str
 
 
-def _cells(cells: list[str]) -> str:
-    """Join table cells, with one space between two that would otherwise touch."""
-    line = ""
-    for cell in cells:
-        if cell[:1].strip() and line[-1:].strip():
-            line += " "
-        line += cell
-    return line
+def _fixed_width(columns: list[Column], table: Table) -> list[str]:
+    """The heading and rows of `table` under `columns`.
+
+    A heading keeps its cell's alignment and width, not its precision and
+    type.  A column whose template has a width is as wide as its widest cell,
+    heading included.  Where two columns' cells would touch in some row, every
+    row gets one space between them.
+    """
+    grid = []
+    for c in columns:
+        head = re.sub(r"(\.\d+)?[a-z]}", "}", c.cell).format(c.head)
+        cells = [head, *table.strings(c.key, lambda values: list(map(c.cell.format, values)))]
+        if re.search(r"{:[<>]?\d", c.cell):
+            width = max(map(len, cells))
+            pad = str.ljust if "{:<" in c.cell else str.rjust
+            cells = [pad(cell, width) for cell in cells]
+        grid.append(cells)
+    lines = grid[0]
+    for cells in grid[1:]:
+        if any(line[-1:].strip() and cell[:1].strip() for line, cell in zip(lines, cells)):
+            lines = [line + " " for line in lines]
+        lines = [line + cell for line, cell in zip(lines, cells)]
+    return lines
 
 
 class Table:
@@ -413,15 +428,7 @@ def _render(fmt: str, payload: dict, csv: Table, text: list) -> str:
             if isinstance(item, str):
                 lines.append(item)
                 continue
-            columns, table = item
-            # A heading keeps its cell's alignment and width, not its precision and type.
-            heads = [re.sub(r"(\.\d+)?[a-z]}", "}", c.cell).format(c.head) for c in columns]
-            lines.append(_cells(heads))
-            cells = [
-                table.strings(c.key, lambda values, c=c: list(map(c.cell.format, values)))
-                for c in columns
-            ]
-            lines.extend(map(_cells, zip(*cells)))
+            lines.extend(_fixed_width(*item))
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import tracemalloc
 
@@ -131,6 +132,14 @@ class TestTheoryTable:
         main(["theory-table", *FOREST_MOMENTS])
         out = capsys.readouterr().out
         assert "407.49" in out  # full-precision 407.488... rounded to 2 decimals
+
+    def test_table_columns_widen_to_their_widest_cell(self, capsys):
+        main(["theory-table", *FOREST_MOMENTS, "--ell-grid", "2,1e9"])
+        lines = capsys.readouterr().out.splitlines()[1:]
+        # every column is right-aligned, so each cell ends where its heading ends
+        ends = [{match.end() for match in re.finditer(r"\S+", line)} for line in lines]
+        assert all(row == ends[1] for row in ends[1:])
+        assert ends[1] <= ends[0]
 
     def test_w2_zero_rows_do_not_depend_on_ell(self, capsys):
         main(["theory-table", *FOREST_MOMENTS, "--w2-grid", "0",

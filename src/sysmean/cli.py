@@ -506,6 +506,15 @@ def _moments_from_args(
     return _with_s2y2_factor(moments, args.s2y2_factor), design, None
 
 
+def _axis_cell(values: list[float]) -> str:
+    """Cell template for a grid axis: the fewest decimals, two at least, at
+    which distinct values print differently."""
+    decimals = 2
+    while len({f"{value:.{decimals}f}" for value in values}) < len(set(values)):
+        decimals += 1
+    return f"{{:>5.{decimals}f}}"
+
+
 def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     moments, design, sha = _moments_from_args(args)
     N, n = design.N, design.n
@@ -528,8 +537,8 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
         "rows": rows,
     }
     columns = [
-        Column("w2", "w2", "{:>5.2f}"),
-        Column("ell", "L", " {:>5.2f}"),
+        Column("w2", "w2", _axis_cell(args.w2_grid)),
+        Column("ell", "L", " " + _axis_cell(args.ell_grid)),
         Column("var_hh_mean", "var(hh mean)", " {:>16.4f}"),
         Column("mse_family_min", "min MSE(family)", " {:>16.4f}"),
         Column("pre", "PRE", " {:>9.2f}"),

@@ -141,6 +141,17 @@ class TestTheoryTable:
         assert all(row == ends[1] for row in ends[1:])
         assert ends[1] <= ends[0]
 
+    @pytest.mark.parametrize("grid, printed", [
+        ("0.1,0.2,0.3", ["0.10", "0.20", "0.30"]),
+        ("0,0.001,0.999", ["0.000", "0.001", "0.999"]),
+        ("0.25,0.25", ["0.25", "0.25"]),
+        ("1e-20,2e-20", ["0.00000000000000000001", "0.00000000000000000002"]),
+    ])
+    def test_table_axis_tells_every_grid_value_apart(self, capsys, grid, printed):
+        main(["theory-table", *FOREST_MOMENTS, "--w2-grid", grid, "--ell-grid", "2"])
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == printed
+
     def test_w2_zero_rows_do_not_depend_on_ell(self, capsys):
         main(["theory-table", *FOREST_MOMENTS, "--w2-grid", "0",
               "--ell-grid", "2,3,4", "--format", "json"])

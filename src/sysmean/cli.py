@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -260,6 +261,19 @@ def _manifest(
         "seed": getattr(args, "seed", None),
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
+
+
+class _Stopwatch:
+    """Wall-clock seconds of consecutive phases: a lap ends the phase since the last one."""
+
+    def __init__(self) -> None:
+        self.laps: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.laps[name] = now - self._last
+        self._last = now
 
 
 def _emit(args: argparse.Namespace, report: str | None, manifest: dict) -> None:
@@ -571,11 +585,13 @@ def _build_estimators(
 
 
 def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
+    clock = _Stopwatch()
     if (args.alpha_policy == "explicit") != (args.alpha is not None):
         raise ConfigurationError("--alpha and --alpha-policy explicit go together")
     if args.tolerance_sigma < 0:
         raise ConfigurationError(f"--tolerance-sigma must be >= 0, got {args.tolerance_sigma}")
     pop, sha = _ingest(args)
+    clock.lap("ingest_s")
     design = SystematicDesign.from_population_size(pop.N, args.n)
 
     fixed = args.stratum_mode == "fixed"
@@ -615,7 +631,9 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         nr=nr,
         exhaustive_start=args.exhaustive,
     )
+    clock.lap("moments_s")
     report = run_simulation(pop, design, cfg)
+    clock.lap("simulate_s")
 
     targets = []
     target_names = {}
@@ -640,6 +658,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     all_pass = all(c.verdict == "PASS" for c in comparisons) and all(
         r.valid for r in report.results
     )
+    clock.lap("compare_s")
 
     results = _records([dataclasses.asdict(r) for r in report.results])
     payload = {
@@ -701,7 +720,14 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         ],
     )
 
-    _emit(args, text, _manifest(args, argv, sha, alpha=alpha))
+    clock.lap("render_s")
+
+    # Run telemetry goes to the manifest only, so reports stay byte-identical.
+    manifest = _manifest(args, argv, sha, alpha=alpha)
+    manifest["timings"] = clock.laps
+    simulate_s = clock.laps["simulate_s"]
+    manifest["replicates_per_s"] = cfg.replicates / simulate_s if simulate_s > 0 else None
+    _emit(args, text, manifest)
     return 0 if all_pass else 1
 
 

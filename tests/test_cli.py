@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shutil
 import tracemalloc
@@ -390,6 +391,17 @@ class TestManifestAndRerun:
         assert parameters["s2y2_factor"] == 0.5
         assert parameters["N"] == 240
         assert parameters["moments"]["s2_y2"] == 0.5 * parameters["moments"]["s2_y"]
+
+    def test_simulate_manifest_records_timings_and_throughput(self, pop_csv, tmp_path):
+        manifest_path = tmp_path / "sim.json"
+        main(["simulate", str(pop_csv), "--n", "12", "--replicates", "50",
+              "--manifest", str(manifest_path)])
+        manifest = json.loads(manifest_path.read_text())
+        timings = manifest["timings"]
+        assert sorted(timings) == ["compare_s", "ingest_s", "moments_s", "render_s", "simulate_s"]
+        for value in [*timings.values(), manifest["replicates_per_s"]]:
+            assert isinstance(value, float) and math.isfinite(value) and value >= 0
+        assert manifest["replicates_per_s"] > 0
 
     def test_manifest_to_stdout(self, pop_csv, capsys):
         code = main(["params", str(pop_csv), "--n", "12", "--format", "json",

@@ -3,7 +3,7 @@
 Every command emits its report to stdout (or --out) and a run manifest
 holding the resolved parameters, input checksum, seed, and tool version.
 Reports are deterministic byte-for-byte given the same inputs and seed; the
-manifest carries the only timestamp.  `rerun` replays a manifest's argv to
+manifest carries the only timestamp and, for `simulate`, the run's timings.  `rerun` replays a manifest's argv to
 reproduce its outputs.
 
 Exit status: 0 = success and all checks pass, 1 = a simulation check failed,

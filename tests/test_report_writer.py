@@ -11,7 +11,7 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sysmean.cli import Table, _json
+from sysmean.cli import Column, Table, _fixed_width, _json
 
 
 class Float64Like(float):
@@ -100,3 +100,14 @@ def test_equal_values_keep_their_own_text_in_a_table():
     table = Table({"v": column}, axes={"w2": [0.0, -0.0], "ell": [1, 2.0]})
     records = [{"w2": w2, "ell": ell, "v": v} for (w2, ell), v in zip(grid, column)]
     assert _json(table) == json.dumps(records, indent=2)
+
+
+def test_fixed_width_columns_widen_and_keep_their_alignment():
+    columns = [Column("label", "label", "{:<4}"), Column("v", "value", "{:>3d}"),
+               Column("flag", "", "{}")]
+    table = Table({"label": ["a", "longer"], "v": [1, 12345], "flag": ["", "  !"]})
+    assert _fixed_width(columns, table) == [
+        "label  value",
+        "a          1",
+        "longer 12345  !",
+    ]

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +235,13 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _replicate_streams(master_seed: int, replicates: int) -> Iterator[np.random.Generator]:
+    """The stream of each replicate in order, seeded SEED_BLOCK replicates at a time."""
+    for first in range(0, replicates, SEED_BLOCK):
+        for words in _stream_words(master_seed, first, min(first + SEED_BLOCK, replicates)):
+            yield np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+
+
 def design_rng(master_seed: int) -> np.random.Generator:
     """Stream for design-level draws (e.g. stratum selection), key (0,)."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
@@ -325,29 +333,26 @@ def _replicate_means(
         rows = _fixed_stratum_table(y_samples, missing.reshape(n, k).T, n, nr.ell)
 
     ybar_stars, starts = [], []
-    for first in range(0, cfg.replicates, SEED_BLOCK):
-        stop = min(first + SEED_BLOCK, cfg.replicates)
-        for rep, words in enumerate(_stream_words(cfg.master_seed, first, stop), first):
-            rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
-            if cfg.exhaustive_start:
-                i = rep % k
-            else:
-                i = draw_sample(design, rng) - 1
-            if fixed:
-                n1, t1, nr_y, h2, ybar_star = rows[i]
-                if ybar_star is None:
-                    t2 = _follow_up_total(nr_y, h2, rng)
-                    ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, t2)
-            else:
-                ys = y_samples[i]
-                miss = rng.random(n) < nr.w2
-                nr_y = ys[miss]
-                h2 = follow_up_size(len(nr_y), nr.ell)
-                t1 = sum(ys[~miss].tolist())
+    for rep, rng in enumerate(_replicate_streams(cfg.master_seed, cfg.replicates)):
+        if cfg.exhaustive_start:
+            i = rep % k
+        else:
+            i = draw_sample(design, rng) - 1
+        if fixed:
+            n1, t1, nr_y, h2, ybar_star = rows[i]
+            if ybar_star is None:
                 t2 = _follow_up_total(nr_y, h2, rng)
-                ybar_star = _hh_mean(n, n - len(nr_y), t1, len(nr_y), h2, t2)
-            ybar_stars.append(ybar_star)
-            starts.append(i)
+                ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, t2)
+        else:
+            ys = y_samples[i]
+            miss = rng.random(n) < nr.w2
+            nr_y = ys[miss]
+            h2 = follow_up_size(len(nr_y), nr.ell)
+            t1 = sum(ys[~miss].tolist())
+            t2 = _follow_up_total(nr_y, h2, rng)
+            ybar_star = _hh_mean(n, n - len(nr_y), t1, len(nr_y), h2, t2)
+        ybar_stars.append(ybar_star)
+        starts.append(i)
     return np.array(ybar_stars), np.array(starts, dtype=np.intp)
 
 

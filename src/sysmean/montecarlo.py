@@ -23,18 +23,15 @@ most 2**32 - 1 replicates.  Aggregation reduces in replicate order, so a
 report is bit-identical for a given (population, design, config)
 regardless of how the replicates would be scheduled.
 
-`run_simulation` builds a per-start table once per call: for each start
-index i the auxiliary mean xbar_i, h(xbar_i) and, with a fixed stratum,
-n1_i, the respondent y total, the non-respondents' y values in unit order
-and h2_i (and ybar*_i itself when no follow-up draw is needed).  A
-replicate then only draws and sums.  Each stream is consumed as the
-per-unit reference path (`draw_sample`, `apply_nonresponse`, `hh_mean`,
-`aux_mean`) consumes it: the start index by `draw_sample`, in Bernoulli
-mode one `rng.random(n) < w2` vector, then
-`Generator.choice(n2, h2, replace=False)` whose sorted indices pick the
-same sub-sample as a choice over the sorted non-respondent units.  Totals are summed left to right
-with Python `sum` in unit order and ybar* is n1*(T1/n1) + n2*(T2/h2) over
-n, as in `hh_mean`, so the reports are bit-identical to that path.
+Both stratum modes build ybar* with one per-sample step, `_sample_parts`:
+from a sample's y values and non-respondent mask it gives the respondent
+count and y total, the non-respondents' y values in unit order, h2 and,
+when no follow-up draw is needed, ybar* itself.  A fixed stratum only
+caches that step per start, once per call; in Bernoulli mode each replicate
+takes it on its own drawn mask.  The streams are consumed as the per-unit
+reference path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`)
+consumes them, and totals are summed with Python `sum` in unit order, so
+the reports are bit-identical to that path.
 """
 from __future__ import annotations
 
@@ -124,6 +121,8 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"replicates must be <= {MAX_REPLICATES} (2**32 - 1), got {self.replicates}"
             )
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         labels = [spec.label for spec in self.estimators]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"estimator labels must be unique, got {labels}")
@@ -257,33 +256,19 @@ def _hh_mean(n: int, n1: int, t1: float, n2: int, h2: int, t2: float) -> float:
     return total / n
 
 
-def _follow_up_total(nr_y: np.ndarray, h2: int, rng: np.random.Generator) -> float:
-    """y total of the follow-up sub-sample of the non-respondents `nr_y`.
-
-    When h2 < n2 the sub-sample is drawn as `apply_nonresponse` draws it,
-    from the same stream; it is summed in unit order.
-    """
-    n2 = len(nr_y)
-    if h2 < n2:
-        nr_y = nr_y[np.sort(rng.choice(n2, h2, replace=False))]
-    return sum(nr_y.tolist())
-
-
-def _fixed_stratum_table(
-    y_samples: list[np.ndarray], missing: np.ndarray, n: int, ell: float
-) -> list[tuple[int, float, np.ndarray, int, float | None]]:
-    """One row per start: (n1, respondent y total, non-respondent y in unit
-    order, h2, ybar*); ybar* is None when it depends on a follow-up draw."""
-    rows = []
-    for ys, miss in zip(y_samples, missing):
-        nr_y = ys[miss]
-        n1, t1 = n - len(nr_y), sum(ys[~miss].tolist())
-        h2 = follow_up_size(len(nr_y), ell)
-        ybar_star = None
-        if h2 >= len(nr_y):
-            ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, sum(nr_y.tolist()))
-        rows.append((n1, t1, nr_y, h2, ybar_star))
-    return rows
+def _sample_parts(
+    ys: np.ndarray, miss: np.ndarray, n: int, ell: float
+) -> tuple[int, float, np.ndarray, int, float | None]:
+    """One sample's (n1, respondent y total, non-respondent y in unit order,
+    h2, ybar*) from its y values and non-respondent mask; ybar* is None when
+    it depends on a follow-up draw."""
+    nr_y = ys[miss]
+    n1, t1 = n - len(nr_y), sum(ys[~miss].tolist())
+    h2 = follow_up_size(len(nr_y), ell)
+    ybar_star = None
+    if h2 >= len(nr_y):
+        ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, sum(nr_y.tolist()))
+    return n1, t1, nr_y, h2, ybar_star
 
 
 def run_simulation(
@@ -322,35 +307,29 @@ def run_simulation(
 def _replicate_means(
     pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ybar* and the 0-based start index of each replicate, in replicate order,
-    from the per-start table."""
+    """ybar* and the 0-based start index of each replicate, in replicate order."""
     n, k, nr = design.n, design.k, cfg.nr
     y_samples = list(pop.y.reshape(n, k).T.copy())
     fixed = nr.mode is StratumMode.FIXED_STRATUM
     if fixed:
         missing = np.zeros(design.N, dtype=bool)
         missing[[u - 1 for u in nr.stratum or ()]] = True
-        rows = _fixed_stratum_table(y_samples, missing.reshape(n, k).T, n, nr.ell)
+        rows = [
+            _sample_parts(ys, miss, n, nr.ell)
+            for ys, miss in zip(y_samples, missing.reshape(n, k).T)
+        ]
 
     ybar_stars, starts = [], []
     for rep, rng in enumerate(_replicate_streams(cfg.master_seed, cfg.replicates)):
-        if cfg.exhaustive_start:
-            i = rep % k
-        else:
-            i = draw_sample(design, rng) - 1
-        if fixed:
-            n1, t1, nr_y, h2, ybar_star = rows[i]
-            if ybar_star is None:
-                t2 = _follow_up_total(nr_y, h2, rng)
-                ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, t2)
-        else:
-            ys = y_samples[i]
-            miss = rng.random(n) < nr.w2
-            nr_y = ys[miss]
-            h2 = follow_up_size(len(nr_y), nr.ell)
-            t1 = sum(ys[~miss].tolist())
-            t2 = _follow_up_total(nr_y, h2, rng)
-            ybar_star = _hh_mean(n, n - len(nr_y), t1, len(nr_y), h2, t2)
+        i = rep % k if cfg.exhaustive_start else draw_sample(design, rng) - 1
+        n1, t1, nr_y, h2, ybar_star = (
+            rows[i] if fixed else _sample_parts(y_samples[i], rng.random(n) < nr.w2, n, nr.ell)
+        )
+        if ybar_star is None:
+            # The sorted indices pick the sub-sample a choice over the sorted
+            # non-respondent units picks.
+            chosen = np.sort(rng.choice(len(nr_y), h2, replace=False))
+            ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, sum(nr_y[chosen].tolist()))
         ybar_stars.append(ybar_star)
         starts.append(i)
     return np.array(ybar_stars), np.array(starts, dtype=np.intp)

@@ -190,6 +190,11 @@ class TestFailureHandling:
                 nr=NO_NR,
             )
 
+    def test_negative_master_seed_rejected(self):
+        hh_only(10, seed=0)
+        with pytest.raises(ConfigurationError, match="master_seed must be >= 0, got -1"):
+            hh_only(10, seed=-1)
+
     def test_family_kind_requires_params(self):
         with pytest.raises(ConfigurationError):
             EstimatorSpec("family", "family")

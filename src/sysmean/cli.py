@@ -631,10 +631,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         nr=nr,
         exhaustive_start=args.exhaustive,
     )
-    clock.lap("moments_s")
-    report = run_simulation(pop, design, cfg)
-    clock.lap("simulate_s")
-
+    # The targets need no report: a theory-domain error exits before any replicate runs.
     targets = []
     target_names = {}
     for spec in specs:
@@ -654,6 +651,10 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
                 name = f"first-order MSE({spec.kind})"
         targets.append((spec.label, value))
         target_names[spec.label] = name
+    clock.lap("moments_s")
+    report = run_simulation(pop, design, cfg)
+    clock.lap("simulate_s")
+
     comparisons = compare_to_theory(report, targets, tolerance_sigma=args.tolerance_sigma)
     all_pass = all(c.verdict == "PASS" for c in comparisons) and all(
         r.valid for r in report.results

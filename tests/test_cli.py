@@ -313,6 +313,18 @@ class TestSimulate:
         assert peak < 2**22  # ingest takes about 0.2 MB; a byte per replicate would be 4 GB
 
 
+    def test_theory_domain_error_exits_before_any_replicate(self, pop_csv, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran the replicates")
+
+        # round(0.999 * 240) = 240 puts every unit in the stratum: the theory rate is 1.
+        monkeypatch.setattr("sysmean.cli.run_simulation", refuse)
+        code = main(["simulate", str(pop_csv), "--n", "12", "--w2", "0.999", "--ell", "2",
+                     "--replicates", "20000"])
+        assert code == 2
+        assert "non-response rate w2 must be in [0, 1), got 1.0" in capsys.readouterr().err
+
+
 class TestManifestAndRerun:
     def test_manifest_written_next_to_output(self, pop_csv, tmp_path):
         out = tmp_path / "table.txt"

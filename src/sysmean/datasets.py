@@ -1,9 +1,8 @@
 """Synthetic populations and dataset file utilities.
 
 The classical 176-strip forest dataset (timber volume vs. strip length) is
-not redistributable, so it is not bundled.  `MURTHY_FOREST_STRIPS_SHA256` is
-a checksum slot: users who obtain the data can record the digest of their
-CSV export here (or pass it on the command line) to verify ingestion.
+not redistributable, so it is not bundled; `file_sha256` (the CLI's
+`--expect-sha256`) verifies a locally obtained CSV export.
 `synthetic_linear_population` provides a stand-in with a controllable
 volume/length-style correlation.
 """
@@ -16,9 +15,6 @@ import numpy as np
 
 from .errors import DomainError
 from .population import FinitePopulation
-
-# sha256 of a locally obtained forest-strip CSV (header y,x); fill in to verify.
-MURTHY_FOREST_STRIPS_SHA256: str | None = None
 
 
 def synthetic_linear_population(

@@ -1,5 +1,6 @@
 """Packaging guards: sysmean imports only the standard library and its declared
-dependencies, and the benchmark's tracer still finds every function it wraps."""
+dependencies, pyproject.toml carries the package's version, and the benchmark's
+tracer still finds every function it wraps."""
 import ast
 import importlib
 import os
@@ -14,10 +15,14 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sysmean"
 
 
-def declared_dependencies() -> set[str]:
+def project_table() -> dict:
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    names = (re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in project["dependencies"])
+    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+
+def declared_dependencies() -> set[str]:
+    specs = project_table()["dependencies"]
+    names = (re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in specs)
     return {name.lower() for name in names}
 
 
@@ -30,6 +35,11 @@ def imported_packages(path: Path) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             modules.add(node.module.split(".")[0])
     return modules
+
+
+def test_project_version_is_the_package_version():
+    # Both are bumped by hand; a release that bumps one of them only fails here.
+    assert project_table()["version"] == importlib.import_module("sysmean").__version__
 
 
 def test_import_does_not_load_scipy():

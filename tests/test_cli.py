@@ -312,7 +312,6 @@ class TestSimulate:
         assert "replicates must be <= 4294967295" in capsys.readouterr().err
         assert peak < 2**22  # ingest takes about 0.2 MB; a byte per replicate would be 4 GB
 
-
     def test_theory_domain_error_exits_before_any_replicate(self, pop_csv, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("simulate ran the replicates")

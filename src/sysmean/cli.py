@@ -448,7 +448,7 @@ def _render(fmt: str, payload: dict, csv: Table, text: list) -> str:
 
 def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
     pop, sha = _ingest(args)
-    design = SystematicDesign.from_population_size(pop.N, args.n)
+    design = SystematicDesign(pop.N, args.n)
     moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
 
     payload = {
@@ -487,7 +487,7 @@ def _moments_from_args(
         if any(v is not None for v in explicit):
             raise ConfigurationError("give an input file or explicit moments, not both")
         pop, sha = _ingest(args)
-        design = SystematicDesign.from_population_size(pop.N, args.n)
+        design = SystematicDesign(pop.N, args.n)
         moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor, 0.75)
         return moments, design, sha
 
@@ -506,7 +506,7 @@ def _moments_from_args(
         raise ConfigurationError("provide --rho-w, or both --rho-y and --rho-x")
     if args.s2_y2 is not None and args.s2y2_factor is not None:
         raise ConfigurationError("--s2-y2 conflicts with --s2y2-factor")
-    moments = PopulationMoments.from_parameters(
+    moments = PopulationMoments(
         mean_y=args.mean_y,
         mean_x=args.mean_x,
         s2_y=args.s2_y,
@@ -516,7 +516,7 @@ def _moments_from_args(
         rho_x=rho_x,
         s2_y2=args.s2_y2,
     )
-    design = SystematicDesign.from_population_size(args.pop_size, args.n)
+    design = SystematicDesign(args.pop_size, args.n)
     return _with_s2y2_factor(moments, args.s2y2_factor), design, None
 
 
@@ -566,7 +566,8 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
         ],
     )
 
-    _emit(args, report, _manifest(args, argv, sha, N=N, moments=dataclasses.asdict(moments)))
+    record = dict(dataclasses.asdict(moments), cv_y=moments.cv_y, cv_x=moments.cv_x)
+    _emit(args, report, _manifest(args, argv, sha, N=N, moments=record))
     return 0
 
 
@@ -592,12 +593,17 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         raise ConfigurationError(f"--tolerance-sigma must be >= 0, got {args.tolerance_sigma}")
     pop, sha = _ingest(args)
     clock.lap("ingest_s")
-    design = SystematicDesign.from_population_size(pop.N, args.n)
+    design = SystematicDesign(pop.N, args.n)
 
     fixed = args.stratum_mode == "fixed"
     stratum = None
     if fixed:
         size = round(args.w2 * pop.N)
+        if size == pop.N:
+            raise ConfigurationError(
+                f"--w2 {args.w2} puts all {size} of {pop.N} units in the non-response "
+                "stratum; at least one unit must respond"
+            )
         # An out-of-range rate draws nothing here; NonResponseModel rejects it below.
         chosen = (
             design_rng(args.seed).choice(pop.N, size, replace=False)

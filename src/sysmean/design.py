@@ -36,32 +36,24 @@ class StratumMode(Enum):
 
 @dataclass(frozen=True)
 class SystematicDesign:
-    """Equal-interval design: N = n*k units, k candidate samples of size n."""
+    """Equal-interval design: N = n*k units, k = N // n candidate samples of size n.
+
+    An n that does not divide N is refused with the nearest sizes that do."""
 
     N: int
     n: int
-    k: int
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise DesignError(f"sample size n must be >= 2, got n={self.n}")
-        if self.k < 1:
-            raise DesignError(f"number of candidate samples k must be >= 1, got k={self.k}")
-        if self.N != self.n * self.k:
-            raise DesignError(
-                f"population size must equal n*k: N={self.N} but n*k={self.n * self.k}"
-            )
-
-    @classmethod
-    def from_population_size(cls, N: int, n: int) -> "SystematicDesign":
-        """Build a design for N units and sample size n, requiring n | N."""
-        if n < 2:
-            raise DesignError(f"sample size n must be >= 2, got n={n}")
-        if N < 2 or N % n != 0:
-            candidates = nearest_valid_sample_sizes(N, n)
+        if self.N < 2 or self.N % self.n != 0:
+            candidates = nearest_valid_sample_sizes(self.N, self.n)
             hint = f"; nearest valid sample sizes: {candidates}" if candidates else ""
-            raise DesignError(f"n={n} does not divide N={N}{hint}")
-        return cls(N=N, n=n, k=N // n)
+            raise DesignError(f"n={self.n} does not divide N={self.N}{hint}")
+
+    @property
+    def k(self) -> int:
+        return self.N // self.n
 
 
 def valid_sample_sizes(N: int) -> list[int]:

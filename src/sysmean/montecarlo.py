@@ -115,8 +115,10 @@ class SimulationConfig:
     exhaustive_start: bool = False
 
     def __post_init__(self) -> None:
-        if self.replicates < 1:
-            raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
+        if self.replicates < 2:
+            raise ConfigurationError(
+                f"the Monte Carlo standard error needs two replicates, got {self.replicates}"
+            )
         if self.replicates > MAX_REPLICATES:
             raise ConfigurationError(
                 f"replicates must be <= {MAX_REPLICATES} (2**32 - 1), got {self.replicates}"

@@ -11,7 +11,7 @@ import csv
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -68,21 +68,24 @@ class PopulationMoments:
     square of the study variable over the non-response stratum (divisor
     N2-1), or None when no stratum information is available.  `rho_y` and
     `rho_x` are intraclass correlations between pairs of units within the
-    same systematic sample.
+    same systematic sample.  Every field must be finite; the coefficients of
+    variation `cv_y` and `cv_x` are derived from the means and mean squares.
     """
 
     mean_y: float
     mean_x: float
     s2_y: float
     s2_x: float
-    cv_y: float
-    cv_x: float
     rho: float
     rho_y: float
     rho_x: float
     s2_y2: float | None = None
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{field.name} must be finite, got {value}")
         if self.s2_y < 0 or self.s2_x < 0:
             raise DomainError("mean squares must be nonnegative")
         if not -1.0 <= self.rho <= 1.0:
@@ -91,42 +94,16 @@ class PopulationMoments:
             raise DegenerateInputError(
                 "zero mean leaves the coefficient of variation undefined"
             )
-        for cv, s2, mean in ((self.cv_y, self.s2_y, self.mean_y), (self.cv_x, self.s2_x, self.mean_x)):
-            expected = math.sqrt(s2) / abs(mean)
-            if not math.isclose(cv, expected, rel_tol=1e-9, abs_tol=1e-12):
-                raise DomainError("coefficient of variation inconsistent with mean square")
         if self.s2_y2 is not None and self.s2_y2 < 0:
             raise DomainError("stratum mean square must be nonnegative")
 
-    @classmethod
-    def from_parameters(
-        cls,
-        mean_y: float,
-        mean_x: float,
-        s2_y: float,
-        s2_x: float,
-        rho: float,
-        rho_y: float,
-        rho_x: float,
-        s2_y2: float | None = None,
-    ) -> "PopulationMoments":
-        """Build moments from scalar parameters, deriving the CVs."""
-        if mean_y == 0 or mean_x == 0:
-            raise DegenerateInputError(
-                "zero mean leaves the coefficient of variation undefined"
-            )
-        return cls(
-            mean_y=mean_y,
-            mean_x=mean_x,
-            s2_y=s2_y,
-            s2_x=s2_x,
-            cv_y=math.sqrt(s2_y) / abs(mean_y),
-            cv_x=math.sqrt(s2_x) / abs(mean_x),
-            rho=rho,
-            rho_y=rho_y,
-            rho_x=rho_x,
-            s2_y2=s2_y2,
-        )
+    @property
+    def cv_y(self) -> float:
+        return math.sqrt(self.s2_y) / abs(self.mean_y)
+
+    @property
+    def cv_x(self) -> float:
+        return math.sqrt(self.s2_x) / abs(self.mean_x)
 
 
 def _sniff_delimiter(header_line: str) -> str:
@@ -306,18 +283,13 @@ def compute_moments(
     pop: FinitePopulation,
     design: SystematicDesign,
     nr_stratum: Iterable[int] | None = None,
-    *,
-    s2_y2: float | None = None,
 ) -> PopulationMoments:
     """Compute every population parameter the error theory consumes.
 
-    The stratum mean square comes either from an explicit unit subset
-    (`nr_stratum`) or from a direct scalar override (`s2_y2`), not both.
-    With neither, `s2_y2` is left unset and any downstream use that needs it
-    will refuse to run.
+    The stratum mean square `s2_y2` comes from the unit subset `nr_stratum`.
+    Without one it is left unset, and any downstream use that needs it will
+    refuse to run; set it from a scalar with `dataclasses.replace`.
     """
-    if nr_stratum is not None and s2_y2 is not None:
-        raise ConfigurationError("pass either nr_stratum or s2_y2, not both")
     if pop.N != design.N:
         raise DesignError(f"population has {pop.N} units but design expects {design.N}")
 
@@ -327,10 +299,7 @@ def compute_moments(
     if s2_y == 0 or s2_x == 0:
         raise DegenerateInputError("constant variable: correlation undefined")
 
-    if nr_stratum is not None:
-        s2_y2 = stratum_mean_square(pop, nr_stratum)
-
-    return PopulationMoments.from_parameters(
+    return PopulationMoments(
         mean_y=float(y.mean()),
         mean_x=float(x.mean()),
         s2_y=s2_y,
@@ -338,7 +307,7 @@ def compute_moments(
         rho=float(np.corrcoef(y, x)[0, 1]),
         rho_y=intraclass_correlation(y, design),
         rho_x=intraclass_correlation(x, design),
-        s2_y2=s2_y2,
+        s2_y2=None if nr_stratum is None else stratum_mean_square(pop, nr_stratum),
     )
 
 

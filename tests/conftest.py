@@ -38,7 +38,7 @@ def random_moments(rng, n=None, with_s2y2=True):
     k = int(rng.integers(2, 31))
     lower = -1.0 / (n - 1)
     s2_y = float(rng.uniform(1e-2, 1e4))
-    m = PopulationMoments.from_parameters(
+    m = PopulationMoments(
         mean_y=float(rng.uniform(0.5, 300.0)),
         mean_x=float(rng.uniform(0.5, 50.0)),
         s2_y=s2_y,

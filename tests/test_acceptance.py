@@ -74,7 +74,7 @@ MC_REPLICATES = 100_000
 
 
 def forest_moments(rho_w):
-    return PopulationMoments.from_parameters(
+    return PopulationMoments(
         **FOREST_PARAMS, rho_y=rho_w, rho_x=rho_w, s2_y2=FOREST_S2Y2
     )
 
@@ -101,7 +101,7 @@ def accept_population():
 @pytest.fixture(scope="module")
 def nonresponse_run(accept_population):
     """Criterion 7 simulation, shared with criterion 8."""
-    design = SystematicDesign(N=ACCEPT_N, n=ACCEPT_SAMPLE, k=ACCEPT_K)
+    design = SystematicDesign(N=ACCEPT_N, n=ACCEPT_SAMPLE)
     stratum = engineered_stratum()
     nr = NonResponseModel(
         w2=0.25, ell=2.0, mode=StratumMode.FIXED_STRATUM, stratum=stratum
@@ -265,7 +265,7 @@ def test_criterion_5_efficiency_monotonicity():
     w2_grid = np.linspace(0.02, 0.5, 20)
     ell_grid = np.linspace(1.1, 4.0, 20)
     for pop, n in fixtures:
-        design = SystematicDesign.from_population_size(pop.N, n)
+        design = SystematicDesign(pop.N, n)
         moments = compute_moments(pop, design)
         moments = dataclasses.replace(moments, s2_y2=0.75 * moments.s2_y)
         assert 0.0 < moments.rho**2 < 1.0
@@ -287,7 +287,7 @@ def test_criterion_5_efficiency_monotonicity():
 
 def test_criterion_6_exhaustive_enumeration(accept_population):
     pop = accept_population
-    design = SystematicDesign(N=ACCEPT_N, n=ACCEPT_SAMPLE, k=ACCEPT_K)
+    design = SystematicDesign(N=ACCEPT_N, n=ACCEPT_SAMPLE)
 
     # independent enumeration oracle: mean over each candidate sample
     grand = sum(pop.y) / pop.N
@@ -357,7 +357,7 @@ def test_criterion_8_unbiasedness(nonresponse_run):
 
 
 def test_criterion_9_intraclass_oracle():
-    design = SystematicDesign(N=4, n=2, k=2)
+    design = SystematicDesign(N=4, n=2)
     assert intraclass_correlation([1.0, 2.0, 3.0, 4.0], design) == pytest.approx(
         -0.6, abs=1e-15
     )
@@ -371,7 +371,7 @@ def test_criterion_9_intraclass_oracle():
         assert N <= 60
         values = rng.normal(rng.uniform(-5, 5), rng.uniform(0.5, 4.0), N)
         expected = brute_force_intraclass(values, n, k)
-        got = intraclass_correlation(values, SystematicDesign(N=N, n=n, k=k))
+        got = intraclass_correlation(values, SystematicDesign(N=N, n=n))
         worst = max(worst, abs(got - expected))
     assert worst <= 1e-12
     print(

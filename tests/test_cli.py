@@ -277,7 +277,7 @@ class TestSimulate:
         targets = {c["label"]: c["theory_value"] for c in
                    json.loads(capsys.readouterr().out)["comparisons"]}
         pop = load_population(pop_csv)
-        design = SystematicDesign.from_population_size(pop.N, 12)
+        design = SystematicDesign(pop.N, 12)
         m = compute_moments(pop, design)
         c = derived_constants(m, 12, pop.N)
         for kind in ("ratio", "product"):
@@ -321,7 +321,10 @@ class TestSimulate:
         code = main(["simulate", str(pop_csv), "--n", "12", "--w2", "0.999", "--ell", "2",
                      "--replicates", "20000"])
         assert code == 2
-        assert "non-response rate w2 must be in [0, 1), got 1.0" in capsys.readouterr().err
+        assert (
+            "--w2 0.999 puts all 240 of 240 units in the non-response stratum; "
+            "at least one unit must respond"
+        ) in capsys.readouterr().err
 
 
 class TestManifestAndRerun:
@@ -499,6 +502,23 @@ class TestUsageErrors:
             assert "sysmean: error: intraclass correlations must not exceed 1" in captured.err
         else:
             assert "PRE" in captured.out
+
+    @pytest.mark.parametrize("negative", ["--s2-y", "--s2-x"])
+    def test_negative_mean_square_is_usage_error(self, capsys, negative):
+        options = {"--s2-y": "1", "--s2-x": "1", negative: "-1"}
+        argv = ["theory-table", "--pop-size", "176", "--n", "16", "--mean-y", "1",
+                "--mean-x", "1", *[tok for item in options.items() for tok in item],
+                "--rho", "0.5", "--rho-w", "0.1", "--s2-y2", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sysmean: error: mean squares must be nonnegative\n"
+
+    def test_one_replicate_is_usage_error(self, pop_csv, capsys):
+        assert main(["simulate", str(pop_csv), "--n", "12", "--replicates", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the Monte Carlo standard error needs two replicates" in captured.err
 
     def test_non_utf8_input_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "pop.csv"

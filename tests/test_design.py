@@ -24,19 +24,25 @@ from conftest import random_population
 class TestSystematicDesign:
     def test_requires_exact_factorization(self):
         with pytest.raises(DesignError):
-            SystematicDesign(N=10, n=3, k=3)
+            SystematicDesign(N=10, n=3)
+
+    def test_non_divisor_gives_nearest_divisor_hint(self):
+        with pytest.raises(
+            DesignError, match=r"n=3 does not divide N=10; nearest valid sample sizes: \[2, 5, 10\]"
+        ):
+            SystematicDesign(N=10, n=3)
 
     def test_requires_minimum_sample_size(self):
         with pytest.raises(DesignError):
-            SystematicDesign(N=4, n=1, k=4)
+            SystematicDesign(N=4, n=1)
 
     def test_from_population_size(self):
-        design = SystematicDesign.from_population_size(176, 16)
+        design = SystematicDesign(176, 16)
         assert design.k == 11
 
     def test_from_population_size_suggests_alternatives(self):
         with pytest.raises(DesignError, match="nearest valid sample sizes"):
-            SystematicDesign.from_population_size(176, 15)
+            SystematicDesign(176, 15)
 
     def test_nearest_suggestions_are_divisors(self):
         for candidate in nearest_valid_sample_sizes(176, 15):
@@ -51,28 +57,28 @@ class TestSystematicDesign:
 
     def test_huge_population_size_is_answered_at_once(self):
         with pytest.raises(DesignError, match=r"nearest valid sample sizes: \[8, 5, 4, 10, 2\]"):
-            SystematicDesign.from_population_size(10**12, 7)
+            SystematicDesign(10**12, 7)
 
 
 class TestEnumerateSamples:
     def test_small_design(self):
-        assert enumerate_samples(SystematicDesign(N=6, n=3, k=2)) == [
+        assert enumerate_samples(SystematicDesign(N=6, n=3)) == [
             (1, 3, 5),
             (2, 4, 6),
         ]
 
     def test_two_by_two(self):
-        assert enumerate_samples(SystematicDesign(N=4, n=2, k=2)) == [(1, 3), (2, 4)]
+        assert enumerate_samples(SystematicDesign(N=4, n=2)) == [(1, 3), (2, 4)]
 
     def test_forest_survey_shape(self):
-        samples = enumerate_samples(SystematicDesign(N=176, n=16, k=11))
+        samples = enumerate_samples(SystematicDesign(N=176, n=16))
         assert len(samples) == 11
         assert all(len(s) == 16 for s in samples)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 12), k=st.integers(1, 12))
     def test_samples_partition_population(self, n, k):
-        design = SystematicDesign(N=n * k, n=n, k=k)
+        design = SystematicDesign(N=n * k, n=n)
         samples = enumerate_samples(design)
         flat = [u for s in samples for u in s]
         assert sorted(flat) == list(range(1, n * k + 1))
@@ -80,17 +86,17 @@ class TestEnumerateSamples:
 
 class TestDrawSample:
     def test_single_candidate(self):
-        design = SystematicDesign(N=8, n=8, k=1)
+        design = SystematicDesign(N=8, n=8)
         assert draw_sample(design, np.random.default_rng(0)) == 1
 
     def test_deterministic_given_seed(self):
-        design = SystematicDesign(N=176, n=16, k=11)
+        design = SystematicDesign(N=176, n=16)
         a = [draw_sample(design, np.random.default_rng(99)) for _ in range(5)]
         b = [draw_sample(design, np.random.default_rng(99)) for _ in range(5)]
         assert a == b
 
     def test_uniform_over_candidates(self):
-        design = SystematicDesign(N=176, n=16, k=11)
+        design = SystematicDesign(N=176, n=16)
         rng = np.random.default_rng(2024)
         draws = 100_000
         counts = np.zeros(11)
@@ -235,7 +241,7 @@ class TestSampleRealizationInvariants:
 
 class TestEnumeratedDesignVariance:
     def test_matches_direct_computation(self, rng):
-        design = SystematicDesign(N=20, n=4, k=5)
+        design = SystematicDesign(N=20, n=4)
         values = rng.normal(3.0, 2.0, 20)
         means = [np.mean([values[u - 1] for u in s]) for s in enumerate_samples(design)]
         expected = np.mean((np.array(means) - values.mean()) ** 2)

@@ -63,7 +63,7 @@ def hh_only(replicates, seed, exhaustive=False, nr=NO_NR):
 class TestExhaustiveMode:
     def test_full_response_reproduces_design_variance(self):
         pop = synthetic_linear_population(60, rho_target=0.85, seed=11)
-        design = SystematicDesign(N=60, n=6, k=10)
+        design = SystematicDesign(N=60, n=6)
         report = run_simulation(pop, design, hh_only(10, seed=1, exhaustive=True))
         result = report.by_label("hh")
         enum_var = enumerated_design_variance(pop.y, design)
@@ -75,7 +75,7 @@ class TestExhaustiveMode:
 
     def test_cycles_through_all_starts(self):
         pop = synthetic_linear_population(24, seed=3)
-        design = SystematicDesign(N=24, n=4, k=6)
+        design = SystematicDesign(N=24, n=4)
         report = run_simulation(pop, design, hh_only(12, seed=5, exhaustive=True))
         assert report.by_label("hh").n_used == 12
 
@@ -87,7 +87,7 @@ class TestDegenerateCases:
         # fully degenerate population is the case where every estimator
         # has empirical MSE exactly 0
         pop = FinitePopulation(y=(5.0,) * 12, x=(3.0,) * 12)
-        design = SystematicDesign(N=12, n=3, k=4)
+        design = SystematicDesign(N=12, n=3)
         specs = (
             EstimatorSpec("hh", "hh"),
             EstimatorSpec("ratio", "ratio"),
@@ -103,7 +103,7 @@ class TestDegenerateCases:
 class TestDeterminism:
     def test_identical_config_gives_identical_report(self):
         pop = synthetic_linear_population(60, seed=7)
-        design = SystematicDesign(N=60, n=5, k=12)
+        design = SystematicDesign(N=60, n=5)
         stratum = frozenset(range(1, 16))
         nr = NonResponseModel(w2=0.25, ell=2.0, stratum=stratum)
         specs = (
@@ -115,7 +115,7 @@ class TestDeterminism:
 
     def test_different_seed_changes_report(self):
         pop = synthetic_linear_population(60, seed=7)
-        design = SystematicDesign(N=60, n=5, k=12)
+        design = SystematicDesign(N=60, n=5)
         a = run_simulation(pop, design, hh_only(200, seed=1))
         b = run_simulation(pop, design, hh_only(200, seed=2))
         assert a.by_label("hh").empirical_mse != b.by_label("hh").empirical_mse
@@ -125,7 +125,7 @@ class TestFailureHandling:
     def test_singular_sample_counted_not_dropped(self):
         # sample (1,3) has mean x = 0, so the ratio estimator fails there
         pop = FinitePopulation(y=(4.0, 6.0, 8.0, 2.0), x=(1.0, 2.0, -1.0, 3.0))
-        design = SystematicDesign(N=4, n=2, k=2)
+        design = SystematicDesign(N=4, n=2)
         specs = (EstimatorSpec("hh", "hh"), EstimatorSpec("ratio", "ratio"))
         cfg = SimulationConfig(
             replicates=2, master_seed=0, estimators=specs, nr=NO_NR, exhaustive_start=True
@@ -141,7 +141,7 @@ class TestFailureHandling:
         # on the sample (1,3) xbar = 0 zeroes the family denominator, but the
         # g = -1 member is ybar*·xbar/Xbar and needs only Xbar != 0
         pop = FinitePopulation(y=(4.0, 6.0, 8.0, 2.0), x=(1.0, 2.0, -1.0, 3.0))
-        design = SystematicDesign(N=4, n=2, k=2)
+        design = SystematicDesign(N=4, n=2)
         specs = (
             EstimatorSpec("product", "product"),
             EstimatorSpec("family", "family", FamilyParams(alpha=1.0, g=-1.0)),
@@ -195,6 +195,11 @@ class TestFailureHandling:
         with pytest.raises(ConfigurationError, match="master_seed must be >= 0, got -1"):
             hh_only(10, seed=-1)
 
+    def test_one_replicate_rejected(self):
+        hh_only(2, seed=0)
+        with pytest.raises(ConfigurationError, match="needs two replicates"):
+            hh_only(1, seed=0)
+
     def test_family_kind_requires_params(self):
         with pytest.raises(ConfigurationError):
             EstimatorSpec("family", "family")
@@ -207,7 +212,7 @@ class TestFailureHandling:
 class TestMonotonicityProbe:
     def test_mse_does_not_decrease_with_more_nonresponse(self):
         pop = synthetic_linear_population(240, rho_target=0.9, seed=28)
-        design = SystematicDesign(N=240, n=12, k=20)
+        design = SystematicDesign(N=240, n=12)
         rng = np.random.default_rng(4)
         stratum = frozenset(int(u) + 1 for u in rng.choice(240, size=60, replace=False))
         replicates = 20_000
@@ -225,7 +230,7 @@ class TestMonotonicityProbe:
 
     def test_optimum_family_member_not_worse_than_adjusted_mean(self):
         pop = synthetic_linear_population(240, rho_target=0.9, seed=28)
-        design = SystematicDesign(N=240, n=12, k=20)
+        design = SystematicDesign(N=240, n=12)
         m = compute_moments(pop, design)
         assert abs(m.rho) >= 0.5
         c = derived_constants(m, 12, 240)
@@ -320,7 +325,7 @@ class TestCompareToTheory:
         # with no non-response the only gap between the enumerated variance
         # and the intraclass representation is float roundoff
         pop = synthetic_linear_population(60, rho_target=0.85, seed=11)
-        design = SystematicDesign(N=60, n=6, k=10)
+        design = SystematicDesign(N=60, n=6)
         report = run_simulation(pop, design, hh_only(10, seed=1, exhaustive=True))
         m = compute_moments(pop, design)
         (comparison,) = compare_to_theory(report, [("hh", var_mean_y(m, 6, 60))])
@@ -331,7 +336,7 @@ class TestCompareToTheory:
 class TestReportInvariants:
     def test_bias_is_mean_minus_truth_and_mse_nonnegative(self):
         pop = synthetic_linear_population(60, seed=13)
-        design = SystematicDesign(N=60, n=5, k=12)
+        design = SystematicDesign(N=60, n=5)
         report = run_simulation(pop, design, hh_only(500, seed=21))
         result = report.by_label("hh")
         assert result.empirical_bias == pytest.approx(
@@ -402,7 +407,7 @@ def simulation_case(pop_seed, n, k, w2, ell, bernoulli, exhaustive, replicates, 
         nr=nr,
         exhaustive_start=exhaustive,
     )
-    return pop, SystematicDesign(N=n * k, n=n, k=k), cfg
+    return pop, SystematicDesign(N=n * k, n=n), cfg
 
 
 class TestPerStartTableKernel:
@@ -418,7 +423,7 @@ class TestPerStartTableKernel:
         ell=st.sampled_from([1.0, 1.5, 2.0, 3.0, 1e9]) | st.floats(1.0, 10.0),
         bernoulli=st.booleans(),
         exhaustive=st.booleans(),
-        replicates=st.integers(1, 40),
+        replicates=st.integers(2, 40),
         seed=st.integers(0, 2**63),
     )
     @example(pop_seed=1, n=20, k=1, w2=0.5, ell=1.5, bernoulli=False, exhaustive=False,

@@ -1,6 +1,7 @@
 """Packaging guards: sysmean imports only the standard library and its declared
-dependencies, pyproject.toml carries the package's version, and the benchmark's
-tracer still finds every function it wraps."""
+dependencies, pyproject.toml carries the package's version, the benchmark's
+tracer still finds every function it wraps, and the README's library example
+runs."""
 import ast
 import importlib
 import os
@@ -74,3 +75,16 @@ def test_every_traced_benchmark_target_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"benchmark targets not found: {missing}"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    from sysmean.cli import main
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    assert main(["synthesize", "--units", "240", "--seed", "28", "--out", "pop.csv"]) == 0
+    namespace: dict = {"__name__": "readme_example"}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["report"].replicates == 10_000

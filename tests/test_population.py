@@ -160,12 +160,12 @@ class TestSortedByAuxiliary:
 
 class TestIntraclassCorrelation:
     def test_perfect_within_sample_homogeneity(self):
-        design = SystematicDesign(N=4, n=2, k=2)
+        design = SystematicDesign(N=4, n=2)
         assert intraclass_correlation([1.0, 2.0, 1.0, 2.0], design) == pytest.approx(1.0)
 
     def test_hand_checked_negative_case(self):
         # samples {1,3} and {2,4}: cross-product sum -3.0, denominator 5.0
-        design = SystematicDesign(N=4, n=2, k=2)
+        design = SystematicDesign(N=4, n=2)
         value = intraclass_correlation([1.0, 2.0, 3.0, 4.0], design)
         assert value == pytest.approx(-0.6, abs=1e-15)
 
@@ -174,7 +174,7 @@ class TestIntraclassCorrelation:
             n = int(rng.integers(2, 9))
             k = int(rng.integers(2, 8))
             values = rng.normal(10.0, 4.0, n * k)
-            design = SystematicDesign(N=n * k, n=n, k=k)
+            design = SystematicDesign(N=n * k, n=n)
             expected = brute_force_intraclass(values, n, k)
             assert intraclass_correlation(values, design) == pytest.approx(
                 expected, abs=1e-12, rel=1e-12
@@ -184,7 +184,7 @@ class TestIntraclassCorrelation:
         for _ in range(50):
             n = int(rng.integers(2, 10))
             k = int(rng.integers(2, 10))
-            design = SystematicDesign(N=n * k, n=n, k=k)
+            design = SystematicDesign(N=n * k, n=n)
             value = intraclass_correlation(rng.normal(size=n * k), design)
             assert (n - 1) * value >= -1.0 - 1e-9
             assert value <= 1.0 + 1e-9
@@ -199,7 +199,7 @@ class TestIntraclassCorrelation:
     )
     def test_affine_invariance(self, n, k, shift, scale, seed):
         values = np.random.default_rng(seed).normal(0.0, 1.0, n * k)
-        design = SystematicDesign(N=n * k, n=n, k=k)
+        design = SystematicDesign(N=n * k, n=n)
         base = intraclass_correlation(values, design)
         transformed = intraclass_correlation(scale * values + shift, design)
         assert transformed == pytest.approx(base, abs=1e-9, rel=1e-9)
@@ -207,7 +207,7 @@ class TestIntraclassCorrelation:
     def test_block_permutation_invariance(self, rng):
         n, k = 5, 7
         values = rng.normal(0.0, 3.0, n * k)
-        design = SystematicDesign(N=n * k, n=n, k=k)
+        design = SystematicDesign(N=n * k, n=n)
         base = intraclass_correlation(values, design)
         perm = rng.permutation(k)
         permuted = np.empty_like(values)
@@ -217,12 +217,12 @@ class TestIntraclassCorrelation:
         assert intraclass_correlation(permuted, design) == pytest.approx(base, rel=1e-12)
 
     def test_degenerate_values_rejected(self):
-        design = SystematicDesign(N=4, n=2, k=2)
+        design = SystematicDesign(N=4, n=2)
         with pytest.raises(DegenerateInputError):
             intraclass_correlation([3.0, 3.0, 3.0, 3.0], design)
 
     def test_wrong_length_rejected(self):
-        design = SystematicDesign(N=4, n=2, k=2)
+        design = SystematicDesign(N=4, n=2)
         with pytest.raises(DesignError):
             intraclass_correlation([1.0, 2.0, 3.0], design)
 
@@ -230,7 +230,7 @@ class TestIntraclassCorrelation:
 class TestComputeMoments:
     def test_matches_numpy_oracles(self, rng):
         pop = random_population(rng, 24)
-        design = SystematicDesign(N=24, n=4, k=6)
+        design = SystematicDesign(N=24, n=4)
         m = compute_moments(pop, design)
         y = np.array(pop.y)
         x = np.array(pop.x)
@@ -246,12 +246,12 @@ class TestComputeMoments:
     def test_identical_variables_have_unit_correlation(self):
         values = (1.0, 5.0, 2.0, 8.0, 3.0, 9.0)
         pop = FinitePopulation(y=values, x=values)
-        m = compute_moments(pop, SystematicDesign(N=6, n=3, k=2))
+        m = compute_moments(pop, SystematicDesign(N=6, n=3))
         assert m.rho == pytest.approx(1.0, abs=1e-12)
 
     def test_stratum_mean_square(self, rng):
         pop = random_population(rng, 12)
-        design = SystematicDesign(N=12, n=3, k=4)
+        design = SystematicDesign(N=12, n=3)
         stratum = {2, 5, 7, 11}
         m = compute_moments(pop, design, nr_stratum=stratum)
         values = np.array([pop.y[u - 1] for u in sorted(stratum)])
@@ -262,27 +262,15 @@ class TestComputeMoments:
         with pytest.raises(DomainError, match="at least 2"):
             stratum_mean_square(pop, {3})
 
-    def test_stratum_and_override_conflict(self, rng):
-        pop = random_population(rng, 12)
-        design = SystematicDesign(N=12, n=3, k=4)
-        with pytest.raises(ConfigurationError):
-            compute_moments(pop, design, nr_stratum={1, 2}, s2_y2=4.0)
-
-    def test_scalar_override(self, rng):
-        pop = random_population(rng, 12)
-        design = SystematicDesign(N=12, n=3, k=4)
-        m = compute_moments(pop, design, s2_y2=17.5)
-        assert m.s2_y2 == 17.5
-
     def test_zero_mean_rejected(self):
         pop = FinitePopulation(y=(-1.0, 1.0, -2.0, 2.0), x=(1.0, 2.0, 3.0, 4.0))
         with pytest.raises(DegenerateInputError):
-            compute_moments(pop, SystematicDesign(N=4, n=2, k=2))
+            compute_moments(pop, SystematicDesign(N=4, n=2))
 
     def test_design_size_mismatch(self, rng):
         pop = random_population(rng, 12)
         with pytest.raises(DesignError):
-            compute_moments(pop, SystematicDesign(N=10, n=2, k=5))
+            compute_moments(pop, SystematicDesign(N=10, n=2))
 
     def test_concatenated_population_consistency(self, rng):
         # doubling the population (same n, k -> 2k) must agree with a fresh
@@ -292,7 +280,7 @@ class TestComputeMoments:
         double = FinitePopulation(
             y=np.concatenate([pop.y, pop.y]), x=np.concatenate([pop.x, pop.x])
         )
-        design2 = SystematicDesign(N=2 * n * k, n=n, k=2 * k)
+        design2 = SystematicDesign(N=2 * n * k, n=n)
         m2 = compute_moments(double, design2)
         y2 = np.array(double.y)
         assert m2.mean_y == pytest.approx(np.mean(pop.y), rel=1e-12)
@@ -305,21 +293,27 @@ class TestComputeMoments:
 
 class TestPopulationMoments:
     def test_from_parameters_derives_cvs(self):
-        m = PopulationMoments.from_parameters(
+        m = PopulationMoments(
             mean_y=10.0, mean_x=5.0, s2_y=4.0, s2_x=1.0, rho=0.5, rho_y=0.1, rho_x=0.2
         )
         assert m.cv_y == pytest.approx(0.2)
         assert m.cv_x == pytest.approx(0.2)
 
-    def test_inconsistent_cv_rejected(self):
-        with pytest.raises(DomainError):
-            PopulationMoments(
-                mean_y=10.0, mean_x=5.0, s2_y=4.0, s2_x=1.0,
-                cv_y=0.9, cv_x=0.2, rho=0.5, rho_y=0.1, rho_x=0.2,
-            )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["mean_y", "mean_x", "s2_y", "s2_x", "rho", "rho_y", "rho_x", "s2_y2"]
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        params = dict(
+            mean_y=10.0, mean_x=5.0, s2_y=4.0, s2_x=1.0, rho=0.5, rho_y=0.1, rho_x=0.2,
+            s2_y2=2.0,
+        )
+        PopulationMoments(**params)
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            PopulationMoments(**{**params, field: value})
 
     def test_correlation_range_enforced(self):
         with pytest.raises(DomainError):
-            PopulationMoments.from_parameters(
+            PopulationMoments(
                 mean_y=10.0, mean_x=5.0, s2_y=4.0, s2_x=1.0, rho=1.5, rho_y=0.1, rho_x=0.2
             )

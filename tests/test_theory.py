@@ -30,7 +30,7 @@ from sysmean.theory import pre_grid
 # Forest-strip study parameters (176 strips of timber volume vs. length),
 # with both intraclass correlations at the published working value.
 FOREST_N, FOREST_SAMPLE = 176, 16
-FOREST = PopulationMoments.from_parameters(
+FOREST = PopulationMoments(
     mean_y=282.6136,
     mean_x=6.9943,
     s2_y=24114.67,
@@ -271,7 +271,7 @@ class TestFamilyMseMin:
         )
 
     def test_perfect_auxiliary_eliminates_error(self):
-        m = PopulationMoments.from_parameters(
+        m = PopulationMoments(
             mean_y=20.0, mean_x=10.0, s2_y=16.0, s2_x=4.0,
             rho=1.0, rho_y=0.3, rho_x=0.3, s2_y2=12.0,
         )
@@ -395,7 +395,7 @@ class TestPreGrid:
     ):
         m, n, N = random_moments(np.random.default_rng(seed), with_s2y2=not s2y2_unset)
         if unit_rho is not None:  # the minimum MSE is round-off around zero at w2 = 0
-            m = PopulationMoments.from_parameters(
+            m = PopulationMoments(
                 mean_y=m.mean_y, mean_x=m.mean_x, s2_y=m.s2_y, s2_x=m.s2_x, rho=unit_rho,
                 rho_y=m.rho_y, rho_x=m.rho_y, s2_y2=m.s2_y2,
             )
@@ -450,7 +450,7 @@ class TestIntraclassFromPre:
         # As r grows without bound the PRE tends to 100/(1 - rho**2), never reached.
         # With unit means and mean squares and rho = 0.6 the target 156.25 makes
         # T*B - 100*A exactly zero in floating point.
-        unit = PopulationMoments.from_parameters(
+        unit = PopulationMoments(
             mean_y=1.0, mean_x=1.0, s2_y=1.0, s2_x=1.0, rho=0.6,
             rho_y=0.0, rho_x=0.0, s2_y2=1.0,
         )
@@ -468,7 +468,7 @@ class TestIntraclassFromPre:
                 intraclass_from_pre(target, FOREST, FOREST_SAMPLE, FOREST_N, 0.1, 2.0)
 
     def test_zero_auxiliary_mean_square_is_degenerate(self):
-        flat = PopulationMoments.from_parameters(
+        flat = PopulationMoments(
             mean_y=10.0, mean_x=5.0, s2_y=4.0, s2_x=0.0, rho=0.5,
             rho_y=0.2, rho_x=0.2, s2_y2=3.0,
         )

@@ -406,6 +406,16 @@ class TestManifestAndRerun:
         assert parameters["N"] == 240
         assert parameters["moments"]["s2_y2"] == 0.5 * parameters["moments"]["s2_y"]
 
+    def test_theory_table_manifest_records_the_cvs(self, pop_csv, tmp_path):
+        manifest_path = tmp_path / "table.json"
+        main(["theory-table", str(pop_csv), "--n", "12", "--manifest", str(manifest_path)])
+        moments = json.loads(manifest_path.read_text())["parameters"]["moments"]
+        assert sorted(moments) == [
+            "cv_x", "cv_y", "mean_x", "mean_y", "rho", "rho_x", "rho_y", "s2_x", "s2_y", "s2_y2"
+        ]
+        assert moments["cv_y"] == math.sqrt(moments["s2_y"]) / abs(moments["mean_y"])
+        assert moments["cv_x"] == math.sqrt(moments["s2_x"]) / abs(moments["mean_x"])
+
     def test_simulate_manifest_records_timings_and_throughput(self, pop_csv, tmp_path):
         manifest_path = tmp_path / "sim.json"
         main(["simulate", str(pop_csv), "--n", "12", "--replicates", "50",

@@ -201,10 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list from hh, ratio, product, family (default: hh,ratio,family)",
     )
     p_sim.add_argument(
-        "--alpha-policy", choices=("optimum", "explicit"), default="optimum",
-        help="family alpha: population optimum (default) or --alpha value",
+        "--alpha", type=_finite_float, default=None,
+        help="family alpha (default: the population optimum)",
     )
-    p_sim.add_argument("--alpha", type=_finite_float, default=None)
     _add_family_options(p_sim)
     p_sim.add_argument(
         "--exhaustive", action="store_true",
@@ -571,24 +570,39 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def _build_estimators(
-    args: argparse.Namespace, alpha: float | None
-) -> tuple[EstimatorSpec, ...]:
-    """One spec per listed kind, labelled by it; 'family' takes alpha and the options."""
-    specs = tuple(
-        EstimatorSpec(kind, kind, FamilyParams(alpha, args.g, args.a, args.b))
-        if kind == "family" else EstimatorSpec(kind, kind)
-        for kind in filter(None, map(str.strip, args.estimators.split(",")))
-    )
-    if not specs:
+def _estimators(
+    args: argparse.Namespace, moments: PopulationMoments, design: SystematicDesign, w2: float
+) -> list[tuple[EstimatorSpec, str, float]]:
+    """Each listed kind's spec, labelled by it, with its first-order target's name and
+    value.  The family takes --alpha, or the optimum alpha when --alpha is not given."""
+    n, N, ell = design.n, design.N, args.ell
+    estimators = []
+    for kind in filter(None, map(str.strip, args.estimators.split(","))):
+        if kind == "hh":
+            spec = EstimatorSpec(kind, kind)
+            target = "var(hh mean)", var_mean_y(moments, n, N, w2, ell)
+        elif kind == "family" and args.alpha is None:
+            probe = FamilyParams(0.0, args.g, args.a, args.b)
+            constants = derived_constants(moments, n, N, probe)
+            optimum = dataclasses.replace(probe, alpha=optimum_alpha(constants, args.g))
+            spec = EstimatorSpec(kind, kind, optimum)
+            target = "min MSE(family)", family_mse_min(moments, n, w2, ell, constants)
+        else:
+            # ratio and product fill in their presets, whose (a, b) = (1, 0) make lambda 1
+            # whatever --a and --b say; EstimatorSpec refuses any kind but the four.
+            params = FamilyParams(args.alpha, args.g, args.a, args.b) if kind == "family" else None
+            spec = EstimatorSpec(kind, kind, params)
+            constants = derived_constants(moments, n, N, spec.params)
+            mse = family_mse(spec.params, moments, n, w2, ell, constants)
+            target = f"first-order MSE({kind})", mse
+        estimators.append((spec, *target))
+    if not estimators:
         raise ConfigurationError("no estimators requested")
-    return specs
+    return estimators
 
 
 def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     clock = _Stopwatch()
-    if (args.alpha_policy == "explicit") != (args.alpha is not None):
-        raise ConfigurationError("--alpha and --alpha-policy explicit go together")
     if args.tolerance_sigma < 0:
         raise ConfigurationError(f"--tolerance-sigma must be >= 0, got {args.tolerance_sigma}")
     pop, sha = _ingest(args)
@@ -623,45 +637,24 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         moments, args.s2y2_factor, 1.0 if needs_s2y2 and not fixed else None
     )
 
-    alpha = None
-    if "family" in args.estimators:
-        probe = FamilyParams(alpha=0.0, g=args.g, a=args.a, b=args.b)
-        constants = derived_constants(moments, design.n, design.N, probe)
-        alpha = args.alpha if args.alpha_policy == "explicit" else optimum_alpha(constants, args.g)
-
-    specs = _build_estimators(args, alpha)
+    # The targets need no report: a theory-domain error exits before any replicate runs.
+    estimators = _estimators(args, moments, design, w2_theory)
     cfg = SimulationConfig(
         replicates=args.replicates,
         master_seed=args.seed,
-        estimators=specs,
+        estimators=tuple(spec for spec, _, _ in estimators),
         nr=nr,
         exhaustive_start=args.exhaustive,
     )
-    # The targets need no report: a theory-domain error exits before any replicate runs.
-    targets = []
-    target_names = {}
-    for spec in specs:
-        if spec.params is None:
-            value = var_mean_y(moments, design.n, design.N, w2_theory, args.ell)
-            name = "var(hh mean)"
-        else:
-            # lambda comes from the spec's own (a, b): 1 for the ratio and product presets.
-            constants = derived_constants(moments, design.n, design.N, spec.params)
-            if spec.kind == "family" and args.alpha_policy == "optimum":
-                value = family_mse_min(moments, design.n, w2_theory, args.ell, constants)
-                name = "min MSE(family)"
-            else:
-                value = family_mse(
-                    spec.params, moments, design.n, w2_theory, args.ell, constants
-                )
-                name = f"first-order MSE({spec.kind})"
-        targets.append((spec.label, value))
-        target_names[spec.label] = name
+    alpha = next((s.params.alpha for s in cfg.estimators if s.kind == "family"), None)
     clock.lap("moments_s")
     report = run_simulation(pop, design, cfg)
     clock.lap("simulate_s")
 
-    comparisons = compare_to_theory(report, targets, tolerance_sigma=args.tolerance_sigma)
+    comparisons = compare_to_theory(
+        report, [(spec.label, value) for spec, _, value in estimators],
+        tolerance_sigma=args.tolerance_sigma,
+    )
     all_pass = all(c.verdict == "PASS" for c in comparisons) and all(
         r.valid for r in report.results
     )
@@ -678,7 +671,8 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         "alpha": alpha,
         "results": results,
         "comparisons": _records(
-            [dict(dataclasses.asdict(c), target=target_names[c.label]) for c in comparisons]
+            [dict(dataclasses.asdict(c), target=name)
+             for c, (_, name, _) in zip(comparisons, estimators)]
         ),
         "all_pass": all_pass,
     }

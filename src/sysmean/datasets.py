@@ -57,17 +57,10 @@ def synthetic_linear_population(
     return FinitePopulation(y=y, x=x)
 
 
-def write_population_csv(
-    pop: FinitePopulation,
-    path: str | Path,
-    *,
-    y_column: str = "y",
-    x_column: str = "x",
-    delimiter: str = ",",
-) -> None:
-    """Write the population as delimiter-separated text with a header row."""
-    lines = [f"{y_column}{delimiter}{x_column}"]
-    lines.extend(f"{y!r}{delimiter}{x!r}" for y, x in zip(pop.y.tolist(), pop.x.tolist()))
+def write_population_csv(pop: FinitePopulation, path: str | Path) -> None:
+    """Write the population as comma-separated text under the header row `y,x`."""
+    lines = ["y,x"]
+    lines.extend(f"{y!r},{x!r}" for y, x in zip(pop.y.tolist(), pop.x.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -63,9 +63,9 @@ def valid_sample_sizes(N: int) -> list[int]:
     return [d for d in small + large if d >= 2]
 
 
-def nearest_valid_sample_sizes(N: int, n: int, count: int = 5) -> list[int]:
-    """Up to `count` divisors of N closest to the requested n."""
-    return sorted(valid_sample_sizes(N), key=lambda c: (abs(c - n), c))[:count]
+def nearest_valid_sample_sizes(N: int, n: int) -> list[int]:
+    """Up to five divisors of N closest to the requested n."""
+    return sorted(valid_sample_sizes(N), key=lambda c: (abs(c - n), c))[:5]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,7 +303,7 @@ def run_simulation(
                     bad[i] = True
         estimates.append(ybar_star * h[starts])
         failed.append(bad[starts])
-    return _report(pop, cfg, np.array(estimates), np.array(failed))
+    return _report(pop, cfg, estimates, failed)
 
 
 def _replicate_means(
@@ -321,7 +321,7 @@ def _replicate_means(
             for ys, miss in zip(y_samples, missing.reshape(n, k).T)
         ]
 
-    ybar_stars, starts = [], []
+    ybar_stars, starts = np.empty(cfg.replicates), np.empty(cfg.replicates, dtype=np.intp)
     for rep, rng in enumerate(_replicate_streams(cfg.master_seed, cfg.replicates)):
         i = rep % k if cfg.exhaustive_start else draw_sample(design, rng) - 1
         n1, t1, nr_y, h2, ybar_star = (
@@ -332,20 +332,22 @@ def _replicate_means(
             # non-respondent units picks.
             chosen = np.sort(rng.choice(len(nr_y), h2, replace=False))
             ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, sum(nr_y[chosen].tolist()))
-        ybar_stars.append(ybar_star)
-        starts.append(i)
-    return np.array(ybar_stars), np.array(starts, dtype=np.intp)
+        ybar_stars[rep], starts[rep] = ybar_star, i
+    return ybar_stars, starts
 
 
 def _report(
-    pop: FinitePopulation, cfg: SimulationConfig, estimates: np.ndarray, failed: np.ndarray
+    pop: FinitePopulation,
+    cfg: SimulationConfig,
+    estimates: Sequence[np.ndarray],
+    failed: Sequence[np.ndarray],
 ) -> SimulationReport:
-    """Aggregate the (estimator, replicate) estimates, skipping the failed ones."""
+    """Aggregate each estimator's replicate estimates, skipping the failed ones."""
     true_mean_y = float(pop.y.mean())
     results = []
     for j, spec in enumerate(cfg.estimators):
         ok = ~failed[j]
-        values = estimates[j, ok]
+        values = estimates[j][ok]
         n_used = int(ok.sum())
         n_failed = cfg.replicates - n_used
         # With every replicate failed (then also invalid) the moments are nan.

@@ -212,7 +212,7 @@ class TestSimulate:
     def test_family_beats_adjusted_mean_on_correlated_population(self, pop_csv, capsys):
         code = main([
             "simulate", str(pop_csv), "--n", "12", "--w2", "0", "--ell", "1",
-            "--estimators", "hh,family", "--alpha-policy", "optimum",
+            "--estimators", "hh,family",
             "--replicates", "4000", "--seed", "17", "--format", "json",
         ])
         payload = json.loads(capsys.readouterr().out)
@@ -239,19 +239,32 @@ class TestSimulate:
     def test_explicit_alpha_policy(self, pop_csv, capsys):
         code = main([
             "simulate", str(pop_csv), "--n", "12", "--w2", "0", "--ell", "1",
-            "--estimators", "family", "--alpha-policy", "explicit", "--alpha", "0.0",
+            "--estimators", "family", "--alpha", "0.0",
             "--replicates", "200", "--seed", "9", "--format", "json",
         ])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["alpha"] == 0.0
 
-    def test_explicit_policy_requires_alpha(self, pop_csv):
-        code = main([
-            "simulate", str(pop_csv), "--n", "12", "--alpha-policy", "explicit",
-            "--replicates", "50",
-        ])
+    def test_alpha_alone_sets_an_explicit_alpha(self, pop_csv, capsys):
+        args = ["simulate", str(pop_csv), "--n", "12", "--estimators", "family",
+                "--replicates", "50", "--seed", "9", "--format", "json"]
+        main([*args, "--alpha", "0.5"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["alpha"] == 0.5
+        assert payload["comparisons"][0]["target"] == "first-order MSE(family)"
+        main(args)
+        assert json.loads(capsys.readouterr().out)["comparisons"][0]["target"] == (
+            "min MSE(family)"
+        )
+        assert main([*args, "--alpha-policy", "explicit", "--alpha", "0.5"]) == 2
+
+    def test_mistyped_estimator_is_named(self, pop_csv, capsys):
+        # "familyx" contains "family", but it is no estimator kind: no alpha is resolved.
+        code = main(["simulate", str(pop_csv), "--n", "12", "--replicates", "10",
+                     "--estimators", "familyx", "--g", "0"])
         assert code == 2
+        assert "unknown estimator kind 'familyx'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("w2", ["-0.1", "1.5"])
     def test_out_of_range_w2_is_usage_error(self, pop_csv, capsys, w2):
@@ -259,12 +272,6 @@ class TestSimulate:
                      "--replicates", "10"])
         assert code == 2
         assert "non-response rate w2" in capsys.readouterr().err
-
-    def test_alpha_without_explicit_policy_is_usage_error(self, pop_csv, capsys):
-        code = main(["simulate", str(pop_csv), "--n", "12", "--alpha", "0.1",
-                     "--replicates", "10"])
-        assert code == 2
-        assert "--alpha-policy explicit" in capsys.readouterr().err
 
     def test_ratio_and_product_targets_ignore_the_family_options(self, pop_csv, capsys):
         # the presets have a = 1, b = 0, so lambda = 1 whatever --a and --b say

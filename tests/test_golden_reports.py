@@ -40,11 +40,11 @@ COMMANDS = {
     "table_moments": ["theory-table", *FOREST_MOMENTS],
     "sim_fixed": [*SIM, "--estimators", "hh,ratio,product,family", "--seed", "11"],
     "sim_bernoulli": [*SIM, "--stratum-mode", "bernoulli", "--b", "5", "--seed", "12"],
-    "sim_exhaustive": [*SIM, "--exhaustive", "--alpha-policy", "explicit", "--alpha", "0.5",
+    "sim_exhaustive": [*SIM, "--exhaustive", "--alpha", "0.5",
                        "--g", "1.5", "--seed", "13"],
     "sim_sorted": [*SIM, "--sort-by", "x", "--s2y2-factor", "0.8", "--seed", "14"],
     "sim_no_family": [*SIM, "--estimators", "hh,product", "--seed", "16"],
-    "sim_invalid": [*SIM, "--estimators", "hh,family", "--alpha-policy", "explicit",
+    "sim_invalid": [*SIM, "--estimators", "hh,family",
                     "--alpha", "3", "--b", "-41.0259", "--g", "0.5", "--seed", "15"],
     "sim_k1": ["simulate", POP, "--n", "240", "--replicates", "50", "--seed", "17"],
     "sim_full_followup": [*SIM, "--ell", "1", "--seed", "18"],

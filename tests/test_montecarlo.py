@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,33 @@ class TestReportInvariants:
         )
         assert result.empirical_mse >= 0
         assert result.n_used + result.n_failed == report.replicates
+
+
+def simulation_peak_bytes(pop, design, cfg):
+    tracemalloc.start()
+    try:
+        run_simulation(pop, design, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_replicate_arrays_take_under_85_bytes_per_replicate(self):
+        # ybar*, the start and three estimates and failure flags take 43 bytes of
+        # every replicate; the rest is aggregation temporaries.
+        pop = synthetic_linear_population(240, seed=3)
+        design = SystematicDesign(240, 12)
+        specs = (
+            EstimatorSpec("hh", "hh"),
+            EstimatorSpec("ratio", "ratio"),
+            EstimatorSpec("family", "family", FamilyParams(0.5)),
+        )
+        small, large = (
+            simulation_peak_bytes(pop, design, SimulationConfig(reps, 7, specs, NO_NR))
+            for reps in (8192, 24576)
+        )
+        assert (large - small) / (24576 - 8192) < 85
 
 
 # Each estimator kind by its own public definition, not by the family preset.

@@ -1,7 +1,8 @@
 """Packaging guards: sysmean imports only the standard library and its declared
 dependencies, pyproject.toml carries the package's version, the benchmark's
-tracer still finds every function it wraps, and the README's library example
-runs."""
+tracer still finds every function it wraps, the README's library example
+runs and the README names only options the CLI has."""
+import argparse
 import ast
 import importlib
 import os
@@ -88,3 +89,32 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     namespace: dict = {"__name__": "readme_example"}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["report"].replicates == 10_000
+
+
+def readme_options() -> set[str]:
+    """Every --option in the README's inline code spans and `sysmean` command lines."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", readme, flags=re.S | re.M)
+    prose = re.sub(r"^```\w*\n.*?^```$", "", readme, flags=re.S | re.M)
+    commands = [
+        line for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("sysmean ")
+    ]
+    texts = [*re.findall(r"`([^`]+)`", prose), *commands]
+    return {option for text in texts for option in re.findall(r"(?<![\w-])--[a-z][\w-]*", text)}
+
+
+def test_readme_names_only_options_the_cli_has():
+    from sysmean.cli import build_parser
+
+    parser = build_parser()
+    (commands,) = (
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    known = set(parser._option_string_actions)
+    for subparser in commands.choices.values():
+        known.update(subparser._option_string_actions)
+    options = readme_options()
+    assert {"--alpha", "--expect-sha256", "--n", "--format"} <= options
+    assert not options - known, f"README names unknown options {sorted(options - known)}"

@@ -576,8 +576,13 @@ def _estimators(
     """Each listed kind's spec, labelled by it, with its first-order target's name and
     value.  The family takes --alpha, or the optimum alpha when --alpha is not given."""
     n, N, ell = design.n, design.N, args.ell
+    kinds = list(filter(None, map(str.strip, args.estimators.split(","))))
+    if args.alpha is not None and "family" not in kinds:
+        raise ConfigurationError(
+            "--alpha applies only to the family estimator, which --estimators does not list"
+        )
     estimators = []
-    for kind in filter(None, map(str.strip, args.estimators.split(","))):
+    for kind in kinds:
         if kind == "hh":
             spec = EstimatorSpec(kind, kind)
             target = "var(hh mean)", var_mean_y(moments, n, N, w2, ell)

@@ -23,6 +23,14 @@ most 2**32 - 1 replicates.  Aggregation reduces in replicate order, so a
 report is bit-identical for a given (population, design, config)
 regardless of how the replicates would be scheduled.
 
+The loop builds no Generator either: `_RawDraws` reads the start index, the
+Bernoulli mask and the follow-up sub-sample straight off each stream's raw
+PCG64 words (also stable under NEP 19) by the rules numpy's Generator applies
+to them: Lemire's bounded integers on 32-bit half-words, 53-bit doubles, and
+Floyd's sampling without replacement, or choice's tail shuffle above 10,000
+units.  So the draws are those of `draw_sample`, `Generator.random(n) < w2`
+and `Generator.choice`.
+
 Both stratum modes build ybar* with one per-sample step, `_sample_parts`:
 from a sample's y values and non-respondent mask it gives the respondent
 count and y total, the non-respondents' y values in unit order, h2 and,
@@ -46,7 +54,6 @@ from .design import (
     NonResponseModel,
     StratumMode,
     SystematicDesign,
-    draw_sample,
     follow_up_size,
 )
 from .errors import ConfigurationError, DomainError, SingularityError
@@ -54,7 +61,7 @@ from .estimators import FamilyParams, family_estimate
 from .population import FinitePopulation, population_fingerprint
 
 # Not called here; bound so that perfbench/tracing.py TARGETS still resolve.
-from .design import apply_nonresponse  # noqa: F401
+from .design import apply_nonresponse, draw_sample  # noqa: F401
 from .estimators import aux_mean, hh_mean, product_estimate, ratio_estimate  # noqa: F401
 
 # The family parameters of h for each preset kind; None is h = 1.
@@ -236,11 +243,113 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _replicate_streams(master_seed: int, replicates: int) -> Iterator[np.random.Generator]:
-    """The stream of each replicate in order, seeded SEED_BLOCK replicates at a time."""
+def _replicate_streams(master_seed: int, replicates: int) -> Iterator[np.random.PCG64]:
+    """The bit generator of each replicate in order, seeded SEED_BLOCK replicates at a time."""
     for first in range(0, replicates, SEED_BLOCK):
         for words in _stream_words(master_seed, first, min(first + SEED_BLOCK, replicates)):
-            yield np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+            yield np.random.PCG64(_StreamSeed(words))
+
+
+# Above this many units `Generator.choice` shuffles a tail instead of using Floyd's rule.
+_FLOYD_MAX_POPULATION = 10_000
+# From this many bounded draws on, `_RawDraws` makes them in numpy passes.
+_VECTOR_MIN = 16
+
+
+class _RawDraws:
+    """The draws a Generator makes on a PCG64 stream, read off its raw words.
+
+    `bounded`, `below` and `sample` give what `Generator.integers(0, r + 1)`,
+    `Generator.random(n) < p` and `Generator.choice(n2, h2, replace=False)`,
+    as a mask, give when made in the same order on the same stream.  A bounded
+    draw takes Lemire's rule (arXiv:1805.10941) on a 32-bit half-word, a word's
+    low half first and its high half at the next bounded draw, even after
+    `below`; a double is a whole word's top 53 bits.  `count` words are drawn
+    up front, and more when they run out, as when Lemire's rule rejects a value.
+    """
+
+    __slots__ = ("bitgen", "words", "pos", "high")
+
+    def __init__(self, bitgen: np.random.PCG64, count: int) -> None:
+        self.bitgen, self.pos, self.high = bitgen, 0, None
+        self.words = bitgen.random_raw(count)
+
+    def _take(self, count: int) -> int:
+        """Move past the next `count` words and return the index of the first."""
+        short = self.pos + count - len(self.words)
+        if short > 0:
+            self.words = np.concatenate((self.words, self.bitgen.random_raw(short)))
+        self.pos += count
+        return self.pos - count
+
+    def _half(self) -> int:
+        high = self.high
+        if high is not None:
+            self.high = None
+            return high
+        pos = self._take(1)
+        word = self.words.item(pos)
+        self.high = word >> 32
+        return word & _MASK32
+
+    def bounded(self, r: int) -> int:
+        """A uniform integer in 0..r, r < 2**32; r = 0 takes no half-word."""
+        if r == 0:
+            return 0
+        span = r + 1
+        m = self._half() * span
+        if m & _MASK32 < span:
+            threshold = (1 << 32) % span
+            while m & _MASK32 < threshold:
+                m = self._half() * span
+        return m >> 32
+
+    def bounded_each(self, rs: range) -> list[int]:
+        """`bounded(r)` for each r in rs in turn, 0 < r < 2**32."""
+        if len(rs) >= _VECTOR_MIN:
+            # One numpy pass, a half-word per draw, kept when no leftover
+            # (m mod 2**32) is below its span, so that Lemire's rule rejects none.
+            state = self.pos, self.high
+            pending = np.array([] if self.high is None else [self.high], dtype=np.uint32)
+            pos = self._take((len(rs) - len(pending) + 1) // 2)
+            words = self.words[pos : self.pos].astype("<u8", copy=False)
+            halves = np.concatenate((pending, words.view("<u4")))
+            self.high = int(halves[-1]) if len(halves) > len(rs) else None
+            spans = np.arange(rs.start + 1, rs.stop + 1, rs.step, dtype=np.uint64)
+            m = halves[: len(rs)] * spans
+            if m.astype(np.uint32).min() > max(rs[0], rs[-1]):
+                return (m >> 32).tolist()
+            self.pos, self.high = state
+        return [self.bounded(r) for r in rs]
+
+    def below(self, n: int, p: float) -> np.ndarray:
+        """Whether each of n uniform doubles in [0, 1) is below p, 0 <= p < 1.
+
+        A word w gives the double (w >> 11) * 2**-53, which is below p exactly
+        when w >> 11 < ceil(p * 2**53), that is when w < ceil(p * 2**53) << 11."""
+        pos = self._take(n)
+        return self.words[pos : self.pos] < math.ceil(p * 2**53) << 11
+
+    def sample(self, n2: int, h2: int) -> np.ndarray:
+        """A mask of h2 of n2 places drawn without replacement, 0 < h2 < n2."""
+        if n2 > _FLOYD_MAX_POPULATION and h2 > n2 // 50:
+            return self._tail_shuffle(n2, h2)
+        # Floyd's rule (Bentley & Floyd 1987): draw t in 0..j, take j if t is taken.
+        taken = bytearray(n2)
+        for j, t in enumerate(self.bounded_each(range(n2 - h2, n2)), n2 - h2):
+            taken[j if taken[t] else t] = 1
+        return np.frombuffer(taken, dtype=np.bool_)
+
+    def _tail_shuffle(self, n2: int, h2: int) -> np.ndarray:
+        """choice above _FLOYD_MAX_POPULATION: a Fisher-Yates shuffle of the
+        last h2 places of 0..n2-1, from the end."""
+        places = range(n2 - 1, n2 - h2 - 1, -1)
+        units = list(range(n2))
+        for j, t in zip(places, self.bounded_each(places)):
+            units[j], units[t] = units[t], units[j]
+        taken = np.zeros(n2, dtype=bool)
+        taken[units[n2 - h2 :]] = True
+        return taken
 
 
 def design_rng(master_seed: int) -> np.random.Generator:
@@ -320,17 +429,26 @@ def _replicate_means(
             _sample_parts(ys, miss, n, nr.ell)
             for ys, miss in zip(y_samples, missing.reshape(n, k).T)
         ]
+        h2_max = max((row[3] for row in rows if row[4] is None), default=0)
+    else:
+        h2_max = follow_up_size(n, nr.ell)
+    # Words for the start (a half-word), the Bernoulli mask (a word per unit)
+    # and the follow-up (a half-word per draw, the first of them the start
+    # word's high half); a rejected bounded draw takes more.
+    start_draw = k > 1 and not cfg.exhaustive_start
+    count = start_draw + (0 if fixed else n) + (max(h2_max - start_draw, 0) + 1) // 2
 
     ybar_stars, starts = np.empty(cfg.replicates), np.empty(cfg.replicates, dtype=np.intp)
-    for rep, rng in enumerate(_replicate_streams(cfg.master_seed, cfg.replicates)):
-        i = rep % k if cfg.exhaustive_start else draw_sample(design, rng) - 1
+    for rep, bitgen in enumerate(_replicate_streams(cfg.master_seed, cfg.replicates)):
+        draws = _RawDraws(bitgen, count)
+        i = rep % k if cfg.exhaustive_start else draws.bounded(k - 1)
         n1, t1, nr_y, h2, ybar_star = (
-            rows[i] if fixed else _sample_parts(y_samples[i], rng.random(n) < nr.w2, n, nr.ell)
+            rows[i] if fixed else _sample_parts(y_samples[i], draws.below(n, nr.w2), n, nr.ell)
         )
         if ybar_star is None:
-            # The sorted indices pick the sub-sample a choice over the sorted
-            # non-respondent units picks.
-            chosen = np.sort(rng.choice(len(nr_y), h2, replace=False))
+            # The mask picks the sub-sample a choice over the sorted
+            # non-respondent units picks, in unit order.
+            chosen = draws.sample(len(nr_y), h2)
             ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, sum(nr_y[chosen].tolist()))
         ybar_stars[rep], starts[rep] = ybar_star, i
     return ybar_stars, starts

@@ -259,6 +259,15 @@ class TestSimulate:
         )
         assert main([*args, "--alpha-policy", "explicit", "--alpha", "0.5"]) == 2
 
+    def test_alpha_without_family_is_usage_error(self, pop_csv, capsys):
+        code = main(["simulate", str(pop_csv), "--n", "12", "--replicates", "10",
+                     "--estimators", "hh", "--alpha", "0.5", "--manifest", "-",
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--alpha applies only to the family estimator" in captured.err
+
     def test_mistyped_estimator_is_named(self, pop_csv, capsys):
         # "familyx" contains "family", but it is no estimator kind: no alpha is resolved.
         code = main(["simulate", str(pop_csv), "--n", "12", "--replicates", "10",

@@ -42,6 +42,7 @@ from sysmean.montecarlo import (
     SEED_BLOCK,
     EstimatorResult,
     SimulationReport,
+    _RawDraws,
     _report,
     _stream_words,
     _StreamSeed,
@@ -491,6 +492,23 @@ class TestPerStartTableKernel:
             report = run_simulation(pop, design, cfg)
             assert report.by_label("hh").n_used == 50
 
+    def test_replicate_loop_builds_no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_simulation built a Generator or drew a start through one")
+
+        cases = [
+            simulation_case(
+                pop_seed=9, n=12, k=5, w2=0.25, ell=2.0, bernoulli=bernoulli,
+                exhaustive=False, replicates=50, seed=11,
+            )
+            for bernoulli in (False, True)
+        ]
+        monkeypatch.setattr(sysmean.montecarlo, "draw_sample", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        for pop, design, cfg in cases:
+            report = run_simulation(pop, design, cfg)
+            assert report.by_label("hh").n_used == 50
+
     @pytest.mark.parametrize(
         "k, replicates, exhaustive", [(6, 40, True), (40, 5, True), (6, 40, False)]
     )
@@ -564,3 +582,92 @@ class TestBlockSeeding:
         hh_only(MAX_REPLICATES, seed=1)
         with pytest.raises(ConfigurationError, match="replicates must be <= 4294967295"):
             hh_only(MAX_REPLICATES + 1, seed=1)
+
+
+def raw_and_reference(master_seed, rep, count=1):
+    """`_RawDraws` and a Generator on replicate rep's stream."""
+    words = _stream_words(master_seed, rep, rep + 1)[0]
+    draws = _RawDraws(np.random.PCG64(_StreamSeed(words)), count)
+    return draws, np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+
+
+# Lemire's rule rejects a leftover below 2**32 mod (r + 1), a quarter of all
+# half-words at r = 3 * 2**30 - 1.
+REJECTING = 3 * 2**30 - 1
+
+
+class TestRawDraws:
+    """Each draw rule read off the raw words against numpy's Generator on the same stream."""
+
+    @pytest.mark.parametrize("rep", range(3))
+    @pytest.mark.parametrize("r", [1, 19, REJECTING, 2**31, 2**32 - 1])
+    def test_bounded_draws_are_integers(self, rep, r):
+        draws, rng = raw_and_reference(7, rep, count=rep % 3)
+        # Odd counts leave a high half pending between the calls.
+        for size in (1, 3, 2, 5):
+            assert [draws.bounded(r) for _ in range(size)] == rng.integers(
+                0, r + 1, size=size
+            ).tolist()
+
+    def test_bounded_draw_of_zero_takes_no_half_word(self):
+        draws, rng = raw_and_reference(7, 0)
+        assert draws.bounded(0) == 0 and rng.integers(0, 1) == 0
+        assert draws.bounded(REJECTING) == rng.integers(0, REJECTING + 1)
+
+    @pytest.mark.parametrize("rep", range(4))
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize(
+        "rs",
+        [range(100, 140), range(100, 141), range(5000, 4960, -1), range(1, 5),
+         range(REJECTING, REJECTING + 40), range(2**31 + 40, 2**31, -1)],
+    )
+    def test_bounded_each_is_integers_in_turn(self, rep, pending, rs):
+        draws, rng = raw_and_reference(11, rep)
+        if pending:
+            assert draws.bounded(5) == rng.integers(0, 6)
+        assert draws.bounded_each(rs) == [int(rng.integers(0, r + 1)) for r in rs]
+        # An odd count leaves a high half pending.
+        assert draws.bounded(REJECTING) == rng.integers(0, REJECTING + 1)
+
+    @pytest.mark.parametrize("rep", range(4))
+    @pytest.mark.parametrize("p", [0.0, 2**-60, 0.25, 0.5, 1 - 2**-53, "least", "above least"])
+    def test_below_is_random_below_p(self, rep, p):
+        draws, rng = raw_and_reference(3, rep)
+        if p in ("least", "above least"):
+            # The least of the 12 doubles, which is not below itself, or the
+            # next double after it, which only it is below.
+            least = raw_and_reference(3, rep)[1].random(13)[1:].min()
+            p = least if p == "least" else np.nextafter(least, 1.0)
+        assert draws.bounded(9) == rng.integers(0, 10)
+        assert draws.below(12, p).tolist() == (rng.random(12) < p).tolist()
+        assert draws.bounded(REJECTING) == rng.integers(0, REJECTING + 1)
+        assert draws.below(5, p).tolist() == (rng.random(5) < p).tolist()
+
+    @pytest.mark.parametrize("p", [2**-60, 0.1, 0.25, 1 / 3, 1 - 2**-53])
+    def test_below_at_the_words_around_its_threshold(self, p):
+        class FixedWords:
+            def random_raw(self, count):
+                return np.array(words[:count], dtype=np.uint64)
+
+        k = math.ceil(p * 2**53)
+        words = [(k << 11) + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)]
+        words = [w for w in words if 0 <= w < 2**64]
+        expected = [(w >> 11) * 2.0**-53 < p for w in words]
+        assert _RawDraws(FixedWords(), len(words)).below(len(words), p).tolist() == expected
+        assert True in expected and False in expected
+
+    @pytest.mark.parametrize("rep", range(4))
+    @pytest.mark.parametrize("before", ["start", "mask", "nothing"])
+    @pytest.mark.parametrize(
+        "n2, h2",
+        [(2, 1), (7, 6), (20, 15), (30, 16), (40, 39), (300, 150), (10001, 200),
+         (10001, 201), (10050, 10049)],
+    )
+    def test_sample_is_sorted_choice(self, rep, before, n2, h2):
+        draws, rng = raw_and_reference(2**40 + 9, rep)
+        if before == "start":
+            assert draws.bounded(4) == rng.integers(0, 5)
+        elif before == "mask":
+            assert draws.below(12, 0.25).tolist() == (rng.random(12) < 0.25).tolist()
+        chosen = np.flatnonzero(draws.sample(n2, h2))
+        assert chosen.tolist() == np.sort(rng.choice(n2, h2, replace=False)).tolist()

@@ -250,7 +250,8 @@ def _replicate_streams(master_seed: int, replicates: int) -> Iterator[np.random.
             yield np.random.PCG64(_StreamSeed(words))
 
 
-# Above this many units `Generator.choice` shuffles a tail instead of using Floyd's rule.
+# `Generator.choice` shuffles a tail instead of using Floyd's rule when it
+# draws more than a 50th of more than this many units.
 _FLOYD_MAX_POPULATION = 10_000
 # From this many bounded draws on, `_RawDraws` makes them in numpy passes.
 _VECTOR_MIN = 16
@@ -341,8 +342,8 @@ class _RawDraws:
         return np.frombuffer(taken, dtype=np.bool_)
 
     def _tail_shuffle(self, n2: int, h2: int) -> np.ndarray:
-        """choice above _FLOYD_MAX_POPULATION: a Fisher-Yates shuffle of the
-        last h2 places of 0..n2-1, from the end."""
+        """choice's draw of many places above _FLOYD_MAX_POPULATION: a
+        Fisher-Yates shuffle of the last h2 places of 0..n2-1, from the end."""
         places = range(n2 - 1, n2 - h2 - 1, -1)
         units = list(range(n2))
         for j, t in zip(places, self.bounded_each(places)):

@@ -23,13 +23,15 @@ most 2**32 - 1 replicates.  Aggregation reduces in replicate order, so a
 report is bit-identical for a given (population, design, config)
 regardless of how the replicates would be scheduled.
 
-The loop builds no Generator either: `_RawDraws` reads the start index, the
-Bernoulli mask and the follow-up sub-sample straight off each stream's raw
-PCG64 words (also stable under NEP 19) by the rules numpy's Generator applies
-to them: Lemire's bounded integers on 32-bit half-words, 53-bit doubles, and
-Floyd's sampling without replacement, or choice's tail shuffle above 10,000
-units.  So the draws are those of `draw_sample`, `Generator.random(n) < w2`
-and `Generator.choice`.
+The loop builds no Generator either when the follow-up is small (fewer than
+_CHOICE_MIN draws): `_RawDraws` reads the start index, the Bernoulli mask and
+the follow-up sub-sample straight off each stream's raw PCG64 words (also
+stable under NEP 19) by the rules numpy's Generator applies to them: Lemire's
+bounded integers on 32-bit half-words, 53-bit doubles, and Floyd's sampling
+without replacement.  So the draws are those of `draw_sample`,
+`Generator.random(n) < w2` and `Generator.choice`.  A larger follow-up is
+cheaper drawn by `Generator.choice` in C, so such a call makes the same draws
+with a Generator on each stream (`_GeneratorDraws`).
 
 Both stratum modes build ybar* with one per-sample step, `_sample_parts`:
 from a sample's y values and non-respondent mask it gives the respondent
@@ -250,11 +252,14 @@ def _replicate_streams(master_seed: int, replicates: int) -> Iterator[np.random.
             yield np.random.PCG64(_StreamSeed(words))
 
 
-# `Generator.choice` shuffles a tail instead of using Floyd's rule when it
-# draws more than a 50th of more than this many units.
+# A call whose follow-up takes this many draws or more (the largest one in a
+# fixed stratum, one at the expected non-response in Bernoulli mode) makes its
+# draws with a Generator, whose `choice` runs Floyd's rule in C; below it
+# `_RawDraws`, which builds no Generator, is faster (BENCH_15.json, "draw_paths").
+_CHOICE_MIN = 20
+# `Generator.choice` shuffles a tail instead of taking Floyd's rule when it
+# draws more than a 50th of more than this many places; `_RawDraws` does not.
 _FLOYD_MAX_POPULATION = 10_000
-# From this many bounded draws on, `_RawDraws` makes them in numpy passes.
-_VECTOR_MIN = 16
 
 
 class _RawDraws:
@@ -305,24 +310,6 @@ class _RawDraws:
                 m = self._half() * span
         return m >> 32
 
-    def bounded_each(self, rs: range) -> list[int]:
-        """`bounded(r)` for each r in rs in turn, 0 < r < 2**32."""
-        if len(rs) >= _VECTOR_MIN:
-            # One numpy pass, a half-word per draw, kept when no leftover
-            # (m mod 2**32) is below its span, so that Lemire's rule rejects none.
-            state = self.pos, self.high
-            pending = np.array([] if self.high is None else [self.high], dtype=np.uint32)
-            pos = self._take((len(rs) - len(pending) + 1) // 2)
-            words = self.words[pos : self.pos].astype("<u8", copy=False)
-            halves = np.concatenate((pending, words.view("<u4")))
-            self.high = int(halves[-1]) if len(halves) > len(rs) else None
-            spans = np.arange(rs.start + 1, rs.stop + 1, rs.step, dtype=np.uint64)
-            m = halves[: len(rs)] * spans
-            if m.astype(np.uint32).min() > max(rs[0], rs[-1]):
-                return (m >> 32).tolist()
-            self.pos, self.high = state
-        return [self.bounded(r) for r in rs]
-
     def below(self, n: int, p: float) -> np.ndarray:
         """Whether each of n uniform doubles in [0, 1) is below p, 0 <= p < 1.
 
@@ -332,25 +319,34 @@ class _RawDraws:
         return self.words[pos : self.pos] < math.ceil(p * 2**53) << 11
 
     def sample(self, n2: int, h2: int) -> np.ndarray:
-        """A mask of h2 of n2 places drawn without replacement, 0 < h2 < n2."""
-        if n2 > _FLOYD_MAX_POPULATION and h2 > n2 // 50:
-            return self._tail_shuffle(n2, h2)
-        # Floyd's rule (Bentley & Floyd 1987): draw t in 0..j, take j if t is taken.
+        """A mask of h2 of n2 places drawn without replacement, 0 < h2 < n2,
+        where `choice` takes the same rule: n2 <= _FLOYD_MAX_POPULATION or h2 <= n2 // 50.
+
+        Floyd's rule (Bentley & Floyd 1987): draw t in 0..j, take j if t is taken."""
         taken = bytearray(n2)
-        for j, t in enumerate(self.bounded_each(range(n2 - h2, n2)), n2 - h2):
+        for j in range(n2 - h2, n2):
+            t = self.bounded(j)
             taken[j if taken[t] else t] = 1
         return np.frombuffer(taken, dtype=np.bool_)
 
-    def _tail_shuffle(self, n2: int, h2: int) -> np.ndarray:
-        """choice's draw of many places above _FLOYD_MAX_POPULATION: a
-        Fisher-Yates shuffle of the last h2 places of 0..n2-1, from the end."""
-        places = range(n2 - 1, n2 - h2 - 1, -1)
-        units = list(range(n2))
-        for j, t in zip(places, self.bounded_each(places)):
-            units[j], units[t] = units[t], units[j]
-        taken = np.zeros(n2, dtype=bool)
-        taken[units[n2 - h2 :]] = True
-        return taken
+
+class _GeneratorDraws:
+    """`_RawDraws`'s three draws made by a Generator on the stream; `sample`
+    gives the sorted places instead of a mask."""
+
+    __slots__ = ("rng",)
+
+    def __init__(self, bitgen: np.random.PCG64, count: int) -> None:
+        self.rng = np.random.Generator(bitgen)
+
+    def bounded(self, r: int) -> int:
+        return int(self.rng.integers(0, r + 1))
+
+    def below(self, n: int, p: float) -> np.ndarray:
+        return self.rng.random(n) < p
+
+    def sample(self, n2: int, h2: int) -> np.ndarray:
+        return np.sort(self.rng.choice(n2, h2, replace=False))
 
 
 def design_rng(master_seed: int) -> np.random.Generator:
@@ -431,8 +427,14 @@ def _replicate_means(
             for ys, miss in zip(y_samples, missing.reshape(n, k).T)
         ]
         h2_max = max((row[3] for row in rows if row[4] is None), default=0)
+        follow_up = h2_max
     else:
         h2_max = follow_up_size(n, nr.ell)
+        # Up to _FLOYD_MAX_POPULATION units, no follow-up needs a tail shuffle.
+        follow_up = (
+            follow_up_size(round(nr.w2 * n), nr.ell) if n <= _FLOYD_MAX_POPULATION else h2_max
+        )
+    draw_type = _GeneratorDraws if follow_up >= _CHOICE_MIN else _RawDraws
     # Words for the start (a half-word), the Bernoulli mask (a word per unit)
     # and the follow-up (a half-word per draw, the first of them the start
     # word's high half); a rejected bounded draw takes more.
@@ -441,13 +443,13 @@ def _replicate_means(
 
     ybar_stars, starts = np.empty(cfg.replicates), np.empty(cfg.replicates, dtype=np.intp)
     for rep, bitgen in enumerate(_replicate_streams(cfg.master_seed, cfg.replicates)):
-        draws = _RawDraws(bitgen, count)
+        draws = draw_type(bitgen, count)
         i = rep % k if cfg.exhaustive_start else draws.bounded(k - 1)
         n1, t1, nr_y, h2, ybar_star = (
             rows[i] if fixed else _sample_parts(y_samples[i], draws.below(n, nr.w2), n, nr.ell)
         )
         if ybar_star is None:
-            # The mask picks the sub-sample a choice over the sorted
+            # The places pick the sub-sample a choice over the sorted
             # non-respondent units picks, in unit order.
             chosen = draws.sample(len(nr_y), h2)
             ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, sum(nr_y[chosen].tolist()))

@@ -480,21 +480,7 @@ class TestPerStartTableKernel:
 
     def test_per_unit_path_is_not_called(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("run_simulation called the per-unit path")
-
-        for name in ("apply_nonresponse", "hh_mean", "aux_mean"):
-            monkeypatch.setattr(sysmean.montecarlo, name, refuse)
-        for bernoulli in (False, True):
-            pop, design, cfg = simulation_case(
-                pop_seed=9, n=12, k=5, w2=0.25, ell=2.0, bernoulli=bernoulli,
-                exhaustive=False, replicates=50, seed=11,
-            )
-            report = run_simulation(pop, design, cfg)
-            assert report.by_label("hh").n_used == 50
-
-    def test_replicate_loop_builds_no_generator(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("run_simulation built a Generator or drew a start through one")
+            raise AssertionError("run_simulation called the per-unit path or built a Generator")
 
         cases = [
             simulation_case(
@@ -503,11 +489,26 @@ class TestPerStartTableKernel:
             )
             for bernoulli in (False, True)
         ]
-        monkeypatch.setattr(sysmean.montecarlo, "draw_sample", refuse)
+        for name in ("apply_nonresponse", "hh_mean", "aux_mean", "draw_sample"):
+            monkeypatch.setattr(sysmean.montecarlo, name, refuse)
+        # Follow-ups below _CHOICE_MIN draws are read off the raw words.
         monkeypatch.setattr(np.random, "Generator", refuse)
         for pop, design, cfg in cases:
             report = run_simulation(pop, design, cfg)
             assert report.by_label("hh").n_used == 50
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    def test_raw_words_and_a_generator_give_one_report(self, monkeypatch, bernoulli):
+        pop, design, cfg = simulation_case(
+            pop_seed=8, n=60, k=4, w2=0.5, ell=1.5, bernoulli=bernoulli,
+            exhaustive=False, replicates=80, seed=2**40 + 3,
+        )
+        reports = []
+        # Every follow-up through a Generator, then every one off the raw words.
+        for choice_min in (1, 200):
+            monkeypatch.setattr(sysmean.montecarlo, "_CHOICE_MIN", choice_min)
+            reports.append(repr(run_simulation(pop, design, cfg)))
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "k, replicates, exhaustive", [(6, 40, True), (40, 5, True), (6, 40, False)]
@@ -618,15 +619,14 @@ class TestRawDraws:
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize(
         "rs",
-        [range(100, 140), range(100, 141), range(5000, 4960, -1), range(1, 5),
+        [range(100, 141), range(5000, 4960, -1), range(1, 5),
          range(REJECTING, REJECTING + 40), range(2**31 + 40, 2**31, -1)],
     )
-    def test_bounded_each_is_integers_in_turn(self, rep, pending, rs):
+    def test_bounded_draws_over_changing_ranges_are_integers(self, rep, pending, rs):
         draws, rng = raw_and_reference(11, rep)
         if pending:
             assert draws.bounded(5) == rng.integers(0, 6)
-        assert draws.bounded_each(rs) == [int(rng.integers(0, r + 1)) for r in rs]
-        # An odd count leaves a high half pending.
+        assert [draws.bounded(r) for r in rs] == [int(rng.integers(0, r + 1)) for r in rs]
         assert draws.bounded(REJECTING) == rng.integers(0, REJECTING + 1)
 
     @pytest.mark.parametrize("rep", range(4))
@@ -661,7 +661,7 @@ class TestRawDraws:
     @pytest.mark.parametrize(
         "n2, h2",
         [(2, 1), (7, 6), (20, 15), (30, 16), (40, 39), (300, 150), (10001, 200),
-         (10001, 201), (10050, 10049)],
+         (10050, 201)],
     )
     def test_sample_is_sorted_choice(self, rep, before, n2, h2):
         draws, rng = raw_and_reference(2**40 + 9, rep)

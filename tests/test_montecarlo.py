@@ -497,19 +497,6 @@ class TestPerStartTableKernel:
             report = run_simulation(pop, design, cfg)
             assert report.by_label("hh").n_used == 50
 
-    @pytest.mark.parametrize("bernoulli", [False, True])
-    def test_raw_words_and_a_generator_give_one_report(self, monkeypatch, bernoulli):
-        pop, design, cfg = simulation_case(
-            pop_seed=8, n=60, k=4, w2=0.5, ell=1.5, bernoulli=bernoulli,
-            exhaustive=False, replicates=80, seed=2**40 + 3,
-        )
-        reports = []
-        # Every follow-up through a Generator, then every one off the raw words.
-        for choice_min in (1, 200):
-            monkeypatch.setattr(sysmean.montecarlo, "_CHOICE_MIN", choice_min)
-            reports.append(repr(run_simulation(pop, design, cfg)))
-        assert reports[0] == reports[1]
-
     @pytest.mark.parametrize(
         "k, replicates, exhaustive", [(6, 40, True), (40, 5, True), (6, 40, False)]
     )
@@ -671,3 +658,16 @@ class TestRawDraws:
             assert draws.below(12, 0.25).tolist() == (rng.random(12) < 0.25).tolist()
         chosen = np.flatnonzero(draws.sample(n2, h2))
         assert chosen.tolist() == np.sort(rng.choice(n2, h2, replace=False)).tolist()
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    def test_raw_words_and_a_generator_give_one_report(self, monkeypatch, bernoulli):
+        pop, design, cfg = simulation_case(
+            pop_seed=8, n=60, k=4, w2=0.5, ell=1.5, bernoulli=bernoulli,
+            exhaustive=False, replicates=80, seed=2**40 + 3,
+        )
+        reports = []
+        # Every follow-up through a Generator, then every one off the raw words.
+        for choice_min in (1, 200):
+            monkeypatch.setattr(sysmean.montecarlo, "_CHOICE_MIN", choice_min)
+            reports.append(repr(run_simulation(pop, design, cfg)))
+        assert reports[0] == reports[1]

@@ -161,6 +161,14 @@ def follow_up_size(n2: int, ell: float) -> int:
     return max(1, round(n2 / ell))
 
 
+def follow_up_sizes(n2_max: int, ell: float) -> np.ndarray:
+    """`follow_up_size(j, ell)` for j = 0..n2_max; `np.rint` rounds half to
+    even, as `round` does."""
+    sizes = np.maximum(1, np.rint(np.arange(n2_max + 1) / ell)).astype(np.intp)
+    sizes[0] = 0
+    return sizes
+
+
 def apply_nonresponse(
     units: Sequence[int],
     pop: "FinitePopulation",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .design import SampleRealization
 from .errors import DomainError, SingularityError
 
@@ -45,6 +47,21 @@ def lambda_coefficient(params: FamilyParams, pop_mean_x: float) -> float:
     return scaled / denom
 
 
+def sequential_totals(values, keep=None) -> np.ndarray:
+    """Totals along the last axis of finite `values`, over the places where
+    `keep` (default all) is true, each added left to right from +0.0.
+
+    That is how Python 3.11's builtin `sum` adds floats, signed zero included
+    (a total of -0.0 values is +0.0), on every Python version: 3.12 made
+    `sum` compensated, and `np.sum` adds pairwise.  `np.cumsum` adds in
+    order, and a leading zero column gives the +0.0 start.  A left-out place
+    adds a signed zero, which leaves a sum from +0.0 as it is."""
+    values = np.asarray(values, dtype=float)
+    padded = np.zeros((*values.shape[:-1], values.shape[-1] + 1))
+    np.multiply(values, True if keep is None else keep, out=padded[..., 1:])
+    return padded.cumsum(axis=-1)[..., -1].copy()
+
+
 def hh_mean(realization: SampleRealization) -> float:
     """Hansen-Hurwitz mean: respondents and follow-up sub-sample weighted n1:n2.
 
@@ -58,17 +75,21 @@ def hh_mean(realization: SampleRealization) -> float:
         raise DomainError("no observed study values in this realization")
     total = 0.0
     if n1 > 0:
-        ybar_n1 = sum(realization.y_observed[u] for u in sorted(realization.respondents)) / n1
+        ybar_n1 = _total(realization.y_observed[u] for u in sorted(realization.respondents)) / n1
         total += n1 * ybar_n1
     if n2 > 0:
-        ybar_h2 = sum(realization.y_observed[u] for u in sorted(realization.subsample)) / h2
+        ybar_h2 = _total(realization.y_observed[u] for u in sorted(realization.subsample)) / h2
         total += n2 * ybar_h2
     return total / n
 
 
 def aux_mean(realization: SampleRealization) -> float:
     """Arithmetic mean of the auxiliary variable over all n sample units."""
-    return sum(realization.x_observed) / len(realization.x_observed)
+    return _total(realization.x_observed) / len(realization.x_observed)
+
+
+def _total(values) -> float:
+    return float(sequential_totals(list(values)))
 
 
 def family_estimate(

@@ -23,32 +23,38 @@ most 2**32 - 1 replicates.  Aggregation reduces in replicate order, so a
 report is bit-identical for a given (population, design, config)
 regardless of how the replicates would be scheduled.
 
-The loop builds no Generator either when the follow-up is small (fewer than
-_CHOICE_MIN draws): `_RawDraws` reads the start index, the Bernoulli mask and
-the follow-up sub-sample straight off each stream's raw PCG64 words (also
-stable under NEP 19) by the rules numpy's Generator applies to them: Lemire's
-bounded integers on 32-bit half-words, 53-bit doubles, and Floyd's sampling
-without replacement.  So the draws are those of `draw_sample`,
-`Generator.random(n) < w2` and `Generator.choice`.  A larger follow-up is
-cheaper drawn by `Generator.choice` in C, so such a call makes the same draws
-with a Generator on each stream (`_GeneratorDraws`).
+The replicates run in blocks of up to _BLOCK_ROWS (`_Kernel`).  A block
+keeps one C call per replicate, `PCG64(seed words).random_raw(count)`, into
+a (rows, count) array of raw words, and makes its draws in array operations
+by the rules numpy's Generator applies to those words (also stable under
+NEP 19): the start index by Lemire's bounded integers on the low half of
+column 0, the Bernoulli mask by comparing the words with the least one that
+gives a double of at least w2, and the follow-up sub-sample by Floyd's rule,
+one step at a time across all rows on the 32-bit half-word columns.  So the
+draws are those of `draw_sample`, `Generator.random(n) < w2` and
+`Generator.choice`.  `_RawDraws` holds the same rules one draw at a time; it
+draws again any row in which Lemire's rule rejects a half-word, taking the
+next ones and more words as it needs them.  A follow-up of _CHOICE_MIN draws
+or more is cheaper drawn by `Generator.choice` in C, so such a call makes
+each replicate's draws with a Generator on its stream (`_GeneratorDraws`).
 
-Both stratum modes build ybar* with one per-sample step, `_sample_parts`:
-from a sample's y values and non-respondent mask it gives the respondent
-count and y total, the non-respondents' y values in unit order, h2 and,
-when no follow-up draw is needed, ybar* itself.  A fixed stratum only
-caches that step per start, once per call; in Bernoulli mode each replicate
-takes it on its own drawn mask.  The streams are consumed as the per-unit
+Both stratum modes then form ybar* from one per-sample step, `_Samples.of`:
+from samples' y values and non-respondent masks it gives the respondent
+counts and y totals, the non-respondents' y values in unit order, h2 and,
+where no follow-up draw is needed, ybar* itself.  A fixed stratum takes
+that step once per call, for the table of every start; in Bernoulli mode
+each block takes it on its drawn masks.  Every y and x total is
+`sequential_totals`, added left to right from +0.0 as the per-unit
 reference path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`)
-consumes them, and totals are summed with Python `sum` in unit order, so
-the reports are bit-identical to that path.
+adds, and the streams are consumed as that path consumes them, so the
+reports are bit-identical to it on every Python version.
 """
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,9 +63,10 @@ from .design import (
     StratumMode,
     SystematicDesign,
     follow_up_size,
+    follow_up_sizes,
 )
 from .errors import ConfigurationError, DomainError, SingularityError
-from .estimators import FamilyParams, family_estimate
+from .estimators import FamilyParams, family_estimate, sequential_totals
 from .population import FinitePopulation, population_fingerprint
 
 # Not called here; bound so that perfbench/tracing.py TARGETS still resolve.
@@ -245,21 +252,21 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _replicate_streams(master_seed: int, replicates: int) -> Iterator[np.random.PCG64]:
-    """The bit generator of each replicate in order, seeded SEED_BLOCK replicates at a time."""
-    for first in range(0, replicates, SEED_BLOCK):
-        for words in _stream_words(master_seed, first, min(first + SEED_BLOCK, replicates)):
-            yield np.random.PCG64(_StreamSeed(words))
-
-
 # A call whose follow-up takes this many draws or more (the largest one in a
 # fixed stratum, one at the expected non-response in Bernoulli mode) makes its
-# draws with a Generator, whose `choice` runs Floyd's rule in C; below it
-# `_RawDraws`, which builds no Generator, is faster (BENCH_15.json, "draw_paths").
+# draws with a Generator on each stream, whose `choice` runs Floyd's rule in C;
+# below it the block kernel reads them off the raw words, which is faster
+# (BENCH_16.json, "draw_paths").
 _CHOICE_MIN = 20
 # `Generator.choice` shuffles a tail instead of taking Floyd's rule when it
 # draws more than a 50th of more than this many places; `_RawDraws` does not.
 _FLOYD_MAX_POPULATION = 10_000
+# A block of replicates holds at most _BLOCK_ROWS rows and _BLOCK_CELLS sample
+# cells (rows × n in Bernoulli mode, rows × the most non-respondents of a start
+# with a fixed stratum), so its temporaries stay near those of seeding
+# SEED_BLOCK streams: 256 rows at n = 12, 13 at n = 1200.
+_BLOCK_ROWS = 256
+_BLOCK_CELLS = 16384
 
 
 class _RawDraws:
@@ -332,11 +339,11 @@ class _RawDraws:
 
 class _GeneratorDraws:
     """`_RawDraws`'s three draws made by a Generator on the stream; `sample`
-    gives the sorted places instead of a mask."""
+    gives the places drawn, in `choice`'s order, instead of a mask."""
 
     __slots__ = ("rng",)
 
-    def __init__(self, bitgen: np.random.PCG64, count: int) -> None:
+    def __init__(self, bitgen: np.random.PCG64) -> None:
         self.rng = np.random.Generator(bitgen)
 
     def bounded(self, r: int) -> int:
@@ -346,7 +353,7 @@ class _GeneratorDraws:
         return self.rng.random(n) < p
 
     def sample(self, n2: int, h2: int) -> np.ndarray:
-        return np.sort(self.rng.choice(n2, h2, replace=False))
+        return self.rng.choice(n2, h2, replace=False)
 
 
 def design_rng(master_seed: int) -> np.random.Generator:
@@ -354,29 +361,211 @@ def design_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
 
 
-def _hh_mean(n: int, n1: int, t1: float, n2: int, h2: int, t2: float) -> float:
-    """`hh_mean` from the respondent and follow-up y totals, in its operation order."""
-    total = 0.0
-    if n1 > 0:
-        total += n1 * (t1 / n1)
-    if n2 > 0:
-        total += n2 * (t2 / h2)
+def _lemire(halves: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
+    """`_RawDraws.bounded(span - 1)` on each uint64-held 32-bit half-word: the
+    high word of half·span, and whether Lemire's rule rejects it (its low word
+    is below 2**32 mod span), when the draw would take the next half-word."""
+    product = halves * span
+    return (product >> 32).astype(np.intp), product & _MASK32 < (1 << 32) % span
+
+
+def _floyd(
+    halves: np.ndarray, n2: np.ndarray, h2: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_RawDraws.sample(n2, h2)` for every row at once, 0 < h2 < n2 <= width:
+    Floyd's step s draws t in 0..j, j = n2 - h2 + s, from half-word column s
+    and takes j if t is taken.  The draws are array operations; only the
+    takes go one step at a time across all rows.  Gives the (rows, width)
+    mask of the places taken, and whether a row had a draw rejected; that
+    row's later steps read the wrong half-words."""
+    steps = np.arange(halves.shape[1])
+    live = steps < h2[:, None]
+    j = (n2 - h2)[:, None] + steps
+    t, bad = _lemire(halves, (j + 1).astype(np.uint64))
+    # A row's steps past its h2 take its spare last place.
+    t[~live] = j[~live] = width
+    # Places as flat indices into the rows' taken masks, one step per row.
+    base = np.arange(len(n2))[:, None] * (width + 1)
+    t, j = (t + base).T.copy(), (j + base).T.copy()
+    taken = np.zeros(len(n2) * (width + 1), dtype=bool)
+    for step in steps:
+        taken[np.where(taken[t[step]], j[step], t[step])] = True
+    return taken.reshape(len(n2), width + 1)[:, :width], (bad & live).any(axis=1)
+
+
+def _hh_means(n: int, n1, t1, n2, h2, t2) -> np.ndarray:
+    """ybar* = (n1·(t1/n1) + n2·(t2/h2)) / n elementwise from the respondent and
+    follow-up y totals, in `hh_mean`'s operation order: from 0.0, a term left
+    out where its count is 0."""
+    respondents, follow_up = np.zeros(len(n1)), np.zeros(len(n1))
+    np.divide(t1, n1, out=respondents, where=n1 > 0)
+    np.divide(t2, h2, out=follow_up, where=n2 > 0)
+    total = 0.0 + n1 * respondents
+    total += n2 * follow_up
     return total / n
 
 
-def _sample_parts(
-    ys: np.ndarray, miss: np.ndarray, n: int, ell: float
-) -> tuple[int, float, np.ndarray, int, float | None]:
-    """One sample's (n1, respondent y total, non-respondent y in unit order,
-    h2, ybar*) from its y values and non-respondent mask; ybar* is None when
-    it depends on a follow-up draw."""
-    nr_y = ys[miss]
-    n1, t1 = n - len(nr_y), sum(ys[~miss].tolist())
-    h2 = follow_up_size(len(nr_y), ell)
-    ybar_star = None
-    if h2 >= len(nr_y):
-        ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, sum(nr_y.tolist()))
-    return n1, t1, nr_y, h2, ybar_star
+@dataclass(frozen=True)
+class _Samples:
+    """Per sample (row): the respondent count n1 and y total t1, the
+    non-respondent count n2, the follow-up size h2, the non-respondents' y
+    values in unit order (zero-padded to the widest row), and ybar* (nan where
+    it needs a follow-up draw).  With a fixed stratum, the table of every start."""
+
+    n1: np.ndarray
+    t1: np.ndarray
+    n2: np.ndarray
+    h2: np.ndarray
+    nr_y: np.ndarray
+    ybar: np.ndarray
+
+    @classmethod
+    def of(cls, ys: np.ndarray, miss: np.ndarray, h2_of: np.ndarray) -> _Samples:
+        """The parts of each row of y values and its non-respondent mask;
+        `h2_of[n2]` is the follow-up size of n2 non-respondents."""
+        n2 = miss.sum(axis=1)
+        n1, h2 = ys.shape[1] - n2, h2_of[n2]
+        t1 = sequential_totals(ys, ~miss)
+        rows, units = np.divmod(np.flatnonzero(miss), ys.shape[1])
+        nr_y = np.zeros((len(ys), int(n2.max(initial=0))))
+        nr_y[rows, np.arange(len(rows)) - np.repeat(np.cumsum(n2) - n2, n2)] = ys[rows, units]
+        ybar = np.full(len(ys), np.nan)
+        done = np.flatnonzero(h2 >= n2)
+        # The padding adds +0.0, which leaves a total from +0.0 as it is.
+        ybar[done] = _hh_means(
+            ys.shape[1], n1[done], t1[done], n2[done], h2[done], sequential_totals(nr_y[done])
+        )
+        return cls(n1, t1, n2, h2, nr_y, ybar)
+
+    def take(self, rows: np.ndarray) -> _Samples:
+        return _Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+class _Kernel:
+    """One call's replicates, a block at a time.
+
+    A block's draws give each replicate's start index, in Bernoulli mode its
+    non-respondent mask, and where h2 < n2 the places its follow-up takes
+    among its non-respondents in unit order, as a `choice` over the sorted
+    non-respondent units picks them; `block` then forms the block's ybar* in
+    array operations.  Below _CHOICE_MIN follow-up draws, `_raw_draws` reads
+    the draws off a (rows, count) array of raw words by `_RawDraws`'s rules,
+    column by column; a row in which Lemire's rule rejects a half-word is
+    drawn again by `_RawDraws` itself, which takes the next half-words and
+    more words as it needs them.  From _CHOICE_MIN on, `_row_draws` makes
+    each replicate's draws with a Generator.
+    """
+
+    def __init__(self, pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig):
+        n, k, nr = design.n, design.k, cfg.nr
+        self.n, self.k, self.w2 = n, k, nr.w2
+        # A word w gives the double (w >> 11)·2**-53, which is below w2 exactly
+        # when w < ceil(w2·2**53) << 11.
+        self.below = np.uint64(math.ceil(nr.w2 * 2**53) << 11)
+        # Row i holds the sample with start index i + 1.
+        self.ys = pop.y.reshape(n, k).T.copy()
+        self.h2_of = follow_up_sizes(n, nr.ell)
+        self.fixed = nr.mode is StratumMode.FIXED_STRATUM
+        if self.fixed:
+            missing = np.zeros(design.N, dtype=bool)
+            stratum = nr.stratum or frozenset()
+            missing[np.fromiter(stratum, np.intp, len(stratum)) - 1] = True
+            self.table = _Samples.of(self.ys, missing.reshape(n, k).T.copy(), self.h2_of)
+            h2_max = follow_up = int(
+                self.table.h2[self.table.h2 < self.table.n2].max(initial=0)
+            )
+            # A block touches only the non-respondents of its starts.
+            self.width = max(self.table.nr_y.shape[1], 1)
+        else:
+            h2_max = int(self.h2_of[n])
+            # Up to _FLOYD_MAX_POPULATION units, no follow-up needs a tail shuffle.
+            follow_up = (
+                follow_up_size(round(nr.w2 * n), nr.ell) if n <= _FLOYD_MAX_POPULATION else h2_max
+            )
+            self.width = n
+        self.draws = self._raw_draws if follow_up < _CHOICE_MIN else self._row_draws
+        self.rows = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // self.width))
+        # Words for the start (a half-word), the Bernoulli mask (a word per unit)
+        # and the follow-up (a half-word per draw, the first of them the start
+        # word's high half); a rejected bounded draw takes more.
+        self.start_draw = k > 1 and not cfg.exhaustive_start
+        self.follow_up_at = self.start_draw + (0 if self.fixed else n)
+        self.count = self.follow_up_at + (max(h2_max - self.start_draw, 0) + 1) // 2
+
+    def block(self, seeds: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+        """ybar* and the 0-based start index of replicates first, first + 1, ...
+        whose streams have the seed words `seeds`."""
+        starts, miss, taken = self.draws(seeds, first)
+        parts = (
+            self.table.take(starts) if self.fixed else _Samples.of(self.ys[starts], miss, self.h2_of)
+        )
+        drawn = np.flatnonzero(parts.h2 < parts.n2)
+        if drawn.size:
+            places = taken[drawn, : parts.nr_y.shape[1]]
+            parts.ybar[drawn] = _hh_means(
+                self.n, parts.n1[drawn], parts.t1[drawn], parts.n2[drawn], parts.h2[drawn],
+                sequential_totals(parts.nr_y[drawn], places),
+            )
+        return parts.ybar, starts
+
+    def _raw_draws(self, seeds: np.ndarray, first: int):
+        words = np.array(
+            [np.random.PCG64(_StreamSeed(seed)).random_raw(self.count) for seed in seeds]
+        )
+        rows = len(seeds)
+        if self.start_draw:
+            starts, redo = _lemire(words[:, 0] & _MASK32, np.uint64(self.k))
+        else:
+            starts, redo = (first + np.arange(rows)) % self.k, np.zeros(rows, dtype=bool)
+        miss = None if self.fixed else words[:, self.start_draw : self.follow_up_at] < self.below
+        n2 = self.table.n2[starts] if self.fixed else miss.sum(axis=1)
+        h2 = self.h2_of[n2]
+        drawn = np.flatnonzero(h2 < n2)
+        taken = np.zeros((rows, self.width), dtype=bool)
+        if drawn.size:
+            halves = self._follow_up_halves(words[drawn], int(h2[drawn].max()))
+            taken[drawn], rejected = _floyd(halves, n2[drawn], h2[drawn], self.width)
+            redo[drawn] |= rejected
+        for row in np.flatnonzero(redo):
+            draws = _RawDraws(np.random.PCG64(_StreamSeed(seeds[row])), self.count)
+            self._draw_row(draws, first + row, row, starts, miss, taken)
+        return starts, miss, taken
+
+    def _follow_up_halves(self, words: np.ndarray, draws: int) -> np.ndarray:
+        """Each row's first `draws` follow-up half-words in `_RawDraws`'s order:
+        the start word's high half, if the start took its low half, then each
+        next word's low and high halves."""
+        tail = words[:, self.follow_up_at : self.follow_up_at + (draws - self.start_draw + 1) // 2]
+        halves = np.empty((len(words), 2 * tail.shape[1]), dtype=np.uint64)
+        halves[:, 0::2] = tail & _MASK32
+        halves[:, 1::2] = tail >> 32
+        if self.start_draw:
+            halves = np.concatenate((words[:, :1] >> 32, halves), axis=1)
+        return halves[:, :draws]
+
+    def _row_draws(self, seeds: np.ndarray, first: int):
+        rows = len(seeds)
+        starts = np.empty(rows, dtype=np.intp)
+        miss = None if self.fixed else np.empty((rows, self.n), dtype=bool)
+        taken = np.zeros((rows, self.width), dtype=bool)
+        for row, seed in enumerate(seeds):
+            draws = _GeneratorDraws(np.random.PCG64(_StreamSeed(seed)))
+            self._draw_row(draws, first + row, row, starts, miss, taken)
+        return starts, miss, taken
+
+    def _draw_row(self, draws, rep: int, row: int, starts, miss, taken) -> None:
+        """Replicate rep's draws one at a time, into row `row` of the block's arrays."""
+        i = draws.bounded(self.k - 1) if self.start_draw else rep % self.k
+        starts[row] = i
+        if self.fixed:
+            n2 = int(self.table.n2[i])
+        else:
+            miss[row] = draws.below(self.n, self.w2)
+            n2 = np.count_nonzero(miss[row])
+        h2 = int(self.h2_of[n2])
+        taken[row] = False
+        if h2 < n2:
+            taken[row, :n2][draws.sample(n2, h2)] = True
 
 
 def run_simulation(
@@ -394,10 +583,10 @@ def run_simulation(
     cfg.nr.validate_for(design.N)
     n, k = design.n, design.k
     # Row i of the (k, n) transpose holds the sample with start index i + 1.
-    xbars = [sum(xs) / n for xs in pop.x.reshape(n, k).T.tolist()]
+    xbars = (sequential_totals(pop.x.reshape(n, k).T) / n).tolist()
     pop_mean_x = float(pop.x.mean())
     ybar_star, starts = _replicate_means(pop, design, cfg)
-    drawn = sorted(set(starts.tolist()))  # np.unique would import numpy.ma
+    drawn = np.flatnonzero(np.bincount(starts, minlength=k)).tolist()
     estimates, failed = [], []
     for spec in cfg.estimators:
         h, bad = np.ones(k), np.zeros(k, dtype=bool)
@@ -407,7 +596,9 @@ def run_simulation(
                     h[i] = family_estimate(1.0, xbars[i], pop_mean_x, spec.params)
                 except (SingularityError, DomainError):
                     bad[i] = True
-        estimates.append(ybar_star * h[starts])
+        estimate = h[starts]
+        estimate *= ybar_star
+        estimates.append(estimate)
         failed.append(bad[starts])
     return _report(pop, cfg, estimates, failed)
 
@@ -416,44 +607,13 @@ def _replicate_means(
     pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """ybar* and the 0-based start index of each replicate, in replicate order."""
-    n, k, nr = design.n, design.k, cfg.nr
-    y_samples = list(pop.y.reshape(n, k).T.copy())
-    fixed = nr.mode is StratumMode.FIXED_STRATUM
-    if fixed:
-        missing = np.zeros(design.N, dtype=bool)
-        missing[[u - 1 for u in nr.stratum or ()]] = True
-        rows = [
-            _sample_parts(ys, miss, n, nr.ell)
-            for ys, miss in zip(y_samples, missing.reshape(n, k).T)
-        ]
-        h2_max = max((row[3] for row in rows if row[4] is None), default=0)
-        follow_up = h2_max
-    else:
-        h2_max = follow_up_size(n, nr.ell)
-        # Up to _FLOYD_MAX_POPULATION units, no follow-up needs a tail shuffle.
-        follow_up = (
-            follow_up_size(round(nr.w2 * n), nr.ell) if n <= _FLOYD_MAX_POPULATION else h2_max
-        )
-    draw_type = _GeneratorDraws if follow_up >= _CHOICE_MIN else _RawDraws
-    # Words for the start (a half-word), the Bernoulli mask (a word per unit)
-    # and the follow-up (a half-word per draw, the first of them the start
-    # word's high half); a rejected bounded draw takes more.
-    start_draw = k > 1 and not cfg.exhaustive_start
-    count = start_draw + (0 if fixed else n) + (max(h2_max - start_draw, 0) + 1) // 2
-
+    kernel = _Kernel(pop, design, cfg)
     ybar_stars, starts = np.empty(cfg.replicates), np.empty(cfg.replicates, dtype=np.intp)
-    for rep, bitgen in enumerate(_replicate_streams(cfg.master_seed, cfg.replicates)):
-        draws = draw_type(bitgen, count)
-        i = rep % k if cfg.exhaustive_start else draws.bounded(k - 1)
-        n1, t1, nr_y, h2, ybar_star = (
-            rows[i] if fixed else _sample_parts(y_samples[i], draws.below(n, nr.w2), n, nr.ell)
-        )
-        if ybar_star is None:
-            # The places pick the sub-sample a choice over the sorted
-            # non-respondent units picks, in unit order.
-            chosen = draws.sample(len(nr_y), h2)
-            ybar_star = _hh_mean(n, n1, t1, len(nr_y), h2, sum(nr_y[chosen].tolist()))
-        ybar_stars[rep], starts[rep] = ybar_star, i
+    for first in range(0, cfg.replicates, SEED_BLOCK):
+        seeds = _stream_words(cfg.master_seed, first, min(first + SEED_BLOCK, cfg.replicates))
+        for lo in range(0, len(seeds), kernel.rows):
+            block = slice(first + lo, first + min(lo + kernel.rows, len(seeds)))
+            ybar_stars[block], starts[block] = kernel.block(seeds[lo : lo + kernel.rows], block.start)
     return ybar_stars, starts
 
 
@@ -463,23 +623,30 @@ def _report(
     estimates: Sequence[np.ndarray],
     failed: Sequence[np.ndarray],
 ) -> SimulationReport:
-    """Aggregate each estimator's replicate estimates, skipping the failed ones."""
+    """Aggregate each estimator's replicate estimates, skipping the failed ones.
+
+    The moments are `np.mean` and `np.std(ddof=1)`'s operations, bit for bit,
+    on one buffer reused by every estimator instead of their temporaries."""
     true_mean_y = float(pop.y.mean())
+    buffer = np.empty(cfg.replicates)
     results = []
     for j, spec in enumerate(cfg.estimators):
         ok = ~failed[j]
-        values = estimates[j][ok]
-        n_used = int(ok.sum())
+        n_used = int(np.count_nonzero(ok))
         n_failed = cfg.replicates - n_used
         # With every replicate failed (then also invalid) the moments are nan.
         empirical_mean = empirical_mse = mc_se_mse = math.nan
         if n_used > 0:
-            empirical_mean = float(values.mean())
-            squared_errors = (values - true_mean_y) ** 2
-            empirical_mse = float(squared_errors.mean())
-            mc_se_mse = (
-                float(squared_errors.std(ddof=1) / math.sqrt(n_used)) if n_used >= 2 else 0.0
-            )
+            errors = buffer[:n_used]
+            values = estimates[j] if n_failed == 0 else np.compress(ok, estimates[j], out=errors)
+            empirical_mean = float(np.add.reduce(values) / n_used)
+            np.square(np.subtract(values, true_mean_y, out=errors), out=errors)
+            mse = np.add.reduce(errors) / n_used
+            empirical_mse, mc_se_mse = float(mse), 0.0
+            if n_used >= 2:
+                # np.std(ddof=1): the squared deviations from the mean, over n - 1.
+                np.square(np.subtract(errors, mse, out=errors), out=errors)
+                mc_se_mse = float(np.sqrt(np.add.reduce(errors) / (n_used - 1)) / math.sqrt(n_used))
         results.append(
             EstimatorResult(
                 label=spec.label,

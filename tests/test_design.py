@@ -17,7 +17,7 @@ from sysmean import (
     enumerate_samples,
     enumerated_design_variance,
 )
-from sysmean.design import follow_up_size, nearest_valid_sample_sizes
+from sysmean.design import follow_up_size, follow_up_sizes, nearest_valid_sample_sizes
 from conftest import random_population
 
 
@@ -142,6 +142,13 @@ class TestFollowUpSize:
     def test_rounding(self):
         assert follow_up_size(4, 2.0) == 2
         assert follow_up_size(1, 3.0) == 1  # max(1, round(1/3))
+
+    # 2.5 and 1.5 are halves: round and np.rint both round them to even.
+    @pytest.mark.parametrize("ell", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3, 1e9])
+    def test_table_is_the_size_of_each_count(self, ell):
+        assert follow_up_sizes(1200, ell).tolist() == [
+            follow_up_size(j, ell) for j in range(1201)
+        ]
 
 
 class TestApplyNonresponse:

@@ -1,5 +1,8 @@
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sysmean import (
@@ -14,6 +17,7 @@ from sysmean import (
     product_estimate,
     ratio_estimate,
 )
+from sysmean.estimators import sequential_totals
 
 
 def make_realization(respondent_ys, subsample_ys, extra_nonrespondents=0, x=None):
@@ -195,3 +199,65 @@ class TestFamilyProperties:
         for h, bound in ((1e-4, 1e-2), (1e-6, 1e-4), (1e-8, 1e-6)):
             shifted = family_estimate(10.0, 5.0, 4.0, FamilyParams(alpha=0.6 + h, g=1.3))
             assert abs(shifted - base) < bound
+
+
+def loop_total(values, keep):
+    total = 0.0
+    for value, kept in zip(values, keep):
+        if kept:
+            total += value
+    return total
+
+
+# Finite values on scales from 1e-8 to 1e8, with signed zeros, and rows that
+# cancel: a row followed by its negation, plus a little.
+scaled = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.integers(-8, 8),
+)
+values = st.one_of(scaled, st.sampled_from([0.0, -0.0]))
+rows = st.lists(values, min_size=0, max_size=40) | st.lists(values, min_size=1, max_size=20).map(
+    lambda row: row + [-v for v in row] + [1e-8]
+)
+
+
+class TestSequentialTotals:
+    """The one summation rule of the replicate kernel and the per-unit path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=st.integers(0, 40).flatmap(
+            lambda width: st.lists(
+                st.lists(values, min_size=width, max_size=width), min_size=1, max_size=6
+            )
+        ),
+        data=st.data(),
+    )
+    @example(table=[[-0.0, -0.0], [0.0, -0.0]], data=None)
+    def test_rows_are_added_left_to_right_from_positive_zero(self, table, data):
+        table = np.array(table, dtype=float)
+        keep = np.ones(table.shape, dtype=bool)
+        if data is not None:
+            keep = np.array(
+                data.draw(st.lists(st.booleans(), min_size=table.size, max_size=table.size)),
+                dtype=bool,
+            ).reshape(table.shape)
+        keep[0] = False  # an all-masked row
+        totals = sequential_totals(table, keep)
+        expected = [loop_total(row, kept) for row, kept in zip(table.tolist(), keep.tolist())]
+        assert [(t, math.copysign(1.0, t)) for t in totals.tolist()] == [
+            (e, math.copysign(1.0, e)) for e in expected
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=rows)
+    def test_one_row_without_a_mask(self, row):
+        total = float(sequential_totals(row))
+        expected = loop_total(row, [True] * len(row))
+        assert (total, math.copysign(1.0, total)) == (expected, math.copysign(1.0, expected))
+
+    def test_not_pairwise_and_not_compensated(self):
+        row = [1.0, 1e100, 1.0, -1e100]
+        assert float(sequential_totals(row)) == 0.0  # math.fsum, and `sum` on 3.12+, give 2.0
+        assert float(sequential_totals([0.1] * 10)) == 0.9999999999999999

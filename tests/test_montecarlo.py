@@ -43,6 +43,7 @@ from sysmean.montecarlo import (
     EstimatorResult,
     SimulationReport,
     _RawDraws,
+    _replicate_means,
     _report,
     _stream_words,
     _StreamSeed,
@@ -348,6 +349,30 @@ class TestReportInvariants:
         assert result.n_used + result.n_failed == report.replicates
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        replicates=st.integers(2, 3000),
+        failure_rate=st.sampled_from([0.0, 0.001, 0.3, 0.999, 1.0]),
+    )
+    def test_moments_are_numpy_mean_and_std_bit_for_bit(self, seed, replicates, failure_rate):
+        rng = np.random.default_rng(seed)
+        pop = random_population(rng, 20)
+        values = rng.normal(rng.normal() * 100, 10 ** rng.uniform(-3, 3), replicates)
+        failed = rng.random(replicates) < failure_rate
+        cfg = hh_only(replicates, seed=1)
+        result = _report(pop, cfg, [values], [failed]).results[0]
+        used = values[~failed]
+        squared_errors = (used - float(pop.y.mean())) ** 2
+        expected = (math.nan,) * 3
+        if used.size:
+            se = squared_errors.std(ddof=1) / math.sqrt(used.size) if used.size >= 2 else 0.0
+            expected = (float(used.mean()), float(squared_errors.mean()), float(se))
+        moments = (result.empirical_mean, result.empirical_mse, result.mc_se_mse)
+        assert repr(moments) == repr(expected)
+        assert result.n_used == used.size
+
+
 def simulation_peak_bytes(pop, design, cfg):
     tracemalloc.start()
     try:
@@ -358,9 +383,9 @@ def simulation_peak_bytes(pop, design, cfg):
 
 
 class TestMemory:
-    def test_replicate_arrays_take_under_85_bytes_per_replicate(self):
+    def test_replicate_arrays_take_under_55_bytes_per_replicate(self):
         # ybar*, the start and three estimates and failure flags take 43 bytes of
-        # every replicate; the rest is aggregation temporaries.
+        # every replicate, and `_report`'s one buffer 8 more (50 measured).
         pop = synthetic_linear_population(240, seed=3)
         design = SystematicDesign(240, 12)
         specs = (
@@ -372,7 +397,26 @@ class TestMemory:
             simulation_peak_bytes(pop, design, SimulationConfig(reps, 7, specs, NO_NR))
             for reps in (8192, 24576)
         )
-        assert (large - small) / (24576 - 8192) < 85
+        assert (large - small) / (24576 - 8192) < 55
+
+    @pytest.mark.parametrize("bernoulli, kib", [(False, 339), (True, 336)])
+    def test_replicate_blocks_peak_no_higher_than_one_replicate_at_a_time(self, bernoulli, kib):
+        # The kib are the peaks of the loop that drew one replicate at a time;
+        # seeding a block of SEED_BLOCK streams takes most of either.
+        pop = synthetic_linear_population(240, seed=3)
+        if bernoulli:
+            nr = NonResponseModel(w2=0.25, ell=2.0, mode=StratumMode.BERNOULLI_PER_REPLICATE)
+        else:
+            stratum = np.random.default_rng(1).choice(240, 60, replace=False)
+            nr = NonResponseModel(w2=0.25, ell=2.0, stratum=frozenset(int(u) + 1 for u in stratum))
+        cfg = SimulationConfig(1000, 7, (EstimatorSpec("hh", "hh"),), nr)
+        tracemalloc.start()
+        try:
+            _replicate_means(pop, SystematicDesign(240, 12), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= kib * 1024
 
 
 # Each estimator kind by its own public definition, not by the family preset.
@@ -384,15 +428,16 @@ REFERENCE_ESTIMATORS = {
 }
 
 
-def per_unit_report(pop, design, cfg):
+def per_unit_report(pop, design, cfg, rng_for=None):
     """The report along the per-unit reference path: every replicate realized
-    unit by unit, and every estimator evaluated on it."""
+    unit by unit, and every estimator evaluated on it.  Replicate rep draws
+    from `rng_for(rep)`, by default `replicate_rng`."""
     samples = enumerate_samples(design)
     pop_mean_x = float(pop.x.mean())
     shape = (len(cfg.estimators), cfg.replicates)
     estimates, failed = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
     for rep in range(cfg.replicates):
-        rng = replicate_rng(cfg.master_seed, rep)
+        rng = rng_for(rep) if rng_for else replicate_rng(cfg.master_seed, rep)
         if cfg.exhaustive_start:
             start = rep % design.k + 1
         else:
@@ -583,6 +628,48 @@ def raw_and_reference(master_seed, rep, count=1):
 # half-words at r = 3 * 2**30 - 1.
 REJECTING = 3 * 2**30 - 1
 
+MASK32 = np.uint64(2**32 - 1)
+PCG64 = np.random.PCG64
+
+
+class RawGenerator:
+    """The Generator calls of the per-unit path, `integers`, `random` and
+    `choice`, made by `_RawDraws`'s rules on a bit generator's raw words."""
+
+    def __init__(self, bitgen):
+        self.draws = _RawDraws(bitgen, 0)
+
+    def integers(self, low, high):
+        return low + self.draws.bounded(high - 1 - low)
+
+    def random(self, n):
+        first = self.draws._take(n)
+        return (self.draws.words[first : first + n] >> 11) * 2.0**-53
+
+    def choice(self, population, size, replace):
+        return np.asarray(population)[self.draws.sample(len(population), size)]
+
+
+class CraftedStream:
+    """A PCG64 stand-in: on every other stream, its raw words with the start
+    word's low half zeroed (`zero_start`), or with its high half and the
+    `zero_words` words from `follow_up_at` on zeroed.  A zero half-word is in
+    Lemire's rejection zone of every range but a power of two, so a draw on
+    zeroed words takes half-word after half-word."""
+
+    def __init__(self, seed, zero_start, follow_up_at, zero_words):
+        self.words, self.pos = PCG64(seed).random_raw(256), 0
+        if self.words[0] % 2:
+            if zero_start:
+                self.words[0] &= ~MASK32
+            if zero_words:
+                self.words[0] &= MASK32
+                self.words[follow_up_at : follow_up_at + zero_words] = 0
+
+    def random_raw(self, count):
+        self.pos += count
+        return self.words[self.pos - count : self.pos].copy()
+
 
 class TestRawDraws:
     """Each draw rule read off the raw words against numpy's Generator on the same stream."""
@@ -658,6 +745,53 @@ class TestRawDraws:
             assert draws.below(12, 0.25).tolist() == (rng.random(12) < 0.25).tolist()
         chosen = np.flatnonzero(draws.sample(n2, h2))
         assert chosen.tolist() == np.sort(rng.choice(n2, h2, replace=False)).tolist()
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    @pytest.mark.parametrize(
+        "n, k, w2, ell, exhaustive, zero_start, zero_words",
+        [
+            (6, 5, 0.5, 2.0, False, True, 0),  # start half-words in the rejection zone
+            (8, 5, 0.5, 1.5, False, False, 1),  # follow-up half-words there
+            (8, 5, 0.5, 1.5, False, False, 8),  # follow-ups past the words drawn up front
+            (8, 5, 0.5, 1.5, True, True, 8),  # --exhaustive
+            (8, 1, 0.5, 1.5, False, True, 8),  # k = 1
+            (8, 5, 0.0, 1.5, False, True, 8),  # w2 = 0
+            (8, 5, 0.5, 1.0, False, True, 8),  # L = 1
+        ],
+    )
+    def test_block_draws_on_crafted_words(
+        self, monkeypatch, bernoulli, n, k, w2, ell, exhaustive, zero_start, zero_words
+    ):
+        pop, design, cfg = simulation_case(
+            pop_seed=4, n=n, k=k, w2=w2, ell=ell, bernoulli=bernoulli, exhaustive=exhaustive,
+            replicates=60, seed=2**40 + 5,
+        )
+        follow_up_at = (k > 1 and not exhaustive) + (n if bernoulli else 0)
+        seeds = _stream_words(cfg.master_seed, 0, cfg.replicates)
+
+        def stream(seed):
+            return CraftedStream(seed, zero_start, follow_up_at, zero_words)
+
+        def reference(rep):
+            return RawGenerator(stream(_StreamSeed(seeds[rep])))
+
+        expected = per_unit_report(pop, design, cfg, reference)
+        expected_starts = [
+            rep % k if exhaustive else reference(rep).integers(0, k) for rep in range(60)
+        ]
+        redrawn = []
+
+        class CountedRawDraws(_RawDraws):
+            def __init__(self, *args):
+                redrawn.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", stream)
+        monkeypatch.setattr(sysmean.montecarlo, "_RawDraws", CountedRawDraws)
+        assert _replicate_means(pop, design, cfg)[1].tolist() == expected_starts
+        assert repr(run_simulation(pop, design, cfg)) == repr(expected)
+        # Some rows were drawn again one draw at a time, and not all of them.
+        assert 0 < len(redrawn) < 2 * cfg.replicates
 
     @pytest.mark.parametrize("bernoulli", [False, True])
     def test_raw_words_and_a_generator_give_one_report(self, monkeypatch, bernoulli):

@@ -256,8 +256,8 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
 # fixed stratum, one at the expected non-response in Bernoulli mode) makes its
 # draws with a Generator on each stream, whose `choice` runs Floyd's rule in C;
 # below it the block kernel reads them off the raw words, which is faster
-# (BENCH_16.json, "draw_paths").
-_CHOICE_MIN = 20
+# (BENCH_16.json, "draw_paths": the crossover is near 100 draws in both modes).
+_CHOICE_MIN = 100
 # `Generator.choice` shuffles a tail instead of taking Floyd's rule when it
 # draws more than a 50th of more than this many places; `_RawDraws` does not.
 _FLOYD_MAX_POPULATION = 10_000

@@ -528,6 +528,7 @@ class _Kernel:
             redo[drawn] |= rejected
         for row in np.flatnonzero(redo):
             draws = _RawDraws(np.random.PCG64(_StreamSeed(seeds[row])), self.count)
+            taken[row] = False
             self._draw_row(draws, first + row, row, starts, miss, taken)
         return starts, miss, taken
 
@@ -554,7 +555,8 @@ class _Kernel:
         return starts, miss, taken
 
     def _draw_row(self, draws, rep: int, row: int, starts, miss, taken) -> None:
-        """Replicate rep's draws one at a time, into row `row` of the block's arrays."""
+        """Replicate rep's draws one at a time, into row `row` of the block's
+        arrays, whose `taken` row is clear."""
         i = draws.bounded(self.k - 1) if self.start_draw else rep % self.k
         starts[row] = i
         if self.fixed:
@@ -563,7 +565,6 @@ class _Kernel:
             miss[row] = draws.below(self.n, self.w2)
             n2 = np.count_nonzero(miss[row])
         h2 = int(self.h2_of[n2])
-        taken[row] = False
         if h2 < n2:
             taken[row, :n2][draws.sample(n2, h2)] = True
 

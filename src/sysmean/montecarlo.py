@@ -40,14 +40,16 @@ each replicate's draws with a Generator on its stream (`_GeneratorDraws`).
 
 Both stratum modes then form ybar* from one per-sample step, `_Samples.of`:
 from samples' y values and non-respondent masks it gives the respondent
-counts and y totals, the non-respondents' y values in unit order, h2 and,
-where no follow-up draw is needed, ybar* itself.  A fixed stratum takes
-that step once per call, for the table of every start; in Bernoulli mode
-each block takes it on its drawn masks.  Every y and x total is
-`sequential_totals`, added left to right from +0.0 as the per-unit
+counts and y totals, the non-respondents' y values in unit order and h2.  A
+fixed stratum takes that step once per call, for the table of every start;
+in Bernoulli mode each block takes it on its drawn masks.  Every y and x
+total is `sequential_totals`, added left to right from +0.0 as the per-unit
 reference path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`)
 adds, and the streams are consumed as that path consumes them, so the
-reports are bit-identical to it on every Python version.
+reports are bit-identical to it on every Python version.  A block's arrays
+have the same shapes from block to block, whatever its draws: numpy keeps
+freed buffers of under 1 KiB for reuse by size, and arrays of ever new
+sizes would make that cache, and the process, grow call after call.
 """
 from __future__ import annotations
 
@@ -263,9 +265,10 @@ _CHOICE_MIN = 100
 _FLOYD_MAX_POPULATION = 10_000
 # A block of replicates holds at most _BLOCK_ROWS rows and _BLOCK_CELLS sample
 # cells (rows × n in Bernoulli mode, rows × the most non-respondents of a start
-# with a fixed stratum), so its temporaries stay near those of seeding
-# SEED_BLOCK streams: 256 rows at n = 12, 13 at n = 1200.
-_BLOCK_ROWS = 256
+# with a fixed stratum), so its temporaries stay below those of seeding
+# SEED_BLOCK streams: 128 rows at n = 12, 13 at n = 1200 (BENCH_16.json,
+# "block_rows").
+_BLOCK_ROWS = 128
 _BLOCK_CELLS = 16384
 
 
@@ -370,17 +373,18 @@ def _lemire(halves: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _floyd(
-    halves: np.ndarray, n2: np.ndarray, h2: np.ndarray, width: int
+    halves: np.ndarray, n2: np.ndarray, steps: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_RawDraws.sample(n2, h2)` for every row at once, 0 < h2 < n2 <= width:
-    Floyd's step s draws t in 0..j, j = n2 - h2 + s, from half-word column s
-    and takes j if t is taken.  The draws are array operations; only the
-    takes go one step at a time across all rows.  Gives the (rows, width)
-    mask of the places taken, and whether a row had a draw rejected; that
-    row's later steps read the wrong half-words."""
-    steps = np.arange(halves.shape[1])
-    live = steps < h2[:, None]
-    j = (n2 - h2)[:, None] + steps
+    """`_RawDraws.sample(n2, h2)` for every row at once, h2 = `steps` < n2 <=
+    width, or no draw where `steps` is 0: Floyd's step s draws t in 0..j,
+    j = n2 - h2 + s, from half-word column s and takes j if t is taken.  The
+    draws are array operations; only the takes go one step at a time across
+    all rows.  Gives the (rows, width) mask of the places taken, and whether
+    a row had a draw rejected; that row's later steps read the wrong
+    half-words."""
+    columns = np.arange(halves.shape[1])
+    live = columns < steps[:, None]
+    j = (n2 - steps)[:, None] + columns
     t, bad = _lemire(halves, (j + 1).astype(np.uint64))
     # A row's steps past its h2 take its spare last place.
     t[~live] = j[~live] = width
@@ -388,7 +392,7 @@ def _floyd(
     base = np.arange(len(n2))[:, None] * (width + 1)
     t, j = (t + base).T.copy(), (j + base).T.copy()
     taken = np.zeros(len(n2) * (width + 1), dtype=bool)
-    for step in steps:
+    for step in columns:
         taken[np.where(taken[t[step]], j[step], t[step])] = True
     return taken.reshape(len(n2), width + 1)[:, :width], (bad & live).any(axis=1)
 
@@ -408,34 +412,25 @@ def _hh_means(n: int, n1, t1, n2, h2, t2) -> np.ndarray:
 @dataclass(frozen=True)
 class _Samples:
     """Per sample (row): the respondent count n1 and y total t1, the
-    non-respondent count n2, the follow-up size h2, the non-respondents' y
-    values in unit order (zero-padded to the widest row), and ybar* (nan where
-    it needs a follow-up draw).  With a fixed stratum, the table of every start."""
+    non-respondent count n2, the follow-up size h2 and the non-respondents'
+    y values in unit order, zero-padded to the widest row.  With a fixed
+    stratum, the table of every start."""
 
     n1: np.ndarray
     t1: np.ndarray
     n2: np.ndarray
     h2: np.ndarray
     nr_y: np.ndarray
-    ybar: np.ndarray
 
     @classmethod
     def of(cls, ys: np.ndarray, miss: np.ndarray, h2_of: np.ndarray) -> _Samples:
         """The parts of each row of y values and its non-respondent mask;
         `h2_of[n2]` is the follow-up size of n2 non-respondents."""
         n2 = miss.sum(axis=1)
-        n1, h2 = ys.shape[1] - n2, h2_of[n2]
-        t1 = sequential_totals(ys, ~miss)
         rows, units = np.divmod(np.flatnonzero(miss), ys.shape[1])
         nr_y = np.zeros((len(ys), int(n2.max(initial=0))))
         nr_y[rows, np.arange(len(rows)) - np.repeat(np.cumsum(n2) - n2, n2)] = ys[rows, units]
-        ybar = np.full(len(ys), np.nan)
-        done = np.flatnonzero(h2 >= n2)
-        # The padding adds +0.0, which leaves a total from +0.0 as it is.
-        ybar[done] = _hh_means(
-            ys.shape[1], n1[done], t1[done], n2[done], h2[done], sequential_totals(nr_y[done])
-        )
-        return cls(n1, t1, n2, h2, nr_y, ybar)
+        return cls(ys.shape[1] - n2, sequential_totals(ys, ~miss), n2, h2_of[n2], nr_y)
 
     def take(self, rows: np.ndarray) -> _Samples:
         return _Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
@@ -472,7 +467,7 @@ class _Kernel:
             missing[np.fromiter(stratum, np.intp, len(stratum)) - 1] = True
             self.table = _Samples.of(self.ys, missing.reshape(n, k).T.copy(), self.h2_of)
             h2_max = follow_up = int(
-                self.table.h2[self.table.h2 < self.table.n2].max(initial=0)
+                np.where(self.table.h2 < self.table.n2, self.table.h2, 0).max(initial=0)
             )
             # A block touches only the non-respondents of its starts.
             self.width = max(self.table.nr_y.shape[1], 1)
@@ -483,7 +478,7 @@ class _Kernel:
                 follow_up_size(round(nr.w2 * n), nr.ell) if n <= _FLOYD_MAX_POPULATION else h2_max
             )
             self.width = n
-        self.draws = self._raw_draws if follow_up < _CHOICE_MIN else self._row_draws
+        self.raw = follow_up < _CHOICE_MIN
         self.rows = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // self.width))
         # Words for the start (a half-word), the Bernoulli mask (a word per unit)
         # and the follow-up (a half-word per draw, the first of them the start
@@ -495,18 +490,15 @@ class _Kernel:
     def block(self, seeds: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
         """ybar* and the 0-based start index of replicates first, first + 1, ...
         whose streams have the seed words `seeds`."""
-        starts, miss, taken = self.draws(seeds, first)
+        starts, miss, taken = (self._raw_draws if self.raw else self._row_draws)(seeds, first)
         parts = (
             self.table.take(starts) if self.fixed else _Samples.of(self.ys[starts], miss, self.h2_of)
         )
-        drawn = np.flatnonzero(parts.h2 < parts.n2)
-        if drawn.size:
-            places = taken[drawn, : parts.nr_y.shape[1]]
-            parts.ybar[drawn] = _hh_means(
-                self.n, parts.n1[drawn], parts.t1[drawn], parts.n2[drawn], parts.h2[drawn],
-                sequential_totals(parts.nr_y[drawn], places),
-            )
-        return parts.ybar, starts
+        # A sample without a draw follows up all its non-respondents; the
+        # padding adds +0.0, which leaves a total from +0.0 as it is.
+        followed = np.where((parts.h2 < parts.n2)[:, None], taken[:, : parts.nr_y.shape[1]], True)
+        t2 = sequential_totals(parts.nr_y, followed)
+        return _hh_means(self.n, parts.n1, parts.t1, parts.n2, parts.h2, t2), starts
 
     def _raw_draws(self, seeds: np.ndarray, first: int):
         words = np.array(
@@ -520,12 +512,12 @@ class _Kernel:
         miss = None if self.fixed else words[:, self.start_draw : self.follow_up_at] < self.below
         n2 = self.table.n2[starts] if self.fixed else miss.sum(axis=1)
         h2 = self.h2_of[n2]
-        drawn = np.flatnonzero(h2 < n2)
+        steps = np.where(h2 < n2, h2, 0)
         taken = np.zeros((rows, self.width), dtype=bool)
-        if drawn.size:
-            halves = self._follow_up_halves(words[drawn], int(h2[drawn].max()))
-            taken[drawn], rejected = _floyd(halves, n2[drawn], h2[drawn], self.width)
-            redo[drawn] |= rejected
+        if steps.any():
+            halves = self._follow_up_halves(words, int(steps.max()))
+            taken, rejected = _floyd(halves, n2, steps, self.width)
+            redo |= rejected
         for row in np.flatnonzero(redo):
             draws = _RawDraws(np.random.PCG64(_StreamSeed(seeds[row])), self.count)
             taken[row] = False

@@ -64,7 +64,6 @@ from .design import (
     NonResponseModel,
     StratumMode,
     SystematicDesign,
-    follow_up_size,
     follow_up_sizes,
 )
 from .errors import ConfigurationError, DomainError, SingularityError
@@ -474,9 +473,7 @@ class _Kernel:
         else:
             h2_max = int(self.h2_of[n])
             # Up to _FLOYD_MAX_POPULATION units, no follow-up needs a tail shuffle.
-            follow_up = (
-                follow_up_size(round(nr.w2 * n), nr.ell) if n <= _FLOYD_MAX_POPULATION else h2_max
-            )
+            follow_up = int(self.h2_of[round(nr.w2 * n)]) if n <= _FLOYD_MAX_POPULATION else h2_max
             self.width = n
         self.raw = follow_up < _CHOICE_MIN
         self.rows = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // self.width))
@@ -491,9 +488,10 @@ class _Kernel:
         """ybar* and the 0-based start index of replicates first, first + 1, ...
         whose streams have the seed words `seeds`."""
         starts, miss, taken = (self._raw_draws if self.raw else self._row_draws)(seeds, first)
-        parts = (
-            self.table.take(starts) if self.fixed else _Samples.of(self.ys[starts], miss, self.h2_of)
-        )
+        if self.fixed:
+            parts = self.table.take(starts)
+        else:
+            parts = _Samples.of(self.ys[starts], miss, self.h2_of)
         # A sample without a draw follows up all its non-respondents; the
         # padding adds +0.0, which leaves a total from +0.0 as it is.
         followed = np.where((parts.h2 < parts.n2)[:, None], taken[:, : parts.nr_y.shape[1]], True)
@@ -605,8 +603,9 @@ def _replicate_means(
     for first in range(0, cfg.replicates, SEED_BLOCK):
         seeds = _stream_words(cfg.master_seed, first, min(first + SEED_BLOCK, cfg.replicates))
         for lo in range(0, len(seeds), kernel.rows):
-            block = slice(first + lo, first + min(lo + kernel.rows, len(seeds)))
-            ybar_stars[block], starts[block] = kernel.block(seeds[lo : lo + kernel.rows], block.start)
+            rows = seeds[lo : lo + kernel.rows]
+            block = slice(first + lo, first + lo + len(rows))
+            ybar_stars[block], starts[block] = kernel.block(rows, block.start)
     return ybar_stars, starts
 
 
@@ -639,7 +638,8 @@ def _report(
             if n_used >= 2:
                 # np.std(ddof=1): the squared deviations from the mean, over n - 1.
                 np.square(np.subtract(errors, mse, out=errors), out=errors)
-                mc_se_mse = float(np.sqrt(np.add.reduce(errors) / (n_used - 1)) / math.sqrt(n_used))
+                sd = np.sqrt(np.add.reduce(errors) / (n_used - 1))
+                mc_se_mse = float(sd / math.sqrt(n_used))
         results.append(
             EstimatorResult(
                 label=spec.label,

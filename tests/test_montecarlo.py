@@ -348,7 +348,6 @@ class TestReportInvariants:
         assert result.empirical_mse >= 0
         assert result.n_used + result.n_failed == report.replicates
 
-
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -652,7 +651,7 @@ class RawGenerator:
 
 class CraftedStream:
     """A PCG64 stand-in: on every other stream, its raw words with the start
-    word's low half zeroed (`zero_start`), or with its high half and the
+    word's low half zeroed if `zero_start`, and its high half and the
     `zero_words` words from `follow_up_at` on zeroed.  A zero half-word is in
     Lemire's rejection zone of every range but a power of two, so a draw on
     zeroed words takes half-word after half-word."""

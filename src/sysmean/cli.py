@@ -3,8 +3,8 @@
 Every command emits its report to stdout (or --out) and a run manifest
 holding the resolved parameters, input checksum, seed, and tool version.
 Reports are deterministic byte-for-byte given the same inputs and seed; the
-manifest carries the only timestamp and, for `simulate`, the run's timings.  `rerun` replays a manifest's argv to
-reproduce its outputs.
+manifest carries the only timestamp and the run's timings.  `rerun` replays a
+manifest's argv to reproduce its outputs.
 
 Exit status: 0 = success and all checks pass, 1 = a simulation check failed,
 2 = usage or input error.
@@ -121,9 +121,20 @@ def _add_population_options(
 
 
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=_finite_float, default=1.0, help="family parameter a")
-    parser.add_argument("--b", type=_finite_float, default=0.0, help="family parameter b")
-    parser.add_argument("--g", type=_finite_float, default=1.0, help="family exponent g")
+    # An option not given is None, so a run can refuse one given to no estimator;
+    # `_family_params` fills in FamilyParams' defaults.
+    parser.add_argument("--a", type=_finite_float, help="family parameter a (default: 1)")
+    parser.add_argument("--b", type=_finite_float, help="family parameter b (default: 0)")
+    parser.add_argument("--g", type=_finite_float, help="family exponent g (default: 1)")
+
+
+def _family_params(args: argparse.Namespace) -> FamilyParams:
+    """The family at alpha = 0 with --a, --b and --g, and FamilyParams' defaults
+    for those not given; `args` takes the values, so the manifest records them."""
+    names = [name for name in ("a", "b", "g") if getattr(args, name) is not None]
+    params = FamilyParams(0.0, **{name: getattr(args, name) for name in names})
+    args.a, args.b, args.g = params.a, params.b, params.g
+    return params
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -446,9 +457,12 @@ def _render(fmt: str, payload: dict, csv: Table, text: list) -> str:
 
 
 def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
+    clock = _Stopwatch()
     pop, sha = _ingest(args)
+    clock.lap("ingest_s")
     design = SystematicDesign(pop.N, args.n)
     moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
+    clock.lap("moments_s")
 
     payload = {
         "N": pop.N,
@@ -472,20 +486,23 @@ def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
         Table({"parameter": list(payload), "value": list(payload.values())}),
         [f"{key:<{width}}  {value}" for key, value in payload.items()],
     )
+    clock.lap("render_s")
 
-    _emit(args, report, _manifest(args, argv, sha))
+    _emit(args, report, {**_manifest(args, argv, sha), "timings": clock.laps})
     return 0
 
 
 def _moments_from_args(
-    args: argparse.Namespace,
+    args: argparse.Namespace, clock: _Stopwatch
 ) -> tuple[PopulationMoments, SystematicDesign, str | None]:
-    """Resolve (moments, design, input sha) from a file or explicit scalars."""
+    """Resolve (moments, design, input sha) from a file, whose reading `clock`
+    times as "ingest_s", or from explicit scalars."""
     explicit = [args.pop_size, args.mean_y, args.mean_x, args.s2_y, args.s2_x, args.rho]
     if args.input is not None:
         if any(v is not None for v in explicit):
             raise ConfigurationError("give an input file or explicit moments, not both")
         pop, sha = _ingest(args)
+        clock.lap("ingest_s")
         design = SystematicDesign(pop.N, args.n)
         moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor, 0.75)
         return moments, design, sha
@@ -529,13 +546,16 @@ def _axis_cell(values: list[float]) -> str:
 
 
 def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
-    moments, design, sha = _moments_from_args(args)
+    clock = _Stopwatch()
+    moments, design, sha = _moments_from_args(args, clock)
+    clock.lap("moments_s")
     N, n = design.N, design.n
-    params = FamilyParams(alpha=0.0, g=args.g, a=args.a, b=args.b)
+    params = _family_params(args)
     constants = derived_constants(moments, n, N, params)
-    alpha_opt = optimum_alpha(constants, args.g)
+    alpha_opt = optimum_alpha(constants, params.g)
 
     var, mse_min, pre = pre_grid(moments, n, N, args.w2_grid, args.ell_grid, constants)
+    clock.lap("theory_s")
     rows = Table(
         {"var_hh_mean": var, "mse_family_min": mse_min, "pre": pre},
         axes={"w2": args.w2_grid, "ell": args.ell_grid},
@@ -564,9 +584,11 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
             (columns, rows),
         ],
     )
+    clock.lap("render_s")
 
     record = dict(dataclasses.asdict(moments), cv_y=moments.cv_y, cv_x=moments.cv_x)
-    _emit(args, report, _manifest(args, argv, sha, N=N, moments=record))
+    manifest = _manifest(args, argv, sha, N=N, moments=record)
+    _emit(args, report, {**manifest, "timings": clock.laps})
     return 0
 
 
@@ -574,33 +596,36 @@ def _estimators(
     args: argparse.Namespace, moments: PopulationMoments, design: SystematicDesign, w2: float
 ) -> list[tuple[EstimatorSpec, str, float]]:
     """Each listed kind's spec, labelled by it, with its first-order target's name and
-    value.  The family takes --alpha, or the optimum alpha when --alpha is not given."""
+    value.  The family takes --alpha, or the optimum alpha when --alpha is not given,
+    and --a, --b and --g, which no other kind takes."""
     n, N, ell = design.n, design.N, args.ell
     kinds = list(filter(None, map(str.strip, args.estimators.split(","))))
-    if args.alpha is not None and "family" not in kinds:
-        raise ConfigurationError(
-            "--alpha applies only to the family estimator, which --estimators does not list"
-        )
+    given = [f"--{name}" for name in ("alpha", "a", "b", "g") if getattr(args, name) is not None]
+    family = _family_params(args)
     estimators = []
     for kind in kinds:
         if kind == "hh":
             spec = EstimatorSpec(kind, kind)
             target = "var(hh mean)", var_mean_y(moments, n, N, w2, ell)
         elif kind == "family" and args.alpha is None:
-            probe = FamilyParams(0.0, args.g, args.a, args.b)
-            constants = derived_constants(moments, n, N, probe)
-            optimum = dataclasses.replace(probe, alpha=optimum_alpha(constants, args.g))
+            constants = derived_constants(moments, n, N, family)
+            optimum = dataclasses.replace(family, alpha=optimum_alpha(constants, family.g))
             spec = EstimatorSpec(kind, kind, optimum)
             target = "min MSE(family)", family_mse_min(moments, n, w2, ell, constants)
         else:
             # ratio and product fill in their presets, whose (a, b) = (1, 0) make lambda 1
             # whatever --a and --b say; EstimatorSpec refuses any kind but the four.
-            params = FamilyParams(args.alpha, args.g, args.a, args.b) if kind == "family" else None
+            params = dataclasses.replace(family, alpha=args.alpha) if kind == "family" else None
             spec = EstimatorSpec(kind, kind, params)
             constants = derived_constants(moments, n, N, spec.params)
             mse = family_mse(spec.params, moments, n, w2, ell, constants)
             target = f"first-order MSE({kind})", mse
         estimators.append((spec, *target))
+    if given and "family" not in kinds:
+        raise ConfigurationError(
+            f"{', '.join(given)} appl{'ies' if len(given) == 1 else 'y'} only to the family "
+            "estimator, which --estimators does not list"
+        )
     if not estimators:
         raise ConfigurationError("no estimators requested")
     return estimators

@@ -32,11 +32,10 @@ column 0, the Bernoulli mask by comparing the words with the least one that
 gives a double of at least w2, and the follow-up sub-sample by Floyd's rule,
 one step at a time across all rows on the 32-bit half-word columns.  So the
 draws are those of `draw_sample`, `Generator.random(n) < w2` and
-`Generator.choice`.  `_RawDraws` holds the same rules one draw at a time; it
-draws again any row in which Lemire's rule rejects a half-word, taking the
-next ones and more words as it needs them.  A follow-up of _CHOICE_MIN draws
-or more is cheaper drawn by `Generator.choice` in C, so such a call makes
-each replicate's draws with a Generator on its stream (`_GeneratorDraws`).
+`Generator.choice`.  A row in which Lemire's rule rejects a half-word (a
+chance below span/2**32 a draw) is drawn again by a Generator on its stream,
+and so is every row of a call whose follow-up takes _CHOICE_MIN draws or
+more, which `Generator.choice` draws faster in C.
 
 Both stratum modes then form ybar* from one per-sample step, `_Samples.of`:
 from samples' y values and non-respondent masks it gives the respondent
@@ -213,13 +212,15 @@ _MASK32 = 0xFFFFFFFF
 
 def _hashmix(values: np.ndarray, hash_const: int, mult: int) -> np.ndarray:
     """SeedSequence's hashmix of each column t of `values` with the t-th hash
-    constant from `hash_const`: uint32 arithmetic held in uint64."""
+    constant from `hash_const`, in place: uint32 arithmetic held in uint64."""
     consts = [hash_const]
     for _ in range(values.shape[1]):
         consts.append(consts[-1] * mult & _MASK32)
-    values = (values ^ np.array(consts[:-1], np.uint64)) * np.array(consts[1:], np.uint64)
+    values ^= np.array(consts[:-1], np.uint64)
+    values *= np.array(consts[1:], np.uint64)
     values &= _MASK32
-    return values ^ values >> 16
+    values ^= values >> 16
+    return values
 
 
 def _stream_words(master_seed: int, first: int, stop: int) -> np.ndarray:
@@ -235,11 +236,17 @@ def _stream_words(master_seed: int, first: int, stop: int) -> np.ndarray:
     pool = np.random.SeedSequence(master_seed).pool.astype(np.uint64)
     words = max(1, -(-int(master_seed).bit_length() // 32))
     spawn_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    # Each step hashes in place, so a block holds few arrays at once.
     keys = np.arange(first + 1, stop + 1, dtype=np.uint64)[:, None].repeat(4, axis=1)
-    mixed = (pool * _MIX_MULT_L - _hashmix(keys, spawn_const, _MULT_A) * _MIX_MULT_R) & _MASK32
-    state = _hashmix((mixed ^ mixed >> 16)[:, [0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B)
+    mixed = _hashmix(keys, spawn_const, _MULT_A)
+    mixed *= np.uint64(_MIX_MULT_R)
+    np.subtract(pool * _MIX_MULT_L, mixed, out=mixed)
+    mixed &= _MASK32
+    mixed ^= mixed >> 16
+    state = _hashmix(mixed[:, [0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B)
     # PCG64 reads a row as 4 consecutive words.
-    return np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
+    state[:, 1::2] <<= 32
+    return np.bitwise_or(state[:, 0::2], state[:, 1::2], out=mixed)
 
 
 class _StreamSeed(np.random.bit_generator.ISeedSequence):
@@ -260,7 +267,7 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
 # (BENCH_16.json, "draw_paths": the crossover is near 100 draws in both modes).
 _CHOICE_MIN = 100
 # `Generator.choice` shuffles a tail instead of taking Floyd's rule when it
-# draws more than a 50th of more than this many places; `_RawDraws` does not.
+# draws more than a 50th of more than this many places; `_floyd` does not.
 _FLOYD_MAX_POPULATION = 10_000
 # A block of replicates holds at most _BLOCK_ROWS rows and _BLOCK_CELLS sample
 # cells (rows × n in Bernoulli mode, rows × the most non-respondents of a start
@@ -271,102 +278,15 @@ _BLOCK_ROWS = 128
 _BLOCK_CELLS = 16384
 
 
-class _RawDraws:
-    """The draws a Generator makes on a PCG64 stream, read off its raw words.
-
-    `bounded`, `below` and `sample` give what `Generator.integers(0, r + 1)`,
-    `Generator.random(n) < p` and `Generator.choice(n2, h2, replace=False)`,
-    as a mask, give when made in the same order on the same stream.  A bounded
-    draw takes Lemire's rule (arXiv:1805.10941) on a 32-bit half-word, a word's
-    low half first and its high half at the next bounded draw, even after
-    `below`; a double is a whole word's top 53 bits.  `count` words are drawn
-    up front, and more when they run out, as when Lemire's rule rejects a value.
-    """
-
-    __slots__ = ("bitgen", "words", "pos", "high")
-
-    def __init__(self, bitgen: np.random.PCG64, count: int) -> None:
-        self.bitgen, self.pos, self.high = bitgen, 0, None
-        self.words = bitgen.random_raw(count)
-
-    def _take(self, count: int) -> int:
-        """Move past the next `count` words and return the index of the first."""
-        short = self.pos + count - len(self.words)
-        if short > 0:
-            self.words = np.concatenate((self.words, self.bitgen.random_raw(short)))
-        self.pos += count
-        return self.pos - count
-
-    def _half(self) -> int:
-        high = self.high
-        if high is not None:
-            self.high = None
-            return high
-        pos = self._take(1)
-        word = self.words.item(pos)
-        self.high = word >> 32
-        return word & _MASK32
-
-    def bounded(self, r: int) -> int:
-        """A uniform integer in 0..r, r < 2**32; r = 0 takes no half-word."""
-        if r == 0:
-            return 0
-        span = r + 1
-        m = self._half() * span
-        if m & _MASK32 < span:
-            threshold = (1 << 32) % span
-            while m & _MASK32 < threshold:
-                m = self._half() * span
-        return m >> 32
-
-    def below(self, n: int, p: float) -> np.ndarray:
-        """Whether each of n uniform doubles in [0, 1) is below p, 0 <= p < 1.
-
-        A word w gives the double (w >> 11) * 2**-53, which is below p exactly
-        when w >> 11 < ceil(p * 2**53), that is when w < ceil(p * 2**53) << 11."""
-        pos = self._take(n)
-        return self.words[pos : self.pos] < math.ceil(p * 2**53) << 11
-
-    def sample(self, n2: int, h2: int) -> np.ndarray:
-        """A mask of h2 of n2 places drawn without replacement, 0 < h2 < n2,
-        where `choice` takes the same rule: n2 <= _FLOYD_MAX_POPULATION or h2 <= n2 // 50.
-
-        Floyd's rule (Bentley & Floyd 1987): draw t in 0..j, take j if t is taken."""
-        taken = bytearray(n2)
-        for j in range(n2 - h2, n2):
-            t = self.bounded(j)
-            taken[j if taken[t] else t] = 1
-        return np.frombuffer(taken, dtype=np.bool_)
-
-
-class _GeneratorDraws:
-    """`_RawDraws`'s three draws made by a Generator on the stream; `sample`
-    gives the places drawn, in `choice`'s order, instead of a mask."""
-
-    __slots__ = ("rng",)
-
-    def __init__(self, bitgen: np.random.PCG64) -> None:
-        self.rng = np.random.Generator(bitgen)
-
-    def bounded(self, r: int) -> int:
-        return int(self.rng.integers(0, r + 1))
-
-    def below(self, n: int, p: float) -> np.ndarray:
-        return self.rng.random(n) < p
-
-    def sample(self, n2: int, h2: int) -> np.ndarray:
-        return self.rng.choice(n2, h2, replace=False)
-
-
 def design_rng(master_seed: int) -> np.random.Generator:
     """Stream for design-level draws (e.g. stratum selection), key (0,)."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
 
 
 def _lemire(halves: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
-    """`_RawDraws.bounded(span - 1)` on each uint64-held 32-bit half-word: the
-    high word of half·span, and whether Lemire's rule rejects it (its low word
-    is below 2**32 mod span), when the draw would take the next half-word."""
+    """`Generator.integers(0, span)` by Lemire's rule (arXiv:1805.10941) on each
+    uint64-held 32-bit half-word: the high word of half·span, and whether the rule
+    rejects it (its low word is below 2**32 mod span) and takes the next half-word."""
     product = halves * span
     return (product >> 32).astype(np.intp), product & _MASK32 < (1 << 32) % span
 
@@ -374,12 +294,13 @@ def _lemire(halves: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
 def _floyd(
     halves: np.ndarray, n2: np.ndarray, steps: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_RawDraws.sample(n2, h2)` for every row at once, h2 = `steps` < n2 <=
-    width, or no draw where `steps` is 0: Floyd's step s draws t in 0..j,
-    j = n2 - h2 + s, from half-word column s and takes j if t is taken.  The
-    draws are array operations; only the takes go one step at a time across
-    all rows.  Gives the (rows, width) mask of the places taken, and whether
-    a row had a draw rejected; that row's later steps read the wrong
+    """`Generator.choice(n2, h2, replace=False)`'s places for every row at once,
+    h2 = `steps` < n2 <= width (no draw where `steps` is 0), by Floyd's rule
+    (Bentley & Floyd 1987), which `choice` takes where n2 <= _FLOYD_MAX_POPULATION
+    or h2 <= n2 // 50: step s draws t in 0..j, j = n2 - h2 + s, from half-word
+    column s and takes j if t is taken.  Only the takes go one step at a time
+    across all rows.  Gives the (rows, width) mask of the places taken, and
+    whether a row had a draw rejected, after which its steps read the wrong
     half-words."""
     columns = np.arange(halves.shape[1])
     live = columns < steps[:, None]
@@ -443,11 +364,9 @@ class _Kernel:
     among its non-respondents in unit order, as a `choice` over the sorted
     non-respondent units picks them; `block` then forms the block's ybar* in
     array operations.  Below _CHOICE_MIN follow-up draws, `_raw_draws` reads
-    the draws off a (rows, count) array of raw words by `_RawDraws`'s rules,
-    column by column; a row in which Lemire's rule rejects a half-word is
-    drawn again by `_RawDraws` itself, which takes the next half-words and
-    more words as it needs them.  From _CHOICE_MIN on, `_row_draws` makes
-    each replicate's draws with a Generator.
+    the draws off a (rows, count) array of raw words by the Generator's rules;
+    `_draw_row` draws a row with a Generator on its stream, every row from
+    _CHOICE_MIN on and below it a row with a rejected half-word.
     """
 
     def __init__(self, pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig):
@@ -479,7 +398,7 @@ class _Kernel:
         self.rows = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // self.width))
         # Words for the start (a half-word), the Bernoulli mask (a word per unit)
         # and the follow-up (a half-word per draw, the first of them the start
-        # word's high half); a rejected bounded draw takes more.
+        # word's high half); a row with a rejected draw is drawn again.
         self.start_draw = k > 1 and not cfg.exhaustive_start
         self.follow_up_at = self.start_draw + (0 if self.fixed else n)
         self.count = self.follow_up_at + (max(h2_max - self.start_draw, 0) + 1) // 2
@@ -487,7 +406,17 @@ class _Kernel:
     def block(self, seeds: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
         """ybar* and the 0-based start index of replicates first, first + 1, ...
         whose streams have the seed words `seeds`."""
-        starts, miss, taken = (self._raw_draws if self.raw else self._row_draws)(seeds, first)
+        rows = len(seeds)
+        if self.raw:
+            bitgens = (np.random.PCG64(_StreamSeed(seed)) for seed in seeds)
+            words = np.array([bitgen.random_raw(self.count) for bitgen in bitgens])
+            starts, miss, taken, redo = self._raw_draws(words, first)
+        else:
+            starts, redo = np.empty(rows, dtype=np.intp), np.ones(rows, dtype=bool)
+            miss = None if self.fixed else np.empty((rows, self.n), dtype=bool)
+            taken = np.empty((rows, self.width), dtype=bool)
+        for row in np.flatnonzero(redo):
+            self._draw_row(seeds[row], first + row, row, starts, miss, taken)
         if self.fixed:
             parts = self.table.take(starts)
         else:
@@ -498,11 +427,11 @@ class _Kernel:
         t2 = sequential_totals(parts.nr_y, followed)
         return _hh_means(self.n, parts.n1, parts.t1, parts.n2, parts.h2, t2), starts
 
-    def _raw_draws(self, seeds: np.ndarray, first: int):
-        words = np.array(
-            [np.random.PCG64(_StreamSeed(seed)).random_raw(self.count) for seed in seeds]
-        )
-        rows = len(seeds)
+    def _raw_draws(self, words: np.ndarray, first: int):
+        """The starts, masks and follow-up places read off each row of raw words
+        (replicates first, first + 1, ...), and whether a row read a half-word
+        that Lemire's rule rejects, whose draws are then not its stream's."""
+        rows = len(words)
         if self.start_draw:
             starts, redo = _lemire(words[:, 0] & _MASK32, np.uint64(self.k))
         else:
@@ -516,16 +445,12 @@ class _Kernel:
             halves = self._follow_up_halves(words, int(steps.max()))
             taken, rejected = _floyd(halves, n2, steps, self.width)
             redo |= rejected
-        for row in np.flatnonzero(redo):
-            draws = _RawDraws(np.random.PCG64(_StreamSeed(seeds[row])), self.count)
-            taken[row] = False
-            self._draw_row(draws, first + row, row, starts, miss, taken)
-        return starts, miss, taken
+        return starts, miss, taken, redo
 
     def _follow_up_halves(self, words: np.ndarray, draws: int) -> np.ndarray:
-        """Each row's first `draws` follow-up half-words in `_RawDraws`'s order:
-        the start word's high half, if the start took its low half, then each
-        next word's low and high halves."""
+        """Each row's first `draws` follow-up half-words in the Generator's
+        order: the start word's high half, if the start took its low half, then
+        each next word's low and high halves."""
         tail = words[:, self.follow_up_at : self.follow_up_at + (draws - self.start_draw + 1) // 2]
         halves = np.empty((len(words), 2 * tail.shape[1]), dtype=np.uint64)
         halves[:, 0::2] = tail & _MASK32
@@ -534,29 +459,21 @@ class _Kernel:
             halves = np.concatenate((words[:, :1] >> 32, halves), axis=1)
         return halves[:, :draws]
 
-    def _row_draws(self, seeds: np.ndarray, first: int):
-        rows = len(seeds)
-        starts = np.empty(rows, dtype=np.intp)
-        miss = None if self.fixed else np.empty((rows, self.n), dtype=bool)
-        taken = np.zeros((rows, self.width), dtype=bool)
-        for row, seed in enumerate(seeds):
-            draws = _GeneratorDraws(np.random.PCG64(_StreamSeed(seed)))
-            self._draw_row(draws, first + row, row, starts, miss, taken)
-        return starts, miss, taken
-
-    def _draw_row(self, draws, rep: int, row: int, starts, miss, taken) -> None:
-        """Replicate rep's draws one at a time, into row `row` of the block's
-        arrays, whose `taken` row is clear."""
-        i = draws.bounded(self.k - 1) if self.start_draw else rep % self.k
+    def _draw_row(self, seed: np.ndarray, rep: int, row: int, starts, miss, taken) -> None:
+        """Replicate rep's draws by a Generator on its stream, whose seed words
+        are `seed`, into row `row` of the block's arrays."""
+        rng = np.random.Generator(np.random.PCG64(_StreamSeed(seed)))
+        i = int(rng.integers(0, self.k)) if self.start_draw else rep % self.k
         starts[row] = i
         if self.fixed:
             n2 = int(self.table.n2[i])
         else:
-            miss[row] = draws.below(self.n, self.w2)
+            miss[row] = rng.random(self.n) < self.w2
             n2 = np.count_nonzero(miss[row])
         h2 = int(self.h2_of[n2])
+        taken[row] = False
         if h2 < n2:
-            taken[row, :n2][draws.sample(n2, h2)] = True
+            taken[row, rng.choice(n2, h2, replace=False)] = True
 
 
 def run_simulation(

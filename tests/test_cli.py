@@ -268,6 +268,34 @@ class TestSimulate:
         assert captured.out == ""
         assert "--alpha applies only to the family estimator" in captured.err
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--a", "2"], "--a applies"),
+            (["--b", "5"], "--b applies"),
+            (["--g", "0.5"], "--g applies"),
+            (["--g", "0.5", "--alpha", "0.2", "--a", "3"], "--alpha, --a, --g apply"),
+        ],
+    )
+    def test_family_options_without_family_are_usage_errors(
+        self, pop_csv, capsys, options, message
+    ):
+        code = main(["simulate", str(pop_csv), "--n", "12", "--replicates", "10",
+                     "--estimators", "hh,ratio,product", *options, "--manifest", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{message} only to the family estimator" in captured.err
+
+    def test_family_options_given_to_the_family_are_recorded(self, pop_csv, tmp_path):
+        manifest_path = tmp_path / "sim.json"
+        code = main(["simulate", str(pop_csv), "--n", "12", "--replicates", "10",
+                     "--estimators", "hh,family", "--b", "5", "--g", "0.5",
+                     "--manifest", str(manifest_path)])
+        parameters = json.loads(manifest_path.read_text())["parameters"]
+        assert code in (0, 1)
+        assert (parameters["a"], parameters["b"], parameters["g"]) == (1.0, 5.0, 0.5)
+
     def test_mistyped_estimator_is_named(self, pop_csv, capsys):
         # "familyx" contains "family", but it is no estimator kind: no alpha is resolved.
         code = main(["simulate", str(pop_csv), "--n", "12", "--replicates", "10",
@@ -412,6 +440,8 @@ class TestManifestAndRerun:
         assert parameters["expect_sha256"] is None
         assert parameters["n"] == 12
         assert parameters["alpha"] is None
+        # Family options not given are recorded at their defaults.
+        assert (parameters["a"], parameters["b"], parameters["g"]) == (1.0, 0.0, 1.0)
 
         table_manifest = tmp_path / "table.json"
         main(["theory-table", str(pop_csv), "--n", "12", "--sort-by", "x",
@@ -419,6 +449,7 @@ class TestManifestAndRerun:
         parameters = json.loads(table_manifest.read_text())["parameters"]
         assert parameters["sort_by"] == "x"
         assert parameters["s2y2_factor"] == 0.5
+        assert (parameters["a"], parameters["b"], parameters["g"]) == (1.0, 0.0, 1.0)
         assert parameters["N"] == 240
         assert parameters["moments"]["s2_y2"] == 0.5 * parameters["moments"]["s2_y"]
 
@@ -432,16 +463,35 @@ class TestManifestAndRerun:
         assert moments["cv_y"] == math.sqrt(moments["s2_y"]) / abs(moments["mean_y"])
         assert moments["cv_x"] == math.sqrt(moments["s2_x"]) / abs(moments["mean_x"])
 
-    def test_simulate_manifest_records_timings_and_throughput(self, pop_csv, tmp_path):
-        manifest_path = tmp_path / "sim.json"
-        main(["simulate", str(pop_csv), "--n", "12", "--replicates", "50",
-              "--manifest", str(manifest_path)])
+    @pytest.mark.parametrize(
+        "argv, laps",
+        [
+            (["params", "{pop}", "--n", "12"], ["ingest_s", "moments_s", "render_s"]),
+            (["theory-table", "{pop}", "--n", "12"],
+             ["ingest_s", "moments_s", "render_s", "theory_s"]),
+            (["theory-table", *FOREST_MOMENTS], ["moments_s", "render_s", "theory_s"]),
+            (["simulate", "{pop}", "--n", "12", "--replicates", "50"],
+             ["compare_s", "ingest_s", "moments_s", "render_s", "simulate_s"]),
+        ],
+        ids=["params", "theory-table-file", "theory-table-moments", "simulate"],
+    )
+    def test_manifest_records_timings(self, pop_csv, tmp_path, capsys, argv, laps):
+        manifest_path = tmp_path / "run.json"
+        argv = [str(pop_csv) if token == "{pop}" else token for token in argv]
+        assert main([*argv, "--manifest", str(manifest_path)]) in (0, 1)
         manifest = json.loads(manifest_path.read_text())
         timings = manifest["timings"]
-        assert sorted(timings) == ["compare_s", "ingest_s", "moments_s", "render_s", "simulate_s"]
-        for value in [*timings.values(), manifest["replicates_per_s"]]:
+        assert sorted(timings) == laps
+        for value in timings.values():
             assert isinstance(value, float) and math.isfinite(value) and value >= 0
-        assert manifest["replicates_per_s"] > 0
+        if argv[0] == "simulate":
+            assert math.isfinite(manifest["replicates_per_s"]) and manifest["replicates_per_s"] > 0
+        else:
+            assert "replicates_per_s" not in manifest
+        # The report carries no timing: it is the same bytes without the manifest.
+        report = capsys.readouterr().out
+        main(argv)
+        assert capsys.readouterr().out == report
 
     def test_manifest_to_stdout(self, pop_csv, capsys):
         code = main(["params", str(pop_csv), "--n", "12", "--format", "json",
@@ -511,8 +561,9 @@ class TestUsageErrors:
         assert getattr(build_parser().parse_args(argv), dest) == value
 
     def test_negative_exponent_option_runs(self, pop_csv, capsys):
-        argv = ["simulate", str(pop_csv), "--n", "12", "--estimators", "ratio", "--a", "1",
-                "--b", "-1e300", "--replicates", "10", "--format", "json"]
+        argv = ["simulate", str(pop_csv), "--n", "12", "--estimators", "ratio,family",
+                "--alpha", "0", "--a", "1", "--b", "-1e300", "--replicates", "10",
+                "--format", "json"]
         assert main(argv) in (0, 1)
         assert json.loads(capsys.readouterr().out)["results"][0]["label"] == "ratio"
 

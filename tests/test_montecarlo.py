@@ -42,7 +42,9 @@ from sysmean.montecarlo import (
     SEED_BLOCK,
     EstimatorResult,
     SimulationReport,
-    _RawDraws,
+    _floyd,
+    _Kernel,
+    _lemire,
     _replicate_means,
     _report,
     _stream_words,
@@ -400,8 +402,9 @@ class TestMemory:
 
     @pytest.mark.parametrize("bernoulli, kib", [(False, 339), (True, 336)])
     def test_replicate_blocks_peak_no_higher_than_one_replicate_at_a_time(self, bernoulli, kib):
-        # The kib are the peaks of the loop that drew one replicate at a time;
-        # seeding a block of SEED_BLOCK streams takes most of either.
+        # The kib are the peaks of the loop that drew one replicate at a time.
+        # The blocks, their seeding hashed in place, peak at 182 KiB fixed and
+        # 177 KiB Bernoulli (numpy 2.4.6).
         pop = synthetic_linear_population(240, seed=3)
         if bernoulli:
             nr = NonResponseModel(w2=0.25, ell=2.0, mode=StratumMode.BERNOULLI_PER_REPLICATE)
@@ -416,6 +419,18 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= kib * 1024
+
+    def test_seeding_a_block_hashes_in_place(self):
+        # 1,000 rows of seed words take 31 KiB; hashed in place, they need at
+        # most a (rows, 8) copy of them and its shift besides (158 KiB measured).
+        _stream_words(7, 0, 1000)
+        tracemalloc.start()
+        try:
+            _stream_words(7, 0, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * 1024
 
 
 # Each estimator kind by its own public definition, not by the family preset.
@@ -616,77 +631,104 @@ class TestBlockSeeding:
             hh_only(MAX_REPLICATES + 1, seed=1)
 
 
-def raw_and_reference(master_seed, rep, count=1):
-    """`_RawDraws` and a Generator on replicate rep's stream."""
-    words = _stream_words(master_seed, rep, rep + 1)[0]
-    draws = _RawDraws(np.random.PCG64(_StreamSeed(words)), count)
-    return draws, np.random.Generator(np.random.PCG64(_StreamSeed(words)))
-
-
-# Lemire's rule rejects a leftover below 2**32 mod (r + 1), a quarter of all
-# half-words at r = 3 * 2**30 - 1.
+# Lemire's rule rejects a leftover below 2**32 mod span, a quarter of all
+# half-words at span REJECTING + 1.
 REJECTING = 3 * 2**30 - 1
 
 MASK32 = np.uint64(2**32 - 1)
-PCG64 = np.random.PCG64
 
 
-class RawGenerator:
-    """The Generator calls of the per-unit path, `integers`, `random` and
-    `choice`, made by `_RawDraws`'s rules on a bit generator's raw words."""
-
-    def __init__(self, bitgen):
-        self.draws = _RawDraws(bitgen, 0)
-
-    def integers(self, low, high):
-        return low + self.draws.bounded(high - 1 - low)
-
-    def random(self, n):
-        first = self.draws._take(n)
-        return (self.draws.words[first : first + n] >> 11) * 2.0**-53
-
-    def choice(self, population, size, replace):
-        return np.asarray(population)[self.draws.sample(len(population), size)]
+def stream_words(master_seed, rep, count):
+    """A Generator on replicate rep's stream and `count` raw words of that stream."""
+    seed = _stream_words(master_seed, rep, rep + 1)[0]
+    rng = np.random.Generator(np.random.PCG64(_StreamSeed(seed)))
+    return rng, np.random.PCG64(_StreamSeed(seed)).random_raw(count)
 
 
-class CraftedStream:
-    """A PCG64 stand-in: on every other stream, its raw words with the start
-    word's low half zeroed if `zero_start`, and its high half and the
-    `zero_words` words from `follow_up_at` on zeroed.  A zero half-word is in
-    Lemire's rejection zone of every range but a power of two, so a draw on
-    zeroed words takes half-word after half-word."""
+def half_words(words):
+    """Each word's low half, then its high half: the order a Generator takes them in."""
+    return np.stack((words & MASK32, words >> np.uint64(32)), axis=-1).reshape(-1)
 
-    def __init__(self, seed, zero_start, follow_up_at, zero_words):
-        self.words, self.pos = PCG64(seed).random_raw(256), 0
-        if self.words[0] % 2:
-            if zero_start:
-                self.words[0] &= ~MASK32
-            if zero_words:
-                self.words[0] &= MASK32
-                self.words[follow_up_at : follow_up_at + zero_words] = 0
 
-    def random_raw(self, count):
-        self.pos += count
-        return self.words[self.pos - count : self.pos].copy()
+def lemire_draws(halves, spans):
+    """Successive bounded draws over `spans` on a run of half-words, each at the
+    next half-word that `_lemire` does not flag at its span."""
+    draws, place = [], 0
+    for span in spans:
+        values, rejected = _lemire(halves[place:], np.uint64(span))
+        accepted = np.flatnonzero(~rejected)[0]
+        draws.append(int(values[accepted]))
+        place += accepted + 1
+    return draws
+
+
+def kernel_for(n, k, w2=0.25, bernoulli=False):
+    pop, design, cfg = simulation_case(
+        pop_seed=1, n=n, k=k, w2=w2, ell=2.0, bernoulli=bernoulli, exhaustive=False,
+        replicates=2, seed=1,
+    )
+    return _Kernel(pop, design, cfg)
+
+
+def reads_a_rejected_half_word(kernel, rep, words):
+    """Whether a Generator rejects a half-word of replicate rep's raw `words` at
+    a draw the kernel makes from them: the start or a follow-up step."""
+
+    def rejected(half, span):
+        return half * span % 2**32 < 2**32 % span
+
+    words = [int(word) for word in words]
+    halves = [word >> shift & 0xFFFFFFFF for word in words[kernel.follow_up_at :] for shift in (0, 32)]
+    start = rep % kernel.k
+    if kernel.start_draw:
+        if rejected(words[0] & 0xFFFFFFFF, kernel.k):
+            return True
+        start = (words[0] & 0xFFFFFFFF) * kernel.k >> 32
+        halves.insert(0, words[0] >> 32)
+    if kernel.fixed:
+        n2 = int(kernel.table.n2[start])
+    else:
+        n2 = sum(word < kernel.below for word in words[kernel.start_draw : kernel.follow_up_at])
+    h2 = int(kernel.h2_of[n2])
+    return h2 < n2 and any(rejected(halves[s], n2 - h2 + s + 1) for s in range(h2))
+
+
+# The cases of the block draws on zeroed half-words: n, k, w2, L, --exhaustive,
+# whether the start half-word is zeroed and how many follow-up words are.
+CRAFTED = [
+    (6, 5, 0.5, 2.0, False, True, 0),  # start half-words in the rejection zone
+    (8, 5, 0.5, 1.5, False, False, 1),  # follow-up half-words there
+    (8, 5, 0.5, 1.5, False, False, 8),  # every follow-up word there
+    (8, 5, 0.5, 1.5, True, True, 8),  # --exhaustive
+    (8, 1, 0.5, 1.5, False, True, 8),  # k = 1
+    (8, 5, 0.0, 1.5, False, True, 8),  # w2 = 0
+    (8, 5, 0.5, 1.0, False, True, 8),  # L = 1
+]
 
 
 class TestRawDraws:
-    """Each draw rule read off the raw words against numpy's Generator on the same stream."""
+    """Each rule the block kernel reads off raw words against numpy's Generator on the same stream."""
 
     @pytest.mark.parametrize("rep", range(3))
     @pytest.mark.parametrize("r", [1, 19, REJECTING, 2**31, 2**32 - 1])
     def test_bounded_draws_are_integers(self, rep, r):
-        draws, rng = raw_and_reference(7, rep, count=rep % 3)
-        # Odd counts leave a high half pending between the calls.
-        for size in (1, 3, 2, 5):
-            assert [draws.bounded(r) for _ in range(size)] == rng.integers(
-                0, r + 1, size=size
-            ).tolist()
+        # At one span, the draws are `_lemire`'s values where it flags no rejection.
+        rng, words = stream_words(7, rep, 16)
+        values, rejected = _lemire(half_words(words), np.uint64(r + 1))
+        accepted = values[~rejected].tolist()
+        assert accepted == rng.integers(0, r + 1, size=len(accepted)).tolist()
+        assert len(accepted) >= 8
 
     def test_bounded_draw_of_zero_takes_no_half_word(self):
-        draws, rng = raw_and_reference(7, 0)
-        assert draws.bounded(0) == 0 and rng.integers(0, 1) == 0
-        assert draws.bounded(REJECTING) == rng.integers(0, REJECTING + 1)
+        # With k = 1 the kernel draws no start, and its follow-up begins at the
+        # first word's low half, where a Generator goes on after integers(0, 1).
+        kernel = kernel_for(n=12, k=1)
+        rng, words = stream_words(7, 0, 8)
+        assert not kernel.start_draw and rng.integers(0, 1) == 0
+        halves = kernel._follow_up_halves(words[None, :], 16)[0]
+        assert lemire_draws(halves, [REJECTING + 1] * 6) == rng.integers(
+            0, REJECTING + 1, size=6
+        ).tolist()
 
     @pytest.mark.parametrize("rep", range(4))
     @pytest.mark.parametrize("pending", [False, True])
@@ -696,37 +738,37 @@ class TestRawDraws:
          range(REJECTING, REJECTING + 40), range(2**31 + 40, 2**31, -1)],
     )
     def test_bounded_draws_over_changing_ranges_are_integers(self, rep, pending, rs):
-        draws, rng = raw_and_reference(11, rep)
-        if pending:
-            assert draws.bounded(5) == rng.integers(0, 6)
-        assert [draws.bounded(r) for r in rs] == [int(rng.integers(0, r + 1)) for r in rs]
-        assert draws.bounded(REJECTING) == rng.integers(0, REJECTING + 1)
+        # A pending draw leaves the first word's high half for the next one.
+        rng, words = stream_words(11, rep, 64)
+        spans = [6] * pending + [r + 1 for r in rs] + [REJECTING + 1]
+        assert lemire_draws(half_words(words), spans) == [int(rng.integers(0, s)) for s in spans]
 
     @pytest.mark.parametrize("rep", range(4))
     @pytest.mark.parametrize("p", [0.0, 2**-60, 0.25, 0.5, 1 - 2**-53, "least", "above least"])
     def test_below_is_random_below_p(self, rep, p):
-        draws, rng = raw_and_reference(3, rep)
         if p in ("least", "above least"):
             # The least of the 12 doubles, which is not below itself, or the
             # next double after it, which only it is below.
-            least = raw_and_reference(3, rep)[1].random(13)[1:].min()
+            least = stream_words(3, rep, 0)[0].random(13)[1:].min()
             p = least if p == "least" else np.nextafter(least, 1.0)
-        assert draws.bounded(9) == rng.integers(0, 10)
-        assert draws.below(12, p).tolist() == (rng.random(12) < p).tolist()
-        assert draws.bounded(REJECTING) == rng.integers(0, REJECTING + 1)
-        assert draws.below(5, p).tolist() == (rng.random(5) < p).tolist()
+        kernel = kernel_for(n=12, k=10, w2=p, bernoulli=True)
+        rng, words = stream_words(3, rep, kernel.count)
+        starts, miss, _, redo = kernel._raw_draws(words[None, :], rep)
+        assert not redo[0]
+        assert starts[0] == rng.integers(0, 10)
+        assert miss[0].tolist() == (rng.random(12) < p).tolist()
 
     @pytest.mark.parametrize("p", [2**-60, 0.1, 0.25, 1 / 3, 1 - 2**-53])
     def test_below_at_the_words_around_its_threshold(self, p):
-        class FixedWords:
-            def random_raw(self, count):
-                return np.array(words[:count], dtype=np.uint64)
-
         k = math.ceil(p * 2**53)
         words = [(k << 11) + d for d in (-2049, -2048, -1, 0, 1, 2047, 2048)]
         words = [w for w in words if 0 <= w < 2**64]
         expected = [(w >> 11) * 2.0**-53 < p for w in words]
-        assert _RawDraws(FixedWords(), len(words)).below(len(words), p).tolist() == expected
+        # A kernel without a start draw reads its mask off the first words.
+        kernel = kernel_for(n=len(words), k=1, w2=p, bernoulli=True)
+        row = np.zeros((1, kernel.count), dtype=np.uint64)
+        row[0, : len(words)] = words
+        assert kernel._raw_draws(row, 0)[1][0].tolist() == expected
         assert True in expected and False in expected
 
     @pytest.mark.parametrize("rep", range(4))
@@ -737,60 +779,73 @@ class TestRawDraws:
          (10050, 201)],
     )
     def test_sample_is_sorted_choice(self, rep, before, n2, h2):
-        draws, rng = raw_and_reference(2**40 + 9, rep)
+        kernel = kernel_for(
+            **{"start": dict(n=12, k=5), "mask": dict(n=12, k=1, bernoulli=True),
+               "nothing": dict(n=12, k=1)}[before]
+        )
+        rng, words = stream_words(2**40 + 9, rep, kernel.follow_up_at + h2)
         if before == "start":
-            assert draws.bounded(4) == rng.integers(0, 5)
+            assert _lemire(words[:1] & MASK32, np.uint64(5))[0][0] == rng.integers(0, 5)
         elif before == "mask":
-            assert draws.below(12, 0.25).tolist() == (rng.random(12) < 0.25).tolist()
-        chosen = np.flatnonzero(draws.sample(n2, h2))
+            assert (words[:12] < kernel.below).tolist() == (rng.random(12) < 0.25).tolist()
+        halves = kernel._follow_up_halves(words[None, :], h2)
+        taken, rejected = _floyd(halves, np.array([n2]), np.array([h2]), n2)
+        assert not rejected[0]
+        chosen = np.flatnonzero(taken[0])
         assert chosen.tolist() == np.sort(rng.choice(n2, h2, replace=False)).tolist()
 
     @pytest.mark.parametrize("bernoulli", [False, True])
-    @pytest.mark.parametrize(
-        "n, k, w2, ell, exhaustive, zero_start, zero_words",
-        [
-            (6, 5, 0.5, 2.0, False, True, 0),  # start half-words in the rejection zone
-            (8, 5, 0.5, 1.5, False, False, 1),  # follow-up half-words there
-            (8, 5, 0.5, 1.5, False, False, 8),  # follow-ups past the words drawn up front
-            (8, 5, 0.5, 1.5, True, True, 8),  # --exhaustive
-            (8, 1, 0.5, 1.5, False, True, 8),  # k = 1
-            (8, 5, 0.0, 1.5, False, True, 8),  # w2 = 0
-            (8, 5, 0.5, 1.0, False, True, 8),  # L = 1
-        ],
-    )
+    @pytest.mark.parametrize("n, k, w2, ell, exhaustive, zero_start, zero_words", CRAFTED)
     def test_block_draws_on_crafted_words(
-        self, monkeypatch, bernoulli, n, k, w2, ell, exhaustive, zero_start, zero_words
+        self, bernoulli, n, k, w2, ell, exhaustive, zero_start, zero_words
+    ):
+        # On every other row, the start word's low half is zeroed if zero_start,
+        # and its high half and the first zero_words follow-up words if
+        # zero_words.  A zero half-word is rejected at every span but a power of two.
+        pop, design, cfg = simulation_case(
+            pop_seed=4, n=n, k=k, w2=w2, ell=ell, bernoulli=bernoulli, exhaustive=exhaustive,
+            replicates=60, seed=2**40 + 5,
+        )
+        kernel = _Kernel(pop, design, cfg)
+        words = np.array([
+            np.random.PCG64(_StreamSeed(seed)).random_raw(kernel.count)
+            for seed in _stream_words(cfg.master_seed, 0, cfg.replicates)
+        ])
+        crafted = words[1::2]
+        if zero_start:
+            crafted[:, 0] &= ~MASK32
+        if zero_words:
+            crafted[:, 0] &= MASK32
+            crafted[:, kernel.follow_up_at : kernel.follow_up_at + zero_words] = 0
+        expected = [reads_a_rejected_half_word(kernel, rep, row) for rep, row in enumerate(words)]
+        assert kernel._raw_draws(words, 0)[3].tolist() == expected
+        assert 0 < sum(expected) <= len(crafted)
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    @pytest.mark.parametrize("n, k, w2, ell, exhaustive", dict.fromkeys(c[:5] for c in CRAFTED))
+    def test_flagged_rows_are_drawn_again_by_a_generator(
+        self, monkeypatch, bernoulli, n, k, w2, ell, exhaustive
     ):
         pop, design, cfg = simulation_case(
             pop_seed=4, n=n, k=k, w2=w2, ell=ell, bernoulli=bernoulli, exhaustive=exhaustive,
             replicates=60, seed=2**40 + 5,
         )
-        follow_up_at = (k > 1 and not exhaustive) + (n if bernoulli else 0)
-        seeds = _stream_words(cfg.master_seed, 0, cfg.replicates)
+        lemire, draw_row, redrawn = sysmean.montecarlo._lemire, _Kernel._draw_row, []
 
-        def stream(seed):
-            return CraftedStream(seed, zero_start, follow_up_at, zero_words)
+        # Every other row is flagged, and its draws read off the words are wrong.
+        def every_other_row(halves, span):
+            values, rejected = lemire(halves, span)
+            values[::2], rejected[::2] = 0, True
+            return values, rejected
 
-        def reference(rep):
-            return RawGenerator(stream(_StreamSeed(seeds[rep])))
+        def counted(self, seed, rep, *args):
+            redrawn.append(rep)
+            draw_row(self, seed, rep, *args)
 
-        expected = per_unit_report(pop, design, cfg, reference)
-        expected_starts = [
-            rep % k if exhaustive else reference(rep).integers(0, k) for rep in range(60)
-        ]
-        redrawn = []
-
-        class CountedRawDraws(_RawDraws):
-            def __init__(self, *args):
-                redrawn.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(np.random, "PCG64", stream)
-        monkeypatch.setattr(sysmean.montecarlo, "_RawDraws", CountedRawDraws)
-        assert _replicate_means(pop, design, cfg)[1].tolist() == expected_starts
-        assert repr(run_simulation(pop, design, cfg)) == repr(expected)
-        # Some rows were drawn again one draw at a time, and not all of them.
-        assert 0 < len(redrawn) < 2 * cfg.replicates
+        monkeypatch.setattr(sysmean.montecarlo, "_lemire", every_other_row)
+        monkeypatch.setattr(_Kernel, "_draw_row", counted)
+        assert repr(run_simulation(pop, design, cfg)) == repr(per_unit_report(pop, design, cfg))
+        assert 0 < len(redrawn) < cfg.replicates
 
     @pytest.mark.parametrize("bernoulli", [False, True])
     def test_raw_words_and_a_generator_give_one_report(self, monkeypatch, bernoulli):

@@ -415,7 +415,7 @@ class _Kernel:
             starts, redo = np.empty(rows, dtype=np.intp), np.ones(rows, dtype=bool)
             miss = None if self.fixed else np.empty((rows, self.n), dtype=bool)
             taken = np.empty((rows, self.width), dtype=bool)
-        for row in np.flatnonzero(redo):
+        for row in np.flatnonzero(redo).tolist():
             self._draw_row(seeds[row], first + row, row, starts, miss, taken)
         if self.fixed:
             parts = self.table.take(starts)

@@ -663,6 +663,7 @@ def lemire_draws(halves, spans):
 
 
 def kernel_for(n, k, w2=0.25, bernoulli=False):
+    """The kernel of a call on a random population of n·k units, L = 2."""
     pop, design, cfg = simulation_case(
         pop_seed=1, n=n, k=k, w2=w2, ell=2.0, bernoulli=bernoulli, exhaustive=False,
         replicates=2, seed=1,

@@ -601,7 +601,8 @@ def _estimators(
     n, N, ell = design.n, design.N, args.ell
     kinds = list(filter(None, map(str.strip, args.estimators.split(","))))
     given = [f"--{name}" for name in ("alpha", "a", "b", "g") if getattr(args, name) is not None]
-    family = _family_params(args)
+    # Options given to no family are refused below, not checked here as FamilyParams.
+    family = _family_params(args) if "family" in kinds or not given else None
     estimators = []
     for kind in kinds:
         if kind == "hh":

@@ -275,6 +275,8 @@ class TestSimulate:
             (["--b", "5"], "--b applies"),
             (["--g", "0.5"], "--g applies"),
             (["--g", "0.5", "--alpha", "0.2", "--a", "3"], "--alpha, --a, --g apply"),
+            # An a that FamilyParams would refuse is still refused as given to no family.
+            (["--a", "0"], "--a applies"),
         ],
     )
     def test_family_options_without_family_are_usage_errors(
@@ -482,10 +484,12 @@ class TestManifestAndRerun:
         manifest = json.loads(manifest_path.read_text())
         timings = manifest["timings"]
         assert sorted(timings) == laps
-        for value in timings.values():
+        simulate = argv[0] == "simulate"
+        rates = [manifest["replicates_per_s"]] if simulate else []
+        for value in [*timings.values(), *rates]:
             assert isinstance(value, float) and math.isfinite(value) and value >= 0
-        if argv[0] == "simulate":
-            assert math.isfinite(manifest["replicates_per_s"]) and manifest["replicates_per_s"] > 0
+        if simulate:
+            assert manifest["replicates_per_s"] > 0
         else:
             assert "replicates_per_s" not in manifest
         # The report carries no timing: it is the same bytes without the manifest.

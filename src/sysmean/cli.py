@@ -20,7 +20,6 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
 from .datasets import file_sha256, synthetic_linear_population, write_population_csv
@@ -345,7 +344,7 @@ def _fixed_width(columns: list[Column], table: Table) -> list[str]:
     grid = []
     for c in columns:
         head = re.sub(r"(\.\d+)?[a-z]}", "}", c.cell).format(c.head)
-        cells = [head, *table.strings(c.key, lambda values: list(map(c.cell.format, values)))]
+        cells = [head, *map(c.cell.format, table[c.key])]
         if re.search(r"{:[<>]?\d", c.cell):
             width = max(map(len, cells))
             pad = str.ljust if "{:<" in c.cell else str.rjust
@@ -359,26 +358,10 @@ def _fixed_width(columns: list[Column], table: Table) -> list[str]:
     return lines
 
 
-class Table:
-    """Records held as columns, written as a JSON list of objects, csv or a fixed-width table.
-
-    The rows are the product of `axes` (key -> values, the first axis outermost);
-    each of `columns` holds one value per row.  Keys run axes first.
-    """
-
-    def __init__(self, columns: dict[str, list], axes: dict[str, list] | None = None) -> None:
-        self.axes = axes or {}
-        self.columns = columns
-        self.keys = [*self.axes, *columns]
-
-    def strings(self, key: str, fmt: Callable[[list], list[str]]) -> list[str]:
-        """Column `key` as `fmt` formats it; an axis is formatted once per position."""
-        if key in self.columns:
-            return fmt(self.columns[key])
-        sizes = [len(values) for values in self.axes.values()]
-        i = self.keys.index(key)
-        repeat, tile = math.prod(sizes[i + 1:]), math.prod(sizes[:i])
-        return [text for text in fmt(self.axes[key]) for _ in range(repeat)] * tile
+class Table(dict):
+    """Records held as equal-length columns (key -> one value per row), written as a
+    JSON list of objects, csv or a fixed-width table.  It is a dict of its own type
+    only so that `_json` can tell it from a payload dict."""
 
 
 def _records(items: list[dict]) -> Table:
@@ -404,6 +387,8 @@ def _json(value: object, indent: str = "") -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, Table):
+        return _json_table(value, indent)
     inner = indent + "  "
     if isinstance(value, dict):
         items = [f"{inner}{_json_string(key)}: {_json(item, inner)}" for key, item in value.items()]
@@ -411,8 +396,6 @@ def _json(value: object, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         items = [inner + _json(item, inner) for item in value]
         return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-    if isinstance(value, Table):
-        return _json_table(value, indent)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -429,10 +412,8 @@ def _json_column(values: list, indent: str) -> list[str]:
 def _json_table(table: Table, indent: str) -> str:
     """Each column formatted once, then each record from one template."""
     inner, field = indent + "  ", indent + "    "
-    columns = [table.strings(key, lambda values: _json_column(values, field)) for key in table.keys]
-    members = ",\n".join(
-        f"{field}{_json_string(key).replace('%', '%%')}: %s" for key in table.keys
-    )
+    columns = [_json_column(values, field) for values in table.values()]
+    members = ",\n".join(f"{field}{_json_string(key).replace('%', '%%')}: %s" for key in table)
     template = f"{inner}{{\n{members}\n{inner}}}"
     records = [template % row for row in zip(*columns)]
     return "[\n" + ",\n".join(records) + "\n" + indent + "]" if records else "[]"
@@ -444,8 +425,8 @@ def _render(fmt: str, payload: dict, csv: Table, text: list) -> str:
     if fmt == "json":
         return _json(payload) + "\n"
     if fmt == "csv":
-        cells = [csv.strings(key, lambda values: list(map(str, values))) for key in csv.keys]
-        lines = [",".join(csv.keys), *map(",".join, zip(*cells))]
+        cells = [map(str, values) for values in csv.values()]
+        lines = [",".join(csv), *map(",".join, zip(*cells))]
     else:
         lines = []
         for item in text:
@@ -554,11 +535,12 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     constants = derived_constants(moments, n, N, params)
     alpha_opt = optimum_alpha(constants, params.g)
 
-    var, mse_min, pre = pre_grid(moments, n, N, args.w2_grid, args.ell_grid, constants)
+    w2_grid, ell_grid = args.w2_grid, args.ell_grid
+    var, mse_min, pre = pre_grid(moments, n, N, w2_grid, ell_grid, constants)
     clock.lap("theory_s")
     rows = Table(
-        {"var_hh_mean": var, "mse_family_min": mse_min, "pre": pre},
-        axes={"w2": args.w2_grid, "ell": args.ell_grid},
+        w2=[w2 for w2 in w2_grid for _ in ell_grid], ell=ell_grid * len(w2_grid),
+        var_hh_mean=var, mse_family_min=mse_min, pre=pre,
     )
     payload = {
         "N": N,
@@ -570,8 +552,8 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
         "rows": rows,
     }
     columns = [
-        Column("w2", "w2", _axis_cell(args.w2_grid)),
-        Column("ell", "L", " " + _axis_cell(args.ell_grid)),
+        Column("w2", "w2", _axis_cell(w2_grid)),
+        Column("ell", "L", " " + _axis_cell(ell_grid)),
         Column("var_hh_mean", "var(hh mean)", " {:>16.4f}"),
         Column("mse_family_min", "min MSE(family)", " {:>16.4f}"),
         Column("pre", "PRE", " {:>9.2f}"),
@@ -732,7 +714,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         Column("rel_gap", "rel-gap", "{:>10.4f}"),
         Column("verdict", "verdict", "  {}"),
     ]
-    flags = ["" if valid else "  INVALID" for valid in results.columns["valid"]]
+    flags = ["" if valid else "  INVALID" for valid in results["valid"]]
     text = _render(
         args.format, payload, csv,
         [
@@ -743,7 +725,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             f"non-response: mode={args.stratum_mode} w2={args.w2} L={args.ell}"
             + (f"  alpha={alpha:.6f}" if alpha is not None else ""),
             "",
-            (result_columns, Table({**results.columns, "flag": flags})),
+            (result_columns, Table(results, flag=flags)),
             "",
             f"theory comparison (tolerance {args.tolerance_sigma:g} sigma)",
             (comparison_columns, payload["comparisons"]),

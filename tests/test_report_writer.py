@@ -66,24 +66,15 @@ def test_writer_equals_json_dumps(value):
 
 @st.composite
 def tables(draw):
-    """(Table, its records): 0-2 axes and value columns with one value per row."""
+    """(Table, its records): columns with one value per row."""
     names = draw(st.lists(keys, unique=True, max_size=5))
-    n_axes = draw(st.integers(0, min(2, len(names))))
-    axes = {name: draw(st.lists(scalars, max_size=4)) for name in names[:n_axes]}
-    if axes:
-        n_rows = math.prod(len(axis) for axis in axes.values())
-    else:
-        n_rows = draw(st.integers(0, 5)) if names else 0
+    n_rows = draw(st.integers(0, 5)) if names else 0
     columns = {
         name: draw(st.lists(values | scalars, min_size=n_rows, max_size=n_rows))
-        for name in names[n_axes:]
+        for name in names
     }
-    cells = itertools.product(*axes.values()) if axes else itertools.repeat(())
-    records = [
-        {**dict(zip(axes, cell)), **{name: column[i] for name, column in columns.items()}}
-        for i, cell in zip(range(n_rows), cells)
-    ]
-    return Table(columns, axes=axes), records
+    records = [{name: column[i] for name, column in columns.items()} for i in range(n_rows)]
+    return Table(columns), records
 
 
 @settings(max_examples=300, deadline=None)
@@ -97,7 +88,7 @@ def test_table_equals_json_dumps_of_its_records(table_and_records):
 def test_equal_values_keep_their_own_text_in_a_table():
     grid = list(itertools.product([0.0, -0.0], [1, 2.0]))
     column = [0.0, -0.0, True, 1.0]
-    table = Table({"v": column}, axes={"w2": [0.0, -0.0], "ell": [1, 2.0]})
+    table = Table(w2=[w2 for w2, _ in grid], ell=[ell for _, ell in grid], v=column)
     records = [{"w2": w2, "ell": ell, "v": v} for (w2, ell), v in zip(grid, column)]
     assert _json(table) == json.dumps(records, indent=2)
 

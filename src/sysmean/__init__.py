@@ -7,7 +7,7 @@ family, and checking its closed-form first-order bias/MSE theory by
 design-based Monte Carlo.
 """
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"
 
 from .design import (
     NonResponseModel,

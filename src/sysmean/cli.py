@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .datasets import file_sha256, synthetic_linear_population, write_population_csv
 from .design import NonResponseModel, StratumMode, SystematicDesign
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, DomainError, EstimationError
 from .estimators import FamilyParams
 from .montecarlo import (
     EstimatorSpec,
@@ -134,6 +134,19 @@ def _family_params(args: argparse.Namespace) -> FamilyParams:
     params = FamilyParams(0.0, **{name: getattr(args, name) for name in names})
     args.a, args.b, args.g = params.a, params.b, params.g
     return params
+
+
+def _given(args: argparse.Namespace, *names: str) -> list[str]:
+    """Those of the options `names` (as `args` names them) that were given, as spelled."""
+    return [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+
+
+def _refuse(given: list[str], scope: str) -> None:
+    """Refuse the options `given`: they apply only to `scope`."""
+    if given:
+        raise ConfigurationError(
+            f"{', '.join(given)} appl{'ies' if len(given) == 1 else 'y'} only to {scope}"
+        )
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -480,14 +493,16 @@ def _moments_from_args(
     times as "ingest_s", or from explicit scalars."""
     explicit = [args.pop_size, args.mean_y, args.mean_x, args.s2_y, args.s2_x, args.rho]
     if args.input is not None:
-        if any(v is not None for v in explicit):
-            raise ConfigurationError("give an input file or explicit moments, not both")
+        moment_options = _given(args, "pop_size", "mean_y", "mean_x", "s2_y", "s2_x", "rho",
+                                "rho_w", "rho_y", "rho_x", "s2_y2")
+        _refuse(moment_options, "explicit moments, not to an input file")
         pop, sha = _ingest(args)
         clock.lap("ingest_s")
         design = SystematicDesign(pop.N, args.n)
         moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor, 0.75)
         return moments, design, sha
 
+    _refuse(_given(args, "expect_sha256", "sort_by"), "an input file, which this run lacks")
     if any(v is None for v in explicit):
         raise ConfigurationError(
             "without an input file, all of --pop-size --mean-y --mean-x --s2-y "
@@ -582,33 +597,32 @@ def _estimators(
     and --a, --b and --g, which no other kind takes."""
     n, N, ell = design.n, design.N, args.ell
     kinds = list(filter(None, map(str.strip, args.estimators.split(","))))
-    given = [f"--{name}" for name in ("alpha", "a", "b", "g") if getattr(args, name) is not None]
+    given = _given(args, "alpha", "a", "b", "g")
     # Options given to no family are refused below, not checked here as FamilyParams.
     family = _family_params(args) if "family" in kinds or not given else None
     estimators = []
     for kind in kinds:
         if kind == "hh":
             spec = EstimatorSpec(kind, kind)
-            target = "var(hh mean)", var_mean_y(moments, n, N, w2, ell)
+            name, value = "var(hh mean)", var_mean_y(moments, n, N, w2, ell)
         elif kind == "family" and args.alpha is None:
             constants = derived_constants(moments, n, N, family)
             optimum = dataclasses.replace(family, alpha=optimum_alpha(constants, family.g))
             spec = EstimatorSpec(kind, kind, optimum)
-            target = "min MSE(family)", family_mse_min(moments, n, w2, ell, constants)
+            name, value = "min MSE(family)", family_mse_min(moments, n, w2, ell, constants)
         else:
             # ratio and product fill in their presets, whose (a, b) = (1, 0) make lambda 1
             # whatever --a and --b say; EstimatorSpec refuses any kind but the four.
             params = dataclasses.replace(family, alpha=args.alpha) if kind == "family" else None
             spec = EstimatorSpec(kind, kind, params)
             constants = derived_constants(moments, n, N, spec.params)
-            mse = family_mse(spec.params, moments, n, w2, ell, constants)
-            target = f"first-order MSE({kind})", mse
-        estimators.append((spec, *target))
-    if given and "family" not in kinds:
-        raise ConfigurationError(
-            f"{', '.join(given)} appl{'ies' if len(given) == 1 else 'y'} only to the family "
-            "estimator, which --estimators does not list"
-        )
+            name = f"first-order MSE({kind})"
+            value = family_mse(spec.params, moments, n, w2, ell, constants)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} is {value}: the first-order theory overflows")
+        estimators.append((spec, name, value))
+    if "family" not in kinds:
+        _refuse(given, "the family estimator, which --estimators does not list")
     if not estimators:
         raise ConfigurationError("no estimators requested")
     return estimators

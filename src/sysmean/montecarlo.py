@@ -589,7 +589,8 @@ def compare_to_theory(
     PASS iff |z| <= tolerance_sigma, where z = (empirical - theory) / MC
     standard error.  With a zero standard error a gap within round-off,
     |gap| <= 8*eps*max(Ybar^2, |theory|), has z = 0; a larger gap fails
-    with an infinite z of the gap's sign.
+    with an infinite z of the gap's sign.  A theory value that is not finite
+    never passes.
     """
     comparisons = []
     for label, theory_value in theory_values:
@@ -599,7 +600,8 @@ def compare_to_theory(
             roundoff = 8 * sys.float_info.epsilon * max(
                 report.true_mean_y**2, abs(theory_value)
             )
-            z_score = 0.0 if abs(gap) <= roundoff else math.copysign(math.inf, gap)
+            within = abs(gap) <= roundoff and math.isfinite(theory_value)
+            z_score = 0.0 if within else math.copysign(math.inf, gap)
         else:
             z_score = gap / result.mc_se_mse
         if theory_value != 0:

@@ -215,7 +215,12 @@ def _full_response_mse_min(m: PopulationMoments, n: int, c: DerivedConstants) ->
 def _pre(var: float, mse_min: float) -> float:
     if mse_min <= 0:
         raise DomainError("minimum MSE is not positive: PRE undefined")
-    return 100.0 * var / mse_min
+    pre = 100.0 * var / mse_min
+    if not all(map(math.isfinite, (var, mse_min, pre))):
+        raise DomainError(
+            f"a value overflows: var(hh mean)={var}, min MSE(family)={mse_min}, PRE={pre}"
+        )
+    return pre
 
 
 def pre_optimum(

@@ -179,6 +179,43 @@ class TestTheoryTable:
         code = main(["theory-table", str(pop_csv), *FOREST_MOMENTS])
         assert code == 2
 
+    @pytest.mark.parametrize("options, message", [
+        (["--s2-y2", "3", "--rho-y", "0.5"],
+         "--rho-y, --s2-y2 apply only to explicit moments, not to an input file"),
+        (["--rho-w", "0.5"], "--rho-w applies only to explicit moments"),
+        (["--rho-x", "0.5", "--mean-y", "3"], "--mean-y, --rho-x apply only to explicit moments"),
+    ])
+    def test_moment_options_with_a_file_are_usage_errors(self, pop_csv, capsys, options,
+                                                          message):
+        code = main(["theory-table", str(pop_csv), "--n", "12", *options, "--manifest", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("options, message", [
+        (["--expect-sha256", "deadbeef"], "--expect-sha256 applies only to an input file"),
+        (["--sort-by", "x"], "--sort-by applies only to an input file"),
+    ])
+    def test_file_options_with_explicit_moments_are_usage_errors(self, capsys, options,
+                                                                  message):
+        code = main(["theory-table", *FOREST_MOMENTS, *options, "--manifest", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("options", [
+        ["--ell-grid", "2,1e308"],  # var and min MSE overflow to inf, PRE to nan
+        ["--s2-y", "1e308"],  # var and min MSE stay finite, PRE overflows to inf
+    ])
+    def test_a_value_that_overflows_is_usage_error(self, capsys, options):
+        code = main(["theory-table", *FOREST_MOMENTS, *options, "--manifest", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "a value overflows" in captured.err
+
     def test_incomplete_moments_rejected(self, capsys):
         code = main(["theory-table", "--n", "16", "--pop-size", "176"])
         assert code == 2
@@ -371,6 +408,21 @@ class TestSimulate:
             "--w2 0.999 puts all 240 of 240 units in the non-response stratum; "
             "at least one unit must respond"
         ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options, message", [
+        (["--estimators", "hh,family", "--alpha", "1e200"], "first-order MSE(family) is inf"),
+        (["--w2", "0.2", "--ell", "1e308"], "var(hh mean) is inf"),
+    ])
+    def test_non_finite_target_exits_before_any_replicate(
+        self, pop_csv, capsys, monkeypatch, options, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran the replicates")
+
+        monkeypatch.setattr("sysmean.cli.run_simulation", refuse)
+        code = main(["simulate", str(pop_csv), "--n", "12", "--replicates", "50", *options])
+        assert code == 2
+        assert f"{message}: the first-order theory overflows" in capsys.readouterr().err
 
 
 class TestManifestAndRerun:

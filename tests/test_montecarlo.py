@@ -321,6 +321,13 @@ class TestCompareToTheory:
         assert comparison.verdict == "FAIL"
         assert comparison.z_score == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("theory", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("se", [0.0, 0.5])
+    def test_non_finite_theory_never_passes(self, theory, se):
+        # with a zero standard error, the round-off allowance scales with |theory|
+        (comparison,) = compare_to_theory(self.report_with(mse=4.0, se=se), [("hh", theory)])
+        assert comparison.verdict == "FAIL"
+
     def test_missing_label_rejected(self):
         report = self.report_with(mse=4.0, se=0.5)
         with pytest.raises(ConfigurationError):

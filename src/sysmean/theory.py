@@ -192,7 +192,11 @@ def optimum_alpha(c: DerivedConstants, g: float) -> float:
     """Alpha minimizing the family MSE: rho_star*K/(g*lambda)."""
     if g == 0 or c.lam == 0:
         raise DomainError("MSE does not depend on alpha when g*lambda = 0: no optimum")
-    return c.rho_star * c.big_k / (g * c.lam)
+    scale = g * c.lam
+    alpha = c.rho_star * c.big_k / scale if scale != 0 else math.inf  # g*lambda underflowed
+    if not math.isfinite(alpha):
+        raise DomainError(f"the optimum alpha rho_star*K/(g*lambda) overflows at g*lambda={scale}")
+    return alpha
 
 
 def family_mse_min(

@@ -205,16 +205,21 @@ class TestTheoryTable:
         assert captured.out == ""
         assert message in captured.err
 
-    @pytest.mark.parametrize("options", [
-        ["--ell-grid", "2,1e308"],  # var and min MSE overflow to inf, PRE to nan
-        ["--s2-y", "1e308"],  # var and min MSE stay finite, PRE overflows to inf
+    @pytest.mark.parametrize("options, message", [
+        # var and min MSE overflow to inf, PRE to nan
+        (["--ell-grid", "2,1e308"], "a value overflows"),
+        # var and min MSE stay finite, PRE overflows to inf
+        (["--s2-y", "1e308"], "a value overflows"),
+        (["--g", "1e-310"], "the optimum alpha"),
+        # g*lambda underflows to 0; the parent raised ZeroDivisionError
+        (["--b", "1e300", "--g", "1e-30"], "the optimum alpha"),
     ])
-    def test_a_value_that_overflows_is_usage_error(self, capsys, options):
+    def test_a_value_that_overflows_is_usage_error(self, capsys, options, message):
         code = main(["theory-table", *FOREST_MOMENTS, *options, "--manifest", "-"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "a value overflows" in captured.err
+        assert message in captured.err and "overflows" in captured.err
 
     def test_incomplete_moments_rejected(self, capsys):
         code = main(["theory-table", "--n", "16", "--pop-size", "176"])
@@ -410,10 +415,13 @@ class TestSimulate:
         ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("options, message", [
-        (["--estimators", "hh,family", "--alpha", "1e200"], "first-order MSE(family) is inf"),
-        (["--w2", "0.2", "--ell", "1e308"], "var(hh mean) is inf"),
+        (["--estimators", "hh,family", "--alpha", "1e200"],
+         "first-order MSE(family) is inf: the first-order theory overflows"),
+        (["--w2", "0.2", "--ell", "1e308"],
+         "var(hh mean) is inf: the first-order theory overflows"),
+        (["--g", "1e-310"], "the optimum alpha rho_star*K/(g*lambda) overflows"),
     ])
-    def test_non_finite_target_exits_before_any_replicate(
+    def test_theory_overflow_exits_before_any_replicate(
         self, pop_csv, capsys, monkeypatch, options, message
     ):
         def refuse(*args, **kwargs):
@@ -422,7 +430,7 @@ class TestSimulate:
         monkeypatch.setattr("sysmean.cli.run_simulation", refuse)
         code = main(["simulate", str(pop_csv), "--n", "12", "--replicates", "50", *options])
         assert code == 2
-        assert f"{message}: the first-order theory overflows" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestManifestAndRerun:

@@ -214,6 +214,15 @@ class TestFamilyMse:
         with pytest.raises(DomainError):
             optimum_alpha(c, 0.0)
 
+    @pytest.mark.parametrize("g, lam", [
+        (1e-310, 1.0),  # 0.8 / 1e-310 overflows
+        (1e-30, 4e-299),  # g*lambda underflows to 0
+    ])
+    def test_optimum_alpha_that_overflows_raises(self, g, lam):
+        c = DerivedConstants(rho_star=1.0, big_k=0.8, lam=lam, f=0.05)
+        with pytest.raises(DomainError, match="optimum alpha .* overflows"):
+            optimum_alpha(c, g)
+
     def test_forest_optimum_equals_k(self):
         c = derived_constants(FOREST, FOREST_SAMPLE, FOREST_N)
         assert optimum_alpha(c, 1.0) == c.big_k

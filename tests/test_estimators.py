@@ -154,6 +154,10 @@ class TestClassicalEstimators:
             )
 
 
+# Finite values from subnormals to 1e100 with signed zeros: no product of two overflows.
+wide = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
 class TestFamilyProperties:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -193,6 +197,38 @@ class TestFamilyProperties:
             return
         scaled = family_estimate(ybar, c * xbar, c * pop_mean_x, p)
         assert scaled == pytest.approx(base, rel=1e-10)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        g=st.sampled_from([0.0, -0.0, 1.0]),
+        ybar=wide,
+        xbar=wide,
+        pop_mean_x=wide,
+        alpha=wide,
+        a=wide.filter(bool),
+        b=wide,
+    )
+    @example(g=0.0, ybar=-0.0, xbar=2.0, pop_mean_x=1.0, alpha=0.5, a=1.0, b=0.0)
+    @example(g=1.0, ybar=-0.0, xbar=2.0, pop_mean_x=1.0, alpha=0.5, a=1.0, b=0.0)
+    @example(g=1.0, ybar=3.0, xbar=1.0, pop_mean_x=0.0, alpha=0.5, a=1.0, b=0.0)
+    @example(g=1.0, ybar=3.0, xbar=-1.0, pop_mean_x=-0.0, alpha=0.5, a=1.0, b=0.0)
+    @example(g=0.0, ybar=3.0, xbar=-4.0, pop_mean_x=1.0, alpha=1.0, a=1.0, b=0.0)
+    @example(g=1.0, ybar=3.0, xbar=5e-324, pop_mean_x=1e100, alpha=1.0, a=1.0, b=0.0)
+    def test_g_zero_and_one_are_the_adjusted_mean_and_one_division(
+        self, g, ybar, xbar, pop_mean_x, alpha, a, b
+    ):
+        p = FamilyParams(alpha=alpha, g=g, a=a, b=b)
+        t_pop = a * pop_mean_x + b
+        denom = alpha * (a * xbar + b) + (1.0 - alpha) * t_pop
+        if denom == 0:
+            with pytest.raises(SingularityError):
+                family_estimate(ybar, xbar, pop_mean_x, p)
+            return
+        expected = ybar if g == 0 else ybar * (t_pop / denom)
+        got = family_estimate(ybar, xbar, pop_mean_x, p)
+        # repr round-trips, so equal text is equal bits: signed zero and nan included
+        assert got == expected or math.isnan(expected)
+        assert str(got) == str(expected)
 
     def test_continuity_in_alpha(self):
         base = family_estimate(10.0, 5.0, 4.0, FamilyParams(alpha=0.6, g=1.3))

@@ -382,34 +382,21 @@ def _records(items: list[dict]) -> Table:
     return Table({key: [item[key] for item in items] for key in (items[0] if items else ())})
 
 
-_json_string = json.encoder.encode_basestring_ascii
-
-
 def _json(value: object, indent: str = "") -> str:
     """`json.dumps(value, indent=2)` for str-keyed data, with null for nan and +-inf
     (RFC 8259 has neither); a Table is written as its list of records."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
     if isinstance(value, Table):
         return _json_table(value, indent)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{inner}{_json_string(key)}: {_json(item, inner)}" for key, item in value.items()]
+        items = [f"{inner}{json.dumps(key)}: {_json(item, inner)}" for key, item in value.items()]
         return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
         items = [inner + _json(item, inner) for item in value]
         return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
+    return json.dumps(value)
 
 
 def _json_column(values: list, indent: str) -> list[str]:
@@ -426,7 +413,7 @@ def _json_table(table: Table, indent: str) -> str:
     """Each column formatted once, then each record from one template."""
     inner, field = indent + "  ", indent + "    "
     columns = [_json_column(values, field) for values in table.values()]
-    members = ",\n".join(f"{field}{_json_string(key).replace('%', '%%')}: %s" for key in table)
+    members = ",\n".join(f"{field}{json.dumps(key).replace('%', '%%')}: %s" for key in table)
     template = f"{inner}{{\n{members}\n{inner}}}"
     records = [template % row for row in zip(*columns)]
     return "[\n" + ",\n".join(records) + "\n" + indent + "]" if records else "[]"
@@ -688,6 +675,9 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     clock.lap("compare_s")
 
     results = _records([dataclasses.asdict(r) for r in report.results])
+    checks = _records([
+        dict(dataclasses.asdict(c), target=name) for c, (_, name, _) in zip(comparisons, estimators)
+    ])
     payload = {
         "population_sha256": report.population_sha256,
         "true_mean_y": report.true_mean_y,
@@ -697,20 +687,16 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         "w2_theory": w2_theory,
         "alpha": alpha,
         "results": results,
-        "comparisons": _records(
-            [dict(dataclasses.asdict(c), target=name)
-             for c, (_, name, _) in zip(comparisons, estimators)]
-        ),
+        "comparisons": checks,
         "all_pass": all_pass,
     }
-    csv = _records([
-        {"label": c.label, "n_used": r.n_used, "n_failed": r.n_failed,
-         "mean": r.empirical_mean, "bias": r.empirical_bias, "mse": r.empirical_mse,
-         "mc_se_mse": r.mc_se_mse, "theory": c.theory_value, "z": c.z_score,
-         "rel_gap": c.rel_gap, "verdict": c.verdict}
-        for c in comparisons
-        for r in [report.by_label(c.label)]
-    ])
+    csv = Table(
+        label=results["label"], n_used=results["n_used"], n_failed=results["n_failed"],
+        mean=results["empirical_mean"], bias=results["empirical_bias"],
+        mse=results["empirical_mse"], mc_se_mse=results["mc_se_mse"],
+        theory=checks["theory_value"], z=checks["z_score"], rel_gap=checks["rel_gap"],
+        verdict=checks["verdict"],
+    )
     result_columns = [
         Column("label", "label", "{:<10}"),
         Column("empirical_mean", "mean", "{:>14.6f}"),
@@ -742,7 +728,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             (result_columns, Table(results, flag=flags)),
             "",
             f"theory comparison (tolerance {args.tolerance_sigma:g} sigma)",
-            (comparison_columns, payload["comparisons"]),
+            (comparison_columns, checks),
             "",
             "overall: " + ("PASS" if all_pass else "FAIL"),
         ],

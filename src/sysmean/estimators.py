@@ -105,18 +105,14 @@ def family_estimate(
     t_pop = p.a * pop_mean_x + p.b
     t_smp = p.a * xbar + p.b
     denom = p.alpha * t_smp + (1.0 - p.alpha) * t_pop
-    # g = +-1 covers the ratio/product sub-family; a single division avoids
-    # the double rounding of base**g there.  g = -1 needs only t_pop != 0.
+    # g = -1 is one division, where t_pop / denom and then base**-1 would round twice,
+    # and needs only t_pop != 0.  g = 0 and 1 need no branch: base**0.0 is 1.0, base**1.0 is base.
     if p.g == -1.0:
         if t_pop == 0:
             raise SingularityError("bracket base is zero with negative exponent")
         return ybar_star * (denom / t_pop)
     if denom == 0:
         raise SingularityError("family denominator is zero for this sample")
-    if p.g == 0.0:
-        return ybar_star
-    if p.g == 1.0:
-        return ybar_star * (t_pop / denom)
     base = t_pop / denom
     if base < 0 and not float(p.g).is_integer():
         raise DomainError(

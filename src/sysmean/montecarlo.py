@@ -598,7 +598,7 @@ def compare_to_theory(
         gap = result.empirical_mse - theory_value
         if result.mc_se_mse == 0 or math.isnan(result.mc_se_mse):
             roundoff = 8 * sys.float_info.epsilon * max(
-                report.true_mean_y**2, abs(theory_value)
+                report.true_mean_y * report.true_mean_y, abs(theory_value)
             )
             within = abs(gap) <= roundoff and math.isfinite(theory_value)
             z_score = 0.0 if within else math.copysign(math.inf, gap)

@@ -117,11 +117,11 @@ def var_mean_x(m: PopulationMoments, n: int, N: int) -> float:
 
 
 def _bias_prefactor(m: PopulationMoments, n: int, c: DerivedConstants) -> float:
-    return c.f * m.mean_y * _gx(m, n) * m.cv_x**2
+    return c.f * m.mean_y * _gx(m, n) * (m.cv_x * m.cv_x)
 
 
 def _mse_prefactor(m: PopulationMoments, n: int, c: DerivedConstants) -> float:
-    return c.f * m.mean_y**2 * _gx(m, n)
+    return c.f * (m.mean_y * m.mean_y) * _gx(m, n)
 
 
 def classical_bias(
@@ -149,9 +149,13 @@ def classical_mse(
     """First-order MSE of the classical ratio or product estimator."""
     _require_valid_clustering(m, n)
     if kind == "ratio":
-        bracket = c.rho_star**2 * m.cv_y**2 + (1.0 - 2.0 * c.big_k * c.rho_star) * m.cv_x**2
+        bracket = (c.rho_star * c.rho_star) * (m.cv_y * m.cv_y) + (
+            (1.0 - 2.0 * c.big_k * c.rho_star) * (m.cv_x * m.cv_x)
+        )
     elif kind == "product":
-        bracket = c.rho_star**2 * m.cv_y**2 + (1.0 + 2.0 * c.big_k * c.rho_star) * m.cv_x**2
+        bracket = (c.rho_star * c.rho_star) * (m.cv_y * m.cv_y) + (
+            (1.0 + 2.0 * c.big_k * c.rho_star) * (m.cv_x * m.cv_x)
+        )
     else:
         raise DomainError(f"unknown estimator kind {kind!r}")
     return _mse_prefactor(m, n, c) * bracket + nonresponse_term(m, n, w2, ell)
@@ -183,7 +187,8 @@ def family_mse(
     _require_valid_clustering(m, n)
     u = p.g * p.alpha * c.lam
     bracket = (
-        c.rho_star**2 * m.cv_y**2 + (u * u - 2.0 * u * c.big_k * c.rho_star) * m.cv_x**2
+        (c.rho_star * c.rho_star) * (m.cv_y * m.cv_y)
+        + (u * u - 2.0 * u * c.big_k * c.rho_star) * (m.cv_x * m.cv_x)
     )
     return _mse_prefactor(m, n, c) * bracket + nonresponse_term(m, n, w2, ell)
 
@@ -212,7 +217,8 @@ def family_mse_min(
 
 
 def _full_response_mse_min(m: PopulationMoments, n: int, c: DerivedConstants) -> float:
-    bracket = (m.cv_y**2 - c.big_k**2 * m.cv_x**2) * c.rho_star**2
+    cv_gap = (m.cv_y * m.cv_y) - (c.big_k * c.big_k) * (m.cv_x * m.cv_x)
+    bracket = cv_gap * (c.rho_star * c.rho_star)
     return _mse_prefactor(m, n, c) * bracket
 
 
@@ -297,7 +303,7 @@ def intraclass_from_pre(
                           "non-response term vanishes")
     c = derived_constants(replace(m, rho_y=0.0, rho_x=0.0), n, N)
     a = c.f * m.s2_y
-    b = c.f * m.mean_y**2 * (m.cv_y**2 - c.big_k**2 * m.cv_x**2)
+    b = c.f * (m.mean_y * m.mean_y) * ((m.cv_y * m.cv_y) - (c.big_k * c.big_k) * (m.cv_x * m.cv_x))
     denominator = target_pre * b - 100.0 * a
     g = nr * (100.0 - target_pre) / denominator if denominator != 0.0 else math.inf
     if not 0.0 < g <= n:

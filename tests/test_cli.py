@@ -221,6 +221,21 @@ class TestTheoryTable:
         assert captured.out == ""
         assert message in captured.err and "overflows" in captured.err
 
+    @pytest.mark.parametrize("means", [
+        ["--mean-y", "1e200", "--mean-x", "1"],  # mean_y squared
+        ["--mean-y", "1e200", "--mean-x", "1e-200"],  # C_x squared
+        ["--mean-y", "1e-200", "--mean-x", "1"],  # C_y squared
+    ])
+    def test_a_square_that_overflows_is_usage_error(self, capsys, means):
+        # float ** raises OverflowError where * gives inf
+        code = main(["theory-table", "--pop-size", "176", "--n", "16", *means,
+                     "--s2-y", "1", "--s2-x", "1", "--rho", "0.5", "--rho-w", "0.1",
+                     "--s2-y2", "1", "--manifest", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "a value overflows" in captured.err
+
     def test_incomplete_moments_rejected(self, capsys):
         code = main(["theory-table", "--n", "16", "--pop-size", "176"])
         assert code == 2

@@ -328,6 +328,13 @@ class TestCompareToTheory:
         (comparison,) = compare_to_theory(self.report_with(mse=4.0, se=se), [("hh", theory)])
         assert comparison.verdict == "FAIL"
 
+    def test_a_true_mean_whose_square_overflows_still_compares(self):
+        # the round-off allowance 8*eps*max(Ybar^2, |theory|) is inf, not an OverflowError
+        report = dataclasses.replace(self.report_with(mse=4.0, se=0.0), true_mean_y=1e200)
+        (comparison,) = compare_to_theory(report, [("hh", 5.0)])
+        assert comparison.verdict == "PASS"
+        assert comparison.z_score == 0.0
+
     def test_missing_label_rejected(self):
         report = self.report_with(mse=4.0, se=0.5)
         with pytest.raises(ConfigurationError):

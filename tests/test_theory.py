@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -434,6 +435,34 @@ class TestPreGrid:
         assert pre[0] == pytest.approx(407.48836439078315, rel=1e-12)
         assert pre[3] == pytest.approx(369.42, abs=0.05)
         assert len(var) == len(mse_min) == 4
+
+
+class TestSquaresThatOverflow:
+    # float ** raises OverflowError where * gives inf: a square that overflows
+    # leaves a non-finite value, which the PRE and the inversion refuse
+    @pytest.mark.parametrize("overrides", [
+        {"mean_y": 1e200},  # mean_y squared
+        {"mean_y": 1e-200},  # C_y squared
+        {"mean_x": 1e-200},  # C_x squared
+    ])
+    def test_formulas_give_non_finite_values_not_overflow_errors(self, overrides):
+        m = dataclasses.replace(FOREST, **overrides)
+        n, N, p = FOREST_SAMPLE, FOREST_N, FamilyParams(alpha=0.5)
+        c = derived_constants(m, n, N)
+        values = [
+            classical_bias("ratio", m, n, c),
+            classical_mse("ratio", m, n, 0.2, 2.0, c),
+            classical_mse("product", m, n, 0.2, 2.0, c),
+            family_bias(p, m, n, c),
+            family_mse(p, m, n, 0.2, 2.0, c),
+            family_mse_min(m, n, 0.2, 2.0, c),
+        ]
+        assert all(isinstance(value, float) for value in values)
+        assert not math.isfinite(values[-1])
+        with pytest.raises(DomainError, match="a value overflows"):
+            pre_optimum(m, n, N, 0.2, 2.0, c)
+        with pytest.raises(DomainError, match="outside the attainable range"):
+            intraclass_from_pre(150.0, m, n, N, 0.2, 2.0)
 
 
 class TestIntraclassFromPre:

@@ -9,7 +9,8 @@ are the classical definitions, kept as independent references.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +35,10 @@ class FamilyParams:
     b: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise DomainError(f"family parameter {field.name} must be finite, got {value}")
         if self.a == 0:
             raise DomainError("family parameter a must be nonzero")
 
@@ -100,7 +105,8 @@ def family_estimate(
     Raises SingularityError on a zero denominator when g != -1 (or a zero
     bracket base with negative g) and DomainError when the bracket base is
     not positive while g is non-integer, which signals an (a, b) choice
-    invalid for this sample rather than a numerical accident.
+    invalid for this sample rather than a numerical accident, or when its
+    power overflows.
     """
     t_pop = p.a * pop_mean_x + p.b
     t_smp = p.a * xbar + p.b
@@ -123,7 +129,10 @@ def family_estimate(
             raise SingularityError("bracket base is zero with negative exponent")
         if not float(p.g).is_integer():
             raise DomainError(f"zero bracket base with non-integer exponent g={p.g}")
-    return ybar_star * base**p.g
+    try:
+        return ybar_star * base**p.g
+    except OverflowError:  # float ** raises where * would give inf
+        raise DomainError(f"bracket base {base} to the power g={p.g} overflows") from None
 
 
 def ratio_estimate(ybar_star: float, xbar: float, pop_mean_x: float) -> float:

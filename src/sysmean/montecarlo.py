@@ -526,6 +526,7 @@ def _replicate_means(
     return ybar_stars, starts
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a square that overflows is an MSE of inf
 def _report(
     pop: FinitePopulation,
     cfg: SimulationConfig,

@@ -448,6 +448,18 @@ class TestSimulate:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("g", ["20000", "-20000"])
+    def test_a_family_power_that_overflows_fails_its_starts(self, tmp_path, capsys, g):
+        pop = tmp_path / "pop.csv"
+        main(["synthesize", "--units", "240", "--seed", "28", "--out", str(pop)])
+        code = main(["simulate", str(pop), "--n", "12", "--replicates", "50",
+                     "--estimators", "family", "--alpha", "0.9", "--g", g,
+                     "--format", "json"])
+        assert code == 1
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert 0 < result["n_failed"] < 50 and not result["valid"]
+
+
 class TestManifestAndRerun:
     def test_manifest_written_next_to_output(self, pop_csv, tmp_path):
         out = tmp_path / "table.txt"

@@ -113,6 +113,19 @@ class TestFamilyEstimate:
         with pytest.raises(DomainError):
             FamilyParams(alpha=1.0, a=0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "g", "a", "b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_are_refused(self, field, value):
+        with pytest.raises(DomainError, match=f"family parameter {field} must be finite"):
+            FamilyParams(**{"alpha": 0.5, field: value})
+
+    @pytest.mark.parametrize("g, xbar", [(2000.0, 1.0), (-2000.0, 4.0)])
+    def test_a_power_that_overflows_is_a_domain_error(self, g, xbar):
+        # bracket base 2 to the 2000th, or 0.5 to the -2000th: float ** raises OverflowError
+        p = FamilyParams(alpha=1.0, g=g)
+        with pytest.raises(DomainError, match="overflows"):
+            family_estimate(1.0, xbar, 2.0, p)
+
     def test_lambda_coefficient(self):
         assert lambda_coefficient(FamilyParams(alpha=0.0), 4.0) == 1.0
         assert lambda_coefficient(FamilyParams(alpha=0.0, a=1.0, b=4.0), 4.0) == pytest.approx(0.5)

@@ -288,16 +288,23 @@ def compute_moments(
 
     The stratum mean square `s2_y2` comes from the unit subset `nr_stratum`.
     Without one it is left unset, and any downstream use that needs it will
-    refuse to run; set it from a scalar with `dataclasses.replace`.
+    refuse to run; set it from a scalar with `dataclasses.replace`.  A column
+    of equal values raises DegenerateInputError, and one whose mean square
+    overflows or underflows to 0 raises DomainError.
     """
     if pop.N != design.N:
         raise DesignError(f"population has {pop.N} units but design expects {design.N}")
 
     y, x = pop.y, pop.x
-    s2_y = float(y.var(ddof=1))
-    s2_x = float(x.var(ddof=1))
-    if s2_y == 0 or s2_x == 0:
-        raise DegenerateInputError("constant variable: correlation undefined")
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2_y, s2_x = float(y.var(ddof=1)), float(x.var(ddof=1))
+    for name, values, s2 in (("y", y, s2_y), ("x", x, s2_x)):
+        # The rounded mean of equal values can differ from them, and then s2 is not 0.
+        if values.min() == values.max():
+            raise DegenerateInputError("constant variable: correlation undefined")
+        if s2 == 0 or not math.isfinite(s2):
+            how = "underflows to 0" if s2 == 0 else "overflows"
+            raise DomainError(f"the mean square of {name} {how}; rescale {name}")
 
     return PopulationMoments(
         mean_y=float(y.mean()),

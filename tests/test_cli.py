@@ -88,6 +88,20 @@ class TestParams:
         assert main(["params", str(pop_csv), "--n", "12", "--expect-sha256", "0" * 64]) == 2
         assert "checksum mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale, message", [
+        (1e202, "the mean square of y overflows"),
+        (1e-198, "the mean square of y underflows to 0"),
+    ])
+    def test_an_unrepresentable_mean_square_is_usage_error(self, tmp_path, capsys, scale,
+                                                           message):
+        path = tmp_path / "scaled.csv"
+        rows = [f"{scale * (1.0 + i / 1000.0)!r},{1.0 + i}" for i in range(240)]
+        path.write_text("y,x\n" + "\n".join(rows) + "\n")
+        code = main(["params", str(path), "--n", "12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err and "Warning" not in captured.err
+
     def test_missing_column_is_usage_error(self, pop_csv, capsys):
         code = main(["params", str(pop_csv), "--n", "12", "--y-col", "volume"])
         assert code == 2

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,26 @@ class TestComputeMoments:
         pop = FinitePopulation(y=(-1.0, 1.0, -2.0, 2.0), x=(1.0, 2.0, 3.0, 4.0))
         with pytest.raises(DegenerateInputError):
             compute_moments(pop, SystematicDesign(N=4, n=2))
+
+    @pytest.mark.parametrize("column", ["y", "x"])
+    @pytest.mark.parametrize("scale, how", [(1e202, "overflows"), (1e-198, "underflows to 0")])
+    def test_an_unrepresentable_mean_square_is_named(self, rng, column, scale, how):
+        pop = random_population(rng, 240)
+        columns = {"y": pop.y, "x": pop.x, column: scale * (1.0 + pop.x / 10.0)}  # distinct
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^the mean square of {column} {how};"):
+                compute_moments(FinitePopulation(**columns), SystematicDesign(N=240, n=12))
+
+    @pytest.mark.parametrize("column", ["y", "x"])
+    @pytest.mark.parametrize("value", [0.1, 1e202, 1e-198])
+    def test_a_column_of_equal_values_is_constant(self, rng, column, value):
+        pop = random_population(rng, 240)
+        columns = {"y": pop.y, "x": pop.x, column: np.full(240, value)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="constant variable"):
+                compute_moments(FinitePopulation(**columns), SystematicDesign(N=240, n=12))
 
     def test_design_size_mismatch(self, rng):
         pop = random_population(rng, 12)

@@ -7,7 +7,7 @@ family, and checking its closed-form first-order bias/MSE theory by
 design-based Monte Carlo.
 """
 
-__version__ = "0.3.4"
+__version__ = "0.3.5"
 
 from .design import (
     NonResponseModel,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -352,12 +353,17 @@ def _fixed_width(columns: list[Column], table: Table) -> list[str]:
     A heading keeps its cell's alignment and width, not its precision and
     type.  A column whose template has a width is as wide as its widest cell,
     heading included.  Where two columns' cells would touch in some row, every
-    row gets one space between them.
+    row gets one space between them.  An `f` cell shows a value of magnitude
+    1e16 or more, where `repr` turns to exponent notation, as `e` instead.
     """
     grid = []
     for c in columns:
         head = re.sub(r"(\.\d+)?[a-z]}", "}", c.cell).format(c.head)
-        cells = [head, *map(c.cell.format, table[c.key])]
+        if c.cell.endswith("f}"):
+            big = c.cell[:-2] + "e}"
+            cells = [head, *((c.cell if abs(v) < 1e16 else big).format(v) for v in table[c.key])]
+        else:
+            cells = [head, *map(c.cell.format, table[c.key])]
         if re.search(r"{:[<>]?\d", c.cell):
             width = max(map(len, cells))
             pad = str.ljust if "{:<" in c.cell else str.rjust
@@ -785,11 +791,18 @@ def cmd_rerun(args: argparse.Namespace, argv: list[str]) -> int:
     return main(replay)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built once per process, since building it costs
+    far more than a parse.  Its defaults are shared by every parse, so no code
+    may mutate a parsed default, such as the --w2-grid list."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -125,19 +126,40 @@ def load_population(
 
     A body that numpy's C reader takes whole is parsed in C; any other body
     goes through a Python row loop, which reads the same values and words
-    every error.  Bytes that are not UTF-8 raise ParseError.
+    every error.  Given a path, numpy opens the file itself and reads it in
+    chunks; an open source, or a path that numpy would decompress by its
+    suffix, is given to numpy as the handle, which it reads line by line.
+    Bytes that are not UTF-8 raise ParseError.
     """
     try:
         if hasattr(source, "read"):
-            return _parse_population(source, y_column, x_column)  # type: ignore[arg-type]
+            return _parse_population(source, source, y_column, x_column)  # type: ignore[arg-type]
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            return _parse_population(handle, y_column, x_column)
+            return _parse_population(handle, _numpy_path(source) or handle, y_column, x_column)
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise ParseError(f"input is not UTF-8 text: {exc.reason} 0x{bad:02x}") from None
 
 
-def _parse_population(handle: TextIO, y_column: str, x_column: str) -> FinitePopulation:
+# Suffixes that numpy's DataSource decompresses by name, whatever the file holds.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _numpy_path(source: object) -> str | None:
+    """The absolute path under which numpy may open `source` as plain text, or None.
+
+    The path is absolute because DataSource fetches a relative path such as
+    `http://host/pop.csv` as a URL, though it names a local file.
+    """
+    path = os.fspath(source) if isinstance(source, os.PathLike) else source
+    if not isinstance(path, str) or path.endswith(_COMPRESSED_SUFFIXES):
+        return None
+    return os.path.abspath(path)
+
+
+def _parse_population(
+    handle: TextIO, body: str | TextIO, y_column: str, x_column: str
+) -> FinitePopulation:
     first = handle.readline()
     if not first.strip():
         raise DomainError("input file is empty")
@@ -156,7 +178,7 @@ def _parse_population(handle: TextIO, y_column: str, x_column: str) -> FinitePop
     y_idx = header.index(y_column)
     x_idx = header.index(x_column)
 
-    table = _load_table(handle, delimiter, (y_idx, x_idx))
+    table = _load_table(handle, body, delimiter, (y_idx, x_idx))
     if table is not None:
         return FinitePopulation(y=table[:, 0], x=table[:, 1])
 
@@ -176,15 +198,20 @@ def _parse_population(handle: TextIO, y_column: str, x_column: str) -> FinitePop
 
 
 def _load_table(
-    handle: TextIO, delimiter: str, usecols: tuple[int, int]
+    handle: TextIO, body: str | TextIO, delimiter: str, usecols: tuple[int, int]
 ) -> np.ndarray | None:
     """Parse the rest of a seekable `handle` with numpy's C reader.
 
-    Returns the (rows, 2) table only when the C reader accepts every row and
-    the row loop would read the same values: no quote character anywhere (csv
-    quoting can span delimiters and lines), at least 2 rows, all finite.
-    Otherwise rewinds the handle and returns None, leaving the row loop to
-    accept the file or to say what is wrong with it.
+    numpy reads `body`: either `handle` itself, which numpy pulls one line at
+    a time, or the path of the file that `handle` reads from just past its
+    one header line, which numpy opens and reads in chunks (it takes chunks
+    from a `str` path only).  Returns the (rows, 2) table only when the C
+    reader accepts every row and the row loop would read the same values: no
+    quote character anywhere (csv quoting can span delimiters and lines), at
+    least 2 rows, all finite.  Otherwise rewinds the handle and returns None,
+    leaving the row loop to accept the file or to say what is wrong with it.
+    The quote scan reads the whole body from `handle`, so bytes that are not
+    UTF-8 raise before numpy opens the path.
     """
     try:
         if not handle.seekable():
@@ -200,7 +227,9 @@ def _load_table(
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(
-                handle,
+                body,
+                skiprows=0 if body is handle else 1,
+                encoding="utf-8-sig",
                 delimiter=delimiter,
                 usecols=usecols,
                 comments=None,
@@ -236,7 +265,9 @@ def sorted_by_auxiliary(pop: FinitePopulation, by: str = "x") -> FinitePopulatio
     return FinitePopulation(y=pop.y[order], x=pop.x[order])
 
 
-def intraclass_correlation(pop_values: Sequence[float], design: SystematicDesign) -> float:
+def intraclass_correlation(
+    pop_values: Sequence[float], design: SystematicDesign, name: str = "values"
+) -> float:
     """Correlation between pairs of units within the same systematic sample.
 
     Computed as the pairwise cross-product sum within samples over (n-1)
@@ -244,22 +275,27 @@ def intraclass_correlation(pop_values: Sequence[float], design: SystematicDesign
     mean.  The result lies in [-1/(n-1), 1].  Under this definition the
     variance of the k equally likely sample means is exactly
     (N-1)/(n*N) * {1 + (n-1)*rho_w} * S^2, which the simulation harness
-    verifies by enumeration.
+    verifies by enumeration.  A sum that overflows raises DomainError
+    naming the values as `name`.
     """
     values = np.asarray(pop_values, dtype=float)
     if values.ndim != 1 or values.size != design.N:
         raise DesignError(
             f"expected {design.N} values for design N={design.N}, got {values.size}"
         )
-    deviations = values - values.mean()
-    total_ss = float(deviations @ deviations)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviations = values - values.mean()
+        total_ss = float(deviations @ deviations)
+        # Column i of the (n, k) reshape is the i-th systematic sample.
+        sample_sums = deviations.reshape(design.n, design.k).sum(axis=0)
+        within_ss = float(sample_sums @ sample_sums)
+    if not (math.isfinite(total_ss) and math.isfinite(within_ss)):
+        raise DomainError(f"the intraclass correlation of {name} overflows; rescale {name}")
     if total_ss == 0.0:
         raise DegenerateInputError(
             "all values identical: intraclass correlation undefined"
         )
-    # Column i of the (n, k) reshape is the i-th systematic sample.
-    sample_sums = deviations.reshape(design.n, design.k).sum(axis=0)
-    cross_product_sum = float(sample_sums @ sample_sums) - total_ss
+    cross_product_sum = within_ss - total_ss
     rho_w = cross_product_sum / ((design.n - 1) * total_ss)
     lower = -1.0 / (design.n - 1)
     if not (lower - 1e-9 <= rho_w <= 1.0 + 1e-9):
@@ -312,8 +348,8 @@ def compute_moments(
         s2_y=s2_y,
         s2_x=s2_x,
         rho=float(np.corrcoef(y, x)[0, 1]),
-        rho_y=intraclass_correlation(y, design),
-        rho_x=intraclass_correlation(x, design),
+        rho_y=intraclass_correlation(y, design, "y"),
+        rho_x=intraclass_correlation(x, design, "x"),
         s2_y2=None if nr_stratum is None else stratum_mean_square(pop, nr_stratum),
     )
 

@@ -13,6 +13,7 @@ from sysmean import (
     derived_constants,
     load_population,
 )
+from sysmean import cli
 from sysmean.cli import build_parser, main
 from sysmean.datasets import file_sha256
 
@@ -472,6 +473,12 @@ class TestSimulate:
         assert code == 1
         (result,) = json.loads(capsys.readouterr().out)["results"]
         assert 0 < result["n_failed"] < 50 and not result["valid"]
+        # The table writes the huge mean and bias in e notation, not as long integers.
+        main(["simulate", str(pop), "--n", "12", "--replicates", "50",
+              "--estimators", "family", "--alpha", "0.9", "--g", g, "--out", str(tmp_path / "t")])
+        report = (tmp_path / "t").read_text()
+        assert re.search(r"^family +\d\.\d{6}e\+\d{3} ", report, re.MULTILINE)
+        assert max(map(len, report.splitlines())) < 100
 
 
 class TestManifestAndRerun:
@@ -718,3 +725,24 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert "sysmean: error: x_low must be below x_high" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParser:
+    def test_main_builds_its_parser_once_per_process(self, monkeypatch, capsys):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        argv = ["theory-table", *FOREST_MOMENTS, "--format", "csv"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert built == [1]
+
+    def test_build_parser_returns_a_new_parser_on_every_call(self):
+        assert build_parser() is not build_parser()

@@ -121,6 +121,68 @@ def test_non_seekable_source_goes_to_the_row_loop(tmp_path, data):
     assert outcome == _by_rows(lambda: load_population(path))
 
 
+@contextmanager
+def _numpy_sources():
+    """Record the source that each `np.loadtxt` call reads."""
+    sources = []
+    original = population.np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return original(source, *args, **kwargs)
+
+    with mock.patch.object(population.np, "loadtxt", spy):
+        yield sources
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_opens_a_path_itself_and_reads_a_handle_as_given(tmp_path):
+    text = "y,x\n1,2\n3,4\n5,-0.0\n"
+    path = tmp_path / "pop.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = (("1.0", "3.0", "5.0"), ("2.0", "4.0", "-0.0"))
+    for source in (path, str(path)):
+        with _numpy_sources() as sources:
+            assert _outcome(lambda: load_population(source)) == expected
+        assert sources == [str(path)]
+    handle = io.StringIO(text)
+    with _numpy_sources() as sources:
+        assert _outcome(lambda: load_population(handle)) == expected
+    assert sources == [handle]
+    # numpy would decompress this name, so it gets the open handle.
+    named = tmp_path / "pop.csv.gz"
+    named.write_text(text, encoding="utf-8")
+    with _numpy_sources() as sources:
+        assert _outcome(lambda: load_population(named)) == expected
+    assert len(sources) == 1 and not isinstance(sources[0], str)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_plain_text_file_with_a_compressed_suffix_reads_as_text(tmp_path, suffix):
+    data = b"y,x\r\n1.5,2\r\n-0.0,4e1\r\n"
+    plain, named = tmp_path / "pop.csv", tmp_path / f"pop.csv{suffix}"
+    plain.write_bytes(data)
+    named.write_bytes(data)
+    assert _outcome(lambda: load_population(named)) == _outcome(lambda: load_population(plain))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_relative_path_that_looks_like_a_url_is_read_locally(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy tried to fetch a local file as a URL")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "pop.csv").write_bytes(b"y,x\n1,2\n3,4\n")
+    monkeypatch.setattr("urllib.request.urlopen", refuse)
+    with _c_reader_calls() as calls:
+        assert _outcome(lambda: load_population("http://host/pop.csv")) == (
+            ("1.0", "3.0"), ("2.0", "4.0"),
+        )
+    assert calls == [True]
+
+
 UNDECODABLE = {
     # name: (file bytes, the `_load_table` results before the error is raised)
     "header": (b"y,\xffx\n1,2\n3,4\n", []),

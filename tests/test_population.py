@@ -279,6 +279,19 @@ class TestComputeMoments:
                 compute_moments(FinitePopulation(**columns), SystematicDesign(N=240, n=12))
 
     @pytest.mark.parametrize("column", ["y", "x"])
+    def test_an_intraclass_correlation_that_overflows_is_named(self, column):
+        # Finite mean squares, but each sample sums 12 equal values near 1e153.
+        unit = np.arange(1, 241)
+        columns = {"y": 10.0 + unit, "x": 20.0 + unit / 10.0,
+                   column: 5e152 * ((unit % 20) - 9.5) / 5}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                DomainError, match=f"^the intraclass correlation of {column} overflows;"
+            ):
+                compute_moments(FinitePopulation(**columns), SystematicDesign(N=240, n=12))
+
+    @pytest.mark.parametrize("column", ["y", "x"])
     @pytest.mark.parametrize("value", [0.1, 1e202, 1e-198])
     def test_a_column_of_equal_values_is_constant(self, rng, column, value):
         pop = random_population(rng, 240)

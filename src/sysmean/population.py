@@ -203,9 +203,9 @@ def _load_table(
     """Parse the rest of a seekable `handle` with numpy's C reader.
 
     numpy reads `body`: either `handle` itself, which numpy pulls one line at
-    a time, or the path of the file that `handle` reads from just past its
-    one header line, which numpy opens and reads in chunks (it takes chunks
-    from a `str` path only).  Returns the (rows, 2) table only when the C
+    a time, or the path of the file `handle` reads, which numpy opens and
+    reads in chunks (it takes chunks from a `str` path only), skipping the
+    one header line.  Returns the (rows, 2) table only when the C
     reader accepts every row and the row loop would read the same values: no
     quote character anywhere (csv quoting can span delimiters and lines), at
     least 2 rows, all finite.  Otherwise rewinds the handle and returns None,

@@ -149,12 +149,14 @@ def _numpy_path(source: object) -> str | None:
     """The absolute path under which numpy may open `source` as plain text, or None.
 
     The path is absolute because DataSource fetches a relative path such as
-    `http://host/pop.csv` as a URL, though it names a local file.
+    `http://host/pop.csv` as a URL, though it names a local file.  It is not
+    normalised: `link/../pop.csv` must stay as it is, since the kernel
+    resolves `..` after following the symlink `link`.
     """
     path = os.fspath(source) if isinstance(source, os.PathLike) else source
     if not isinstance(path, str) or path.endswith(_COMPRESSED_SUFFIXES):
         return None
-    return os.path.abspath(path)
+    return os.path.join(os.getcwd(), path)
 
 
 def _parse_population(

@@ -183,6 +183,25 @@ def test_a_relative_path_that_looks_like_a_url_is_read_locally(tmp_path, monkeyp
     assert calls == [True]
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_path_through_a_symlink_and_dotdot_reads_the_file_open_reads(tmp_path, monkeypatch):
+    # link/.. is the symlink target's parent, not tmp_path, which holds a decoy.
+    (tmp_path / "elsewhere" / "target").mkdir(parents=True)
+    (tmp_path / "elsewhere" / "pop.csv").write_bytes(b"y,x\n1,2\n3,4\n")
+    (tmp_path / "link").symlink_to(tmp_path / "elsewhere" / "target")
+    monkeypatch.chdir(tmp_path)
+    expected = (("1.0", "3.0"), ("2.0", "4.0"))
+    for decoy in (None, "pop.csv", "pop.csv.gz"):
+        if decoy:
+            (tmp_path / decoy).write_bytes(b"y,x\n5,6\n7,8\n")
+        for source in ("link/../pop.csv", tmp_path / "link" / ".." / "pop.csv"):
+            with _c_reader_calls() as calls:
+                assert _outcome(lambda: load_population(source)) == expected
+            assert calls == [True]
+        if decoy:
+            (tmp_path / decoy).unlink()
+
+
 UNDECODABLE = {
     # name: (file bytes, the `_load_table` results before the error is raised)
     "header": (b"y,\xffx\n1,2\n3,4\n", []),

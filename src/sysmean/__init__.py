@@ -1,13 +1,13 @@
 """Population-mean estimation from systematic samples under non-response.
 
 The package covers the full pipeline: ingesting a finite population,
-enumerating systematic samples, simulating Hansen-Hurwitz follow-up of
+drawing systematic samples, simulating Hansen-Hurwitz follow-up of
 non-respondents, evaluating the general auxiliary-information estimator
 family, and checking its closed-form first-order bias/MSE theory by
 design-based Monte Carlo.
 """
 
-__version__ = "0.3.5"
+__version__ = "0.4.0"
 
 from .design import (
     NonResponseModel,
@@ -16,8 +16,6 @@ from .design import (
     SystematicDesign,
     apply_nonresponse,
     draw_sample,
-    enumerate_samples,
-    enumerated_design_variance,
 )
 from .errors import (
     ConfigurationError,
@@ -56,7 +54,6 @@ from .population import (
 )
 from .theory import (
     DerivedConstants,
-    classical_bias,
     classical_mse,
     derived_constants,
     family_bias,
@@ -97,8 +94,6 @@ __all__ = [
     "compute_moments",
     "stratum_mean_square",
     "population_fingerprint",
-    "enumerate_samples",
-    "enumerated_design_variance",
     "draw_sample",
     "apply_nonresponse",
     "hh_mean",
@@ -112,7 +107,6 @@ __all__ = [
     "nonresponse_term",
     "var_mean_y",
     "var_mean_x",
-    "classical_bias",
     "classical_mse",
     "family_bias",
     "family_mse",

@@ -7,7 +7,7 @@ manifest carries the only timestamp and the run's timings.  `rerun` replays a
 manifest's argv to reproduce its outputs.
 
 Exit status: 0 = success and all checks pass, 1 = a simulation check failed,
-2 = usage or input error.
+2 = usage or input error, or not enough memory.
 """
 from __future__ import annotations
 
@@ -808,8 +808,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.func(args, argv)
-    except (EstimationError, OSError) as exc:
-        print(f"sysmean: error: {exc}", file=sys.stderr)
+    except (EstimationError, OSError, MemoryError) as exc:
+        print(f"sysmean: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,4 @@
-"""Systematic-sample enumeration and the non-response sub-sampling mechanism.
+"""Systematic designs and the non-response sub-sampling mechanism.
 
 A design partitions N = n*k units (numbered 1..N in a fixed order) into k
 candidate samples; the i-th sample is (i, i+k, ..., i+(n-1)k) and one of the
@@ -135,23 +135,9 @@ class SampleRealization:
             raise DomainError("x must be observed on all n sample units")
 
 
-def enumerate_samples(design: SystematicDesign) -> list[tuple[int, ...]]:
-    """All k candidate samples; the i-th is (i, i+k, ..., i+(n-1)k), 1-based."""
-    return [tuple(range(start, design.N + 1, design.k)) for start in range(1, design.k + 1)]
-
-
 def draw_sample(design: SystematicDesign, rng: np.random.Generator) -> int:
     """Draw the random start index, uniform over 1..k."""
     return int(rng.integers(1, design.k + 1))
-
-
-def enumerated_design_variance(values: Sequence[float], design: SystematicDesign) -> float:
-    """Exact variance of the sample mean over the k equally likely samples."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size != design.N:
-        raise DesignError(f"expected {design.N} values, got {v.size}")
-    sample_means = v.reshape(design.n, design.k).mean(axis=0)
-    return float(((sample_means - v.mean()) ** 2).mean())
 
 
 def follow_up_size(n2: int, ell: float) -> int:

@@ -37,18 +37,19 @@ chance below span/2**32 a draw) is drawn again by a Generator on its stream,
 and so is every row of a call whose follow-up takes _CHOICE_MIN draws or
 more, which `Generator.choice` draws faster in C.
 
-Both stratum modes then form ybar* from one per-sample step, `_Samples.of`:
-from samples' y values and non-respondent masks it gives the respondent
-counts and y totals, the non-respondents' y values in unit order and h2.  A
-fixed stratum takes that step once per call, for the table of every start;
-in Bernoulli mode each block takes it on its drawn masks.  Every y and x
-total is `sequential_totals`, added left to right from +0.0 as the per-unit
-reference path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`)
-adds, and the streams are consumed as that path consumes them, so the
-reports are bit-identical to it on every Python version.  A block's arrays
-have the same shapes from block to block, whatever its draws: numpy keeps
-freed buffers of under 1 KiB for reuse by size, and arrays of ever new
-sizes would make that cache, and the process, grow call after call.
+A call builds the k samples once, into the per-start table of its `_Kernel`:
+row i holds the sample with start index i + 1, its y values, xbar_i and,
+with a fixed stratum, the parts `_Samples.of` gives of it: the respondent
+count and y total, the non-respondents' y values in unit order and h2.
+Blocks take their rows from the table, in Bernoulli mode with the parts
+under their drawn masks, and h reads xbar_i there.  Every y and x total is
+`sequential_totals`, added left to right from +0.0 as the per-unit reference
+path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`) adds, and
+the streams are consumed as that path consumes them, so the reports are
+bit-identical to it on every Python version.  A block's arrays have the same
+shapes from block to block, whatever its draws: numpy keeps freed buffers of
+under 1 KiB for reuse by size, and arrays of ever new sizes would make that
+cache, and the process, grow call after call.
 """
 from __future__ import annotations
 
@@ -357,7 +358,8 @@ class _Samples:
 
 
 class _Kernel:
-    """One call's replicates, a block at a time.
+    """One call's replicates, a block at a time, over its per-start table:
+    `ys`, `xbars` and, with a fixed stratum, `table`, built once in `__init__`.
 
     A block's draws give each replicate's start index, in Bernoulli mode its
     non-respondent mask, and where h2 < n2 the places its follow-up takes
@@ -372,18 +374,19 @@ class _Kernel:
     def __init__(self, pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig):
         n, k, nr = design.n, design.k, cfg.nr
         self.n, self.k, self.w2 = n, k, nr.w2
+        self.replicates, self.master_seed = cfg.replicates, cfg.master_seed
         # A word w gives the double (w >> 11)·2**-53, which is below w2 exactly
         # when w < ceil(w2·2**53) << 11.
         self.below = np.uint64(math.ceil(nr.w2 * 2**53) << 11)
-        # Row i holds the sample with start index i + 1.
-        self.ys = pop.y.reshape(n, k).T.copy()
+        stratum = np.zeros(design.N, dtype=bool)
+        stratum[np.fromiter(nr.stratum or (), np.intp) - 1] = True
+        # The per-start table: row i holds the sample with start index i + 1.
+        self.ys, xs, missing = (units.reshape(n, k).T.copy() for units in (pop.y, pop.x, stratum))
+        self.xbars = (sequential_totals(xs) / n).tolist()
         self.h2_of = follow_up_sizes(n, nr.ell)
         self.fixed = nr.mode is StratumMode.FIXED_STRATUM
         if self.fixed:
-            missing = np.zeros(design.N, dtype=bool)
-            stratum = nr.stratum or frozenset()
-            missing[np.fromiter(stratum, np.intp, len(stratum)) - 1] = True
-            self.table = _Samples.of(self.ys, missing.reshape(n, k).T.copy(), self.h2_of)
+            self.table = _Samples.of(self.ys, missing, self.h2_of)
             h2_max = follow_up = int(
                 np.where(self.table.h2 < self.table.n2, self.table.h2, 0).max(initial=0)
             )
@@ -402,6 +405,17 @@ class _Kernel:
         self.start_draw = k > 1 and not cfg.exhaustive_start
         self.follow_up_at = self.start_draw + (0 if self.fixed else n)
         self.count = self.follow_up_at + (max(h2_max - self.start_draw, 0) + 1) // 2
+
+    def means(self) -> tuple[np.ndarray, np.ndarray]:
+        """ybar* and the 0-based start index of each replicate, in replicate order."""
+        ybar_stars, starts = np.empty(self.replicates), np.empty(self.replicates, dtype=np.intp)
+        for first in range(0, self.replicates, SEED_BLOCK):
+            seeds = _stream_words(self.master_seed, first, min(first + SEED_BLOCK, self.replicates))
+            for lo in range(0, len(seeds), self.rows):
+                rows = seeds[lo : lo + self.rows]
+                block = slice(first + lo, first + lo + len(rows))
+                ybar_stars[block], starts[block] = self.block(rows, block.start)
+        return ybar_stars, starts
 
     def block(self, seeds: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
         """ybar* and the 0-based start index of replicates first, first + 1, ...
@@ -489,19 +503,17 @@ def run_simulation(
     if pop.N != design.N:
         raise DomainError(f"population has {pop.N} units but design expects {design.N}")
     cfg.nr.validate_for(design.N)
-    n, k = design.n, design.k
-    # Row i of the (k, n) transpose holds the sample with start index i + 1.
-    xbars = (sequential_totals(pop.x.reshape(n, k).T) / n).tolist()
+    kernel = _Kernel(pop, design, cfg)
+    ybar_star, starts = kernel.means()
     pop_mean_x = float(pop.x.mean())
-    ybar_star, starts = _replicate_means(pop, design, cfg)
-    drawn = np.flatnonzero(np.bincount(starts, minlength=k)).tolist()
+    drawn = np.flatnonzero(np.bincount(starts, minlength=design.k)).tolist()
     estimates, failed = [], []
     for spec in cfg.estimators:
-        h, bad = np.ones(k), np.zeros(k, dtype=bool)
+        h, bad = np.ones(design.k), np.zeros(design.k, dtype=bool)
         if spec.params is not None:
             for i in drawn:
                 try:
-                    h[i] = family_estimate(1.0, xbars[i], pop_mean_x, spec.params)
+                    h[i] = family_estimate(1.0, kernel.xbars[i], pop_mean_x, spec.params)
                 except (SingularityError, DomainError):
                     bad[i] = True
         estimate = h[starts]
@@ -509,21 +521,6 @@ def run_simulation(
         estimates.append(estimate)
         failed.append(bad[starts])
     return _report(pop, cfg, estimates, failed)
-
-
-def _replicate_means(
-    pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """ybar* and the 0-based start index of each replicate, in replicate order."""
-    kernel = _Kernel(pop, design, cfg)
-    ybar_stars, starts = np.empty(cfg.replicates), np.empty(cfg.replicates, dtype=np.intp)
-    for first in range(0, cfg.replicates, SEED_BLOCK):
-        seeds = _stream_words(cfg.master_seed, first, min(first + SEED_BLOCK, cfg.replicates))
-        for lo in range(0, len(seeds), kernel.rows):
-            rows = seeds[lo : lo + kernel.rows]
-            block = slice(first + lo, first + lo + len(rows))
-            ybar_stars[block], starts[block] = kernel.block(rows, block.start)
-    return ybar_stars, starts
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a square that overflows is an MSE of inf

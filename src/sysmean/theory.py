@@ -124,20 +124,6 @@ def _mse_prefactor(m: PopulationMoments, n: int, c: DerivedConstants) -> float:
     return c.f * (m.mean_y * m.mean_y) * _gx(m, n)
 
 
-def classical_bias(
-    kind: EstimatorKind, m: PopulationMoments, n: int, c: DerivedConstants
-) -> float:
-    """First-order bias of the classical ratio or product estimator."""
-    _require_valid_clustering(m, n)
-    if kind == "ratio":
-        bracket = 1.0 - c.big_k * c.rho_star
-    elif kind == "product":
-        bracket = c.big_k * c.rho_star
-    else:
-        raise DomainError(f"unknown estimator kind {kind!r}")
-    return _bias_prefactor(m, n, c) * bracket
-
-
 def classical_mse(
     kind: EstimatorKind,
     m: PopulationMoments,

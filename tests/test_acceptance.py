@@ -19,7 +19,6 @@ from sysmean import (
     SimulationConfig,
     StratumMode,
     SystematicDesign,
-    classical_bias,
     classical_mse,
     compute_moments,
     derived_constants,
@@ -38,6 +37,7 @@ from sysmean import (
 from sysmean.cli import main
 from sysmean.datasets import synthetic_linear_population
 from sysmean.population import PopulationMoments
+from reference import classical_bias
 from conftest import brute_force_intraclass, random_moments
 
 # ---------------------------------------------------------------------------

@@ -661,6 +661,43 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["simulate", "{pop}", "--n", "12", "--replicates", "4294967295"],
+             "run_simulation"),
+            (["synthesize", "--units", "100000000000000", "--out", "{out}"],
+             "synthetic_linear_population"),
+        ],
+        ids=["simulate", "synthesize"],
+    )
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 32.0 GiB for an array with shape "
+                         "(4294967295,) and data type float64"),
+             "Unable to allocate 32.0 GiB for an array with shape (4294967295,) "
+             "and data type float64"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_running_out_of_memory_is_usage_error(
+        self, pop_csv, tmp_path, capsys, monkeypatch, argv, target, error, message
+    ):
+        # The function that would allocate raises instead; nothing large is allocated.
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, out_of_memory)
+        out = tmp_path / "synth.csv"
+        paths = {"{pop}": str(pop_csv), "{out}": str(out)}
+        assert main([paths.get(tok, tok) for tok in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sysmean: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, dest, value",
         [
             (["simulate", "pop.csv", "--n", "12", "--b", "-1e300"], "b", -1e300),

@@ -14,11 +14,10 @@ from sysmean import (
     SystematicDesign,
     apply_nonresponse,
     draw_sample,
-    enumerate_samples,
-    enumerated_design_variance,
 )
 from sysmean.design import follow_up_size, follow_up_sizes, nearest_valid_sample_sizes
 from conftest import random_population
+from reference import enumerate_samples, enumerated_design_variance
 
 
 class TestSystematicDesign:

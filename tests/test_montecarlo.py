@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sysmean.montecarlo
 from conftest import random_population
+from reference import enumerate_samples, enumerated_design_variance
 from sysmean import (
     ConfigurationError,
     DomainError,
@@ -26,8 +27,6 @@ from sysmean import (
     compute_moments,
     derived_constants,
     draw_sample,
-    enumerate_samples,
-    enumerated_design_variance,
     family_estimate,
     hh_mean,
     optimum_alpha,
@@ -45,7 +44,6 @@ from sysmean.montecarlo import (
     _floyd,
     _Kernel,
     _lemire,
-    _replicate_means,
     _report,
     _stream_words,
     _StreamSeed,
@@ -428,7 +426,7 @@ class TestMemory:
         cfg = SimulationConfig(1000, 7, (EstimatorSpec("hh", "hh"),), nr)
         tracemalloc.start()
         try:
-            _replicate_means(pop, SystematicDesign(240, 12), cfg)
+            _Kernel(pop, SystematicDesign(240, 12), cfg).means()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,7 +1,8 @@
 """Packaging guards: sysmean imports only the standard library and its declared
-dependencies, pyproject.toml carries the package's version, the benchmark's
-tracer still finds every function it wraps, the README's library example
-runs and the README names only options the CLI has."""
+dependencies, pyproject.toml carries the package's version, every name in
+`sysmean.__all__` resolves once, the benchmark's tracer still finds every
+function it wraps, the README's library example runs and the README names
+only options the CLI has."""
 import argparse
 import ast
 import importlib
@@ -42,6 +43,17 @@ def imported_packages(path: Path) -> set[str]:
 def test_project_version_is_the_package_version():
     # Both are bumped by hand; a release that bumps one of them only fails here.
     assert project_table()["version"] == importlib.import_module("sysmean").__version__
+
+
+def test_every_public_name_resolves_once():
+    sysmean = importlib.import_module("sysmean")
+    names = sysmean.__all__
+    assert len(names) == len(set(names)), "sysmean.__all__ lists a name twice"
+    missing = [name for name in names if not hasattr(sysmean, name)]
+    assert not missing, f"sysmean.__all__ names undefined {missing}"
+    namespace: dict = {}
+    exec("from sysmean import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def test_import_does_not_load_scipy():

@@ -12,7 +12,6 @@ from sysmean import (
     DomainError,
     FamilyParams,
     PopulationMoments,
-    classical_bias,
     classical_mse,
     derived_constants,
     family_bias,
@@ -27,6 +26,7 @@ from sysmean import (
     var_mean_y,
 )
 from sysmean.theory import pre_grid
+from reference import classical_bias
 
 # Forest-strip study parameters (176 strips of timber volume vs. length),
 # with both intraclass correlations at the published working value.

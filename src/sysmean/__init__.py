@@ -7,16 +7,9 @@ family, and checking its closed-form first-order bias/MSE theory by
 design-based Monte Carlo.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
-from .design import (
-    NonResponseModel,
-    SampleRealization,
-    StratumMode,
-    SystematicDesign,
-    apply_nonresponse,
-    draw_sample,
-)
+from .design import NonResponseModel, StratumMode, SystematicDesign
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -26,15 +19,7 @@ from .errors import (
     ParseError,
     SingularityError,
 )
-from .estimators import (
-    FamilyParams,
-    aux_mean,
-    family_estimate,
-    hh_mean,
-    lambda_coefficient,
-    product_estimate,
-    ratio_estimate,
-)
+from .estimators import FamilyParams, family_estimate, lambda_coefficient
 from .montecarlo import (
     EstimatorSpec,
     SimulationConfig,
@@ -54,7 +39,6 @@ from .population import (
 )
 from .theory import (
     DerivedConstants,
-    classical_mse,
     derived_constants,
     family_bias,
     family_mse,
@@ -82,7 +66,6 @@ __all__ = [
     "SystematicDesign",
     "NonResponseModel",
     "StratumMode",
-    "SampleRealization",
     "FamilyParams",
     "DerivedConstants",
     "EstimatorSpec",
@@ -94,20 +77,13 @@ __all__ = [
     "compute_moments",
     "stratum_mean_square",
     "population_fingerprint",
-    "draw_sample",
-    "apply_nonresponse",
-    "hh_mean",
-    "aux_mean",
     "family_estimate",
-    "ratio_estimate",
-    "product_estimate",
     "lambda_coefficient",
     "fpc",
     "derived_constants",
     "nonresponse_term",
     "var_mean_y",
     "var_mean_x",
-    "classical_mse",
     "family_bias",
     "family_mse",
     "optimum_alpha",

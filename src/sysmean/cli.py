@@ -40,6 +40,7 @@ from .population import (
     compute_moments,
     load_population,
     sorted_by_auxiliary,
+    stratum_mean_square,
 )
 from .theory import (
     derived_constants,
@@ -250,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--x-high", type=_finite_float, default=60.0)
     p_synth.add_argument("--slope", type=_finite_float, default=3.0)
     p_synth.add_argument("--intercept", type=_finite_float, default=10.0)
-    p_synth.add_argument("--sort", action="store_true", help="arrange ascending by x")
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.add_argument("--manifest", help="manifest path (default: OUT.manifest.json)")
     p_synth.set_defaults(func=cmd_synthesize)
@@ -316,7 +316,11 @@ def _emit(args: argparse.Namespace, report: str | None, manifest: dict) -> None:
         sys.stderr.write(manifest_text)
 
 
-def _ingest(args: argparse.Namespace) -> tuple[FinitePopulation, str]:
+def _ingest(
+    args: argparse.Namespace, clock: _Stopwatch
+) -> tuple[FinitePopulation, SystematicDesign, str]:
+    """The input file's population, arranged by --sort-by, and its design with
+    --n, after checking its sha256; `clock` times the reading as "ingest_s"."""
     sha = file_sha256(args.input)
     if args.expect_sha256 and sha != args.expect_sha256.lower():
         raise ConfigurationError(
@@ -325,7 +329,8 @@ def _ingest(args: argparse.Namespace) -> tuple[FinitePopulation, str]:
     pop = load_population(args.input, y_column=args.y_col, x_column=args.x_col)
     if args.sort_by:
         pop = sorted_by_auxiliary(pop, by=args.sort_by)
-    return pop, sha
+    clock.lap("ingest_s")
+    return pop, SystematicDesign(pop.N, args.n), sha
 
 
 def _with_s2y2_factor(
@@ -445,9 +450,7 @@ def _render(fmt: str, payload: dict, csv: Table, text: list) -> str:
 
 def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
     clock = _Stopwatch()
-    pop, sha = _ingest(args)
-    clock.lap("ingest_s")
-    design = SystematicDesign(pop.N, args.n)
+    pop, design, sha = _ingest(args, clock)
     moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
     clock.lap("moments_s")
 
@@ -489,9 +492,7 @@ def _moments_from_args(
         moment_options = _given(args, "pop_size", "mean_y", "mean_x", "s2_y", "s2_x", "rho",
                                 "rho_w", "rho_y", "rho_x", "s2_y2")
         _refuse(moment_options, "explicit moments, not to an input file")
-        pop, sha = _ingest(args)
-        clock.lap("ingest_s")
-        design = SystematicDesign(pop.N, args.n)
+        pop, design, sha = _ingest(args, clock)
         moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor, 0.75)
         return moments, design, sha
 
@@ -625,9 +626,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     clock = _Stopwatch()
     if args.tolerance_sigma < 0:
         raise ConfigurationError(f"--tolerance-sigma must be >= 0, got {args.tolerance_sigma}")
-    pop, sha = _ingest(args)
-    clock.lap("ingest_s")
-    design = SystematicDesign(pop.N, args.n)
+    pop, design, sha = _ingest(args, clock)
 
     fixed = args.stratum_mode == "fixed"
     stratum = None
@@ -649,13 +648,12 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     )
     w2_theory = len(stratum) / pop.N if fixed else args.w2
 
-    needs_s2y2 = w2_theory > 0 and args.ell > 1 and args.s2y2_factor is None
-    moments = compute_moments(pop, design, nr.stratum if needs_s2y2 and fixed else None)
-    # Bernoulli non-response draws uniformly from the whole population,
-    # so the stratum mean square defaults to the overall mean square.
-    moments = _with_s2y2_factor(
-        moments, args.s2y2_factor, 1.0 if needs_s2y2 and not fixed else None
-    )
+    moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
+    if w2_theory > 0 and args.ell > 1 and args.s2y2_factor is None:
+        # Bernoulli non-response draws uniformly from the whole population,
+        # so its stratum mean square is the overall mean square.
+        s2_y2 = stratum_mean_square(pop, stratum) if fixed else moments.s2_y
+        moments = dataclasses.replace(moments, s2_y2=s2_y2)
 
     # The targets need no report: a theory-domain error exits before any replicate runs.
     estimators = _estimators(args, moments, design, w2_theory)
@@ -760,7 +758,6 @@ def cmd_synthesize(args: argparse.Namespace, argv: list[str]) -> int:
         x_high=args.x_high,
         slope=args.slope,
         intercept=args.intercept,
-        sort_by_x=args.sort,
     )
     write_population_csv(pop, args.out)
     _emit(args, None, _manifest(args, argv, None, output_sha256=file_sha256(args.out)))

@@ -26,14 +26,13 @@ def synthetic_linear_population(
     x_high: float = 60.0,
     slope: float = 3.0,
     intercept: float = 10.0,
-    sort_by_x: bool = False,
 ) -> FinitePopulation:
     """Generate y linear in x plus Gaussian noise with a target correlation.
 
     The noise standard deviation is chosen so that the magnitude of the
     population correlation is approximately `rho_target`; its sign is the
     sign of `slope`, and the realized value varies with the seed.  Units keep
-    their generation order unless `sort_by_x` is set.
+    their generation order; `sorted_by_auxiliary` re-arranges them.
     """
     if n_units < 2:
         raise DomainError(f"need at least 2 units, got {n_units}")
@@ -51,9 +50,6 @@ def synthetic_linear_population(
     signal_sd = abs(slope) * x.std()
     noise_sd = signal_sd * np.sqrt(1.0 / rho_target**2 - 1.0)
     y = intercept + slope * x + rng.normal(0.0, noise_sd, n_units)
-    if sort_by_x:
-        order = np.argsort(x, kind="stable")
-        x, y = x[order], y[order]
     return FinitePopulation(y=y, x=x)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -74,7 +74,8 @@ class NonResponseModel:
 
     With ``ell = 1`` every non-respondent is re-contacted, so no information
     is lost beyond the second call.  ``stratum`` (1-based unit indices) is
-    required for FIXED_STRATUM with w2 > 0 and must have round(w2 * N) units.
+    required for FIXED_STRATUM with w2 > 0, refused in the other mode, and
+    checked by `run_simulation` to have round(w2 * N) units in 1..N.
     """
 
     w2: float
@@ -89,19 +90,22 @@ class NonResponseModel:
             raise DomainError(f"sub-sampling ratio ell must be >= 1, got {self.ell}")
         if self.mode is StratumMode.FIXED_STRATUM and self.w2 > 0 and self.stratum is None:
             raise DesignError("FIXED_STRATUM with w2 > 0 requires an explicit stratum")
+        if self.mode is not StratumMode.FIXED_STRATUM and self.stratum is not None:
+            raise DesignError(f"a stratum applies only to FIXED_STRATUM, not to {self.mode.name}")
 
-    def validate_for(self, N: int) -> None:
-        """Check the stratum against a concrete population size."""
-        if self.mode is not StratumMode.FIXED_STRATUM:
-            return
-        stratum = self.stratum or frozenset()
-        expected = round(self.w2 * N)
-        if len(stratum) != expected:
-            raise DesignError(
-                f"stratum size {len(stratum)} does not match round(w2*N)={expected}"
-            )
-        if stratum and not all(1 <= u <= N for u in stratum):
-            raise DesignError("stratum contains unit indices outside 1..N")
+
+def _stratum_mask(units: Iterable[int], N: int, error: type[Exception]) -> np.ndarray:
+    """The (N,) mask of the 1-based unit ids `units`.  An id that is not an
+    integer, or one outside 1..N, raises `error`."""
+    ids = np.fromiter(units, dtype=float)
+    fractional = ids[np.trunc(ids) != ids]
+    if fractional.size:
+        raise error(f"stratum unit id {float(fractional.min())!r} is not an integer")
+    if ((ids < 1) | (ids > N)).any():
+        raise error("stratum contains unit indices outside 1..N")
+    mask = np.zeros(N, dtype=bool)
+    mask[ids.astype(np.intp) - 1] = True
+    return mask
 
 
 @dataclass(frozen=True)

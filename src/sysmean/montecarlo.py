@@ -64,9 +64,10 @@ from .design import (
     NonResponseModel,
     StratumMode,
     SystematicDesign,
+    _stratum_mask,
     follow_up_sizes,
 )
-from .errors import ConfigurationError, DomainError, SingularityError
+from .errors import ConfigurationError, DesignError, DomainError, SingularityError
 from .estimators import FamilyParams, family_estimate, sequential_totals
 from .population import FinitePopulation, population_fingerprint
 
@@ -378,14 +379,16 @@ class _Kernel:
         # A word w gives the double (w >> 11)·2**-53, which is below w2 exactly
         # when w < ceil(w2·2**53) << 11.
         self.below = np.uint64(math.ceil(nr.w2 * 2**53) << 11)
-        stratum = np.zeros(design.N, dtype=bool)
-        stratum[np.fromiter(nr.stratum or (), np.intp) - 1] = True
         # The per-start table: row i holds the sample with start index i + 1.
-        self.ys, xs, missing = (units.reshape(n, k).T.copy() for units in (pop.y, pop.x, stratum))
+        self.ys, xs = (units.reshape(n, k).T.copy() for units in (pop.y, pop.x))
         self.xbars = (sequential_totals(xs) / n).tolist()
         self.h2_of = follow_up_sizes(n, nr.ell)
         self.fixed = nr.mode is StratumMode.FIXED_STRATUM
         if self.fixed:
+            stratum, size = nr.stratum or frozenset(), round(nr.w2 * design.N)
+            if len(stratum) != size:
+                raise DesignError(f"stratum size {len(stratum)} does not match round(w2*N)={size}")
+            missing = _stratum_mask(stratum, design.N, DesignError).reshape(n, k).T
             self.table = _Samples.of(self.ys, missing, self.h2_of)
             h2_max = follow_up = int(
                 np.where(self.table.h2 < self.table.n2, self.table.h2, 0).max(initial=0)
@@ -502,7 +505,6 @@ def run_simulation(
     """
     if pop.N != design.N:
         raise DomainError(f"population has {pop.N} units but design expects {design.N}")
-    cfg.nr.validate_for(design.N)
     kernel = _Kernel(pop, design, cfg)
     ybar_star, starts = kernel.means()
     pop_mean_x = float(pop.x.mean())

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .design import SystematicDesign
+from .design import SystematicDesign, _stratum_mask
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -276,8 +276,8 @@ def intraclass_correlation(
     times the total sum of squares, all deviations taken from the grand
     mean.  The result lies in [-1/(n-1), 1].  Under this definition the
     variance of the k equally likely sample means is exactly
-    (N-1)/(n*N) * {1 + (n-1)*rho_w} * S^2, which the simulation harness
-    verifies by enumeration.  A sum that overflows raises DomainError
+    (N-1)/(n*N) * {1 + (n-1)*rho_w} * S^2, which the tests check by
+    enumerating the k samples.  A sum that overflows raises DomainError
     naming the values as `name`.
     """
     values = np.asarray(pop_values, dtype=float)
@@ -306,28 +306,24 @@ def intraclass_correlation(
 
 
 def stratum_mean_square(pop: FinitePopulation, nr_stratum: Iterable[int]) -> float:
-    """Mean square (divisor N2-1) of the study variable over a unit subset."""
-    units = sorted(set(int(u) for u in nr_stratum))
-    if any(u < 1 or u > pop.N for u in units):
-        raise DomainError("stratum contains unit indices outside 1..N")
-    if len(units) < 2:
+    """Mean square (divisor N2-1) of the study variable over a unit subset of
+    1-based ids.  An id that is not an integer, or one outside 1..N, and a
+    subset of fewer than 2 units raise DomainError."""
+    y = pop.y[_stratum_mask(nr_stratum, pop.N, DomainError)]
+    if y.size < 2:
         raise DomainError(
-            f"stratum must contain at least 2 units to define its mean square, got {len(units)}"
+            f"stratum must contain at least 2 units to define its mean square, got {y.size}"
         )
-    return float(pop.y[np.array(units) - 1].var(ddof=1))
+    return float(y.var(ddof=1))
 
 
-def compute_moments(
-    pop: FinitePopulation,
-    design: SystematicDesign,
-    nr_stratum: Iterable[int] | None = None,
-) -> PopulationMoments:
+def compute_moments(pop: FinitePopulation, design: SystematicDesign) -> PopulationMoments:
     """Compute every population parameter the error theory consumes.
 
-    The stratum mean square `s2_y2` comes from the unit subset `nr_stratum`.
-    Without one it is left unset, and any downstream use that needs it will
-    refuse to run; set it from a scalar with `dataclasses.replace`.  A column
-    of equal values raises DegenerateInputError, and one whose mean square
+    The stratum mean square `s2_y2` is left unset, and any downstream use
+    that needs it will refuse to run; set it with `dataclasses.replace`,
+    for example to `stratum_mean_square` of a unit subset.  A column of
+    equal values raises DegenerateInputError, and one whose mean square
     overflows or underflows to 0 raises DomainError.
     """
     if pop.N != design.N:
@@ -352,7 +348,6 @@ def compute_moments(
         rho=float(np.corrcoef(y, x)[0, 1]),
         rho_y=intraclass_correlation(y, design, "y"),
         rho_x=intraclass_correlation(x, design, "x"),
-        s2_y2=None if nr_stratum is None else stratum_mean_square(pop, nr_stratum),
     )
 
 

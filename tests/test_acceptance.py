@@ -19,7 +19,6 @@ from sysmean import (
     SimulationConfig,
     StratumMode,
     SystematicDesign,
-    classical_mse,
     compute_moments,
     derived_constants,
     family_bias,
@@ -32,11 +31,13 @@ from sysmean import (
     optimum_alpha,
     pre_optimum,
     run_simulation,
+    stratum_mean_square,
     var_mean_y,
 )
 from sysmean.cli import main
 from sysmean.datasets import synthetic_linear_population
 from sysmean.population import PopulationMoments
+from sysmean.theory import classical_mse
 from reference import classical_bias
 from conftest import brute_force_intraclass, random_moments
 
@@ -106,7 +107,10 @@ def nonresponse_run(accept_population):
     nr = NonResponseModel(
         w2=0.25, ell=2.0, mode=StratumMode.FIXED_STRATUM, stratum=stratum
     )
-    moments = compute_moments(accept_population, design, nr_stratum=stratum)
+    moments = dataclasses.replace(
+        compute_moments(accept_population, design),
+        s2_y2=stratum_mean_square(accept_population, stratum),
+    )
     constants = derived_constants(moments, ACCEPT_SAMPLE, ACCEPT_N)
     alpha = optimum_alpha(constants, 1.0)
     cfg = SimulationConfig(

@@ -8,7 +8,6 @@ import pytest
 
 from sysmean import (
     SystematicDesign,
-    classical_mse,
     compute_moments,
     derived_constants,
     load_population,
@@ -16,6 +15,7 @@ from sysmean import (
 from sysmean import cli
 from sysmean.cli import build_parser, main
 from sysmean.datasets import file_sha256
+from sysmean.theory import classical_mse
 
 
 @pytest.fixture

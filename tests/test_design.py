@@ -8,14 +8,21 @@ from hypothesis import strategies as st
 from sysmean import (
     DesignError,
     DomainError,
+    EstimatorSpec,
     NonResponseModel,
-    SampleRealization,
+    SimulationConfig,
     StratumMode,
     SystematicDesign,
+    run_simulation,
+)
+from sysmean.design import (
+    SampleRealization,
     apply_nonresponse,
     draw_sample,
+    follow_up_size,
+    follow_up_sizes,
+    nearest_valid_sample_sizes,
 )
-from sysmean.design import follow_up_size, follow_up_sizes, nearest_valid_sample_sizes
 from conftest import random_population
 from reference import enumerate_samples, enumerated_design_variance
 
@@ -106,6 +113,15 @@ class TestDrawSample:
         assert np.all(np.abs(counts / draws - p) <= bound)
 
 
+def simulate(nr, N):
+    """Run a 2-replicate hh simulation of `nr` on a random population of N units, n = 2."""
+    pop = random_population(np.random.default_rng(3), N)
+    cfg = SimulationConfig(
+        replicates=2, master_seed=1, estimators=(EstimatorSpec("hh", "hh"),), nr=nr
+    )
+    return run_simulation(pop, SystematicDesign(N=N, n=2), cfg)
+
+
 class TestNonResponseModel:
     def test_rate_range(self):
         with pytest.raises(DomainError):
@@ -121,14 +137,34 @@ class TestNonResponseModel:
 
     def test_stratum_size_checked_against_population(self):
         nr = NonResponseModel(w2=0.25, ell=2.0, stratum=frozenset({1, 2, 3}))
-        nr.validate_for(12)  # round(0.25 * 12) = 3
+        simulate(nr, 12)  # round(0.25 * 12) = 3
         with pytest.raises(DesignError):
-            nr.validate_for(20)
+            simulate(nr, 20)
 
     def test_stratum_indices_checked(self):
         nr = NonResponseModel(w2=0.25, ell=2.0, stratum=frozenset({1, 99, 3}))
         with pytest.raises(DesignError):
-            nr.validate_for(12)
+            simulate(nr, 12)
+
+    @pytest.mark.parametrize("stratum", [{0, 1, 2}, {-1, 2, 3}])
+    def test_stratum_indices_below_one_checked(self, stratum):
+        nr = NonResponseModel(w2=0.25, ell=2.0, stratum=frozenset(stratum))
+        with pytest.raises(DesignError, match=r"outside 1\.\.N"):
+            simulate(nr, 12)
+
+    def test_fractional_unit_ids_refused(self):
+        # int() would truncate them to the units {1, 2, 3}.
+        nr = NonResponseModel(w2=0.25, ell=2.0, stratum=frozenset({1.5, 2.5, 3.5}))
+        with pytest.raises(DesignError, match=r"stratum unit id 1\.5 is not an integer"):
+            simulate(nr, 12)
+
+    def test_bernoulli_mode_refuses_a_stratum(self):
+        # The stratum {25} of a 24-unit population once ended in an IndexError.
+        with pytest.raises(DesignError, match="applies only to FIXED_STRATUM"):
+            NonResponseModel(
+                w2=0.25, ell=2.0, mode=StratumMode.BERNOULLI_PER_REPLICATE,
+                stratum=frozenset({25}),
+            )
 
 
 class TestFollowUpSize:

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from sysmean import (
     DomainError,
     FamilyParams,
-    SampleRealization,
     SingularityError,
-    aux_mean,
     family_estimate,
-    hh_mean,
     lambda_coefficient,
+)
+from sysmean.design import SampleRealization
+from sysmean.estimators import (
+    aux_mean,
+    hh_mean,
     product_estimate,
     ratio_estimate,
+    sequential_totals,
 )
-from sysmean.estimators import sequential_totals
 
 
 def make_realization(respondent_ys, subsample_ys, extra_nonrespondents=0, x=None):

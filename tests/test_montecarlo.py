@@ -21,21 +21,17 @@ from sysmean import (
     SingularityError,
     StratumMode,
     SystematicDesign,
-    apply_nonresponse,
-    aux_mean,
     compare_to_theory,
     compute_moments,
     derived_constants,
-    draw_sample,
     family_estimate,
-    hh_mean,
     optimum_alpha,
-    product_estimate,
-    ratio_estimate,
     run_simulation,
     var_mean_y,
 )
 from sysmean.datasets import synthetic_linear_population
+from sysmean.design import apply_nonresponse, draw_sample
+from sysmean.estimators import aux_mean, hh_mean, product_estimate, ratio_estimate
 from sysmean.montecarlo import (
     MAX_REPLICATES,
     SEED_BLOCK,

@@ -1,8 +1,9 @@
 """Packaging guards: sysmean imports only the standard library and its declared
 dependencies, pyproject.toml carries the package's version, every name in
 `sysmean.__all__` resolves once, the benchmark's tracer still finds every
-function it wraps, the README's library example runs and the README names
-only options the CLI has."""
+function it wraps, the README's library example runs, the README names
+only options the CLI has and its Install section names every build
+requirement."""
 import argparse
 import ast
 import importlib
@@ -18,13 +19,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sysmean"
 
 
-def project_table() -> dict:
+def pyproject(table: str) -> dict:
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))[table]
 
 
 def declared_dependencies() -> set[str]:
-    specs = project_table()["dependencies"]
+    specs = pyproject("project")["dependencies"]
     names = (re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in specs)
     return {name.lower() for name in names}
 
@@ -42,7 +43,7 @@ def imported_packages(path: Path) -> set[str]:
 
 def test_project_version_is_the_package_version():
     # Both are bumped by hand; a release that bumps one of them only fails here.
-    assert project_table()["version"] == importlib.import_module("sysmean").__version__
+    assert pyproject("project")["version"] == importlib.import_module("sysmean").__version__
 
 
 def test_every_public_name_resolves_once():
@@ -130,3 +131,12 @@ def test_readme_names_only_options_the_cli_has():
     options = readme_options()
     assert {"--alpha", "--expect-sha256", "--n", "--format"} <= options
     assert not options - known, f"README names unknown options {sorted(options - known)}"
+
+
+def test_readme_install_names_every_build_requirement():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (install,) = re.findall(r"^## Install\n(.*?)(?=^## )", readme, flags=re.S | re.M)
+    requires = pyproject("build-system")["requires"]
+    assert requires
+    missing = [spec for spec in requires if spec not in install]
+    assert not missing, f"README's Install section does not name {missing}"

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import warnings
@@ -254,9 +255,17 @@ class TestComputeMoments:
         pop = random_population(rng, 12)
         design = SystematicDesign(N=12, n=3)
         stratum = {2, 5, 7, 11}
-        m = compute_moments(pop, design, nr_stratum=stratum)
+        m = dataclasses.replace(
+            compute_moments(pop, design), s2_y2=stratum_mean_square(pop, stratum)
+        )
         values = np.array([pop.y[u - 1] for u in sorted(stratum)])
         assert m.s2_y2 == pytest.approx(values.var(ddof=1), rel=1e-14)
+
+    def test_fractional_unit_ids_refused(self, rng):
+        # int() would truncate them to the units 1-3.
+        pop = random_population(rng, 12)
+        with pytest.raises(DomainError, match=r"stratum unit id 1\.5 is not an integer"):
+            stratum_mean_square(pop, [1.5, 2.7, 3.9])
 
     def test_small_stratum_flagged(self, rng):
         pop = random_population(rng, 12)

@@ -12,7 +12,6 @@ from sysmean import (
     DomainError,
     FamilyParams,
     PopulationMoments,
-    classical_mse,
     derived_constants,
     family_bias,
     family_mse,
@@ -25,7 +24,7 @@ from sysmean import (
     var_mean_x,
     var_mean_y,
 )
-from sysmean.theory import pre_grid
+from sysmean.theory import classical_mse, pre_grid
 from reference import classical_bias
 
 # Forest-strip study parameters (176 strips of timber volume vs. length),

@@ -153,13 +153,13 @@ class TestNonResponseModel:
             simulate(nr, 12)
 
     def test_fractional_unit_ids_refused(self):
-        # int() would truncate them to the units {1, 2, 3}.
+        # Truncated, they would read as the units {1, 2, 3}.
         nr = NonResponseModel(w2=0.25, ell=2.0, stratum=frozenset({1.5, 2.5, 3.5}))
         with pytest.raises(DesignError, match=r"stratum unit id 1\.5 is not an integer"):
             simulate(nr, 12)
 
     def test_bernoulli_mode_refuses_a_stratum(self):
-        # The stratum {25} of a 24-unit population once ended in an IndexError.
+        # Bernoulli mode draws its non-respondents, so a stratum there is an error.
         with pytest.raises(DesignError, match="applies only to FIXED_STRATUM"):
             NonResponseModel(
                 w2=0.25, ell=2.0, mode=StratumMode.BERNOULLI_PER_REPLICATE,

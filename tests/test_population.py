@@ -262,7 +262,7 @@ class TestComputeMoments:
         assert m.s2_y2 == pytest.approx(values.var(ddof=1), rel=1e-14)
 
     def test_fractional_unit_ids_refused(self, rng):
-        # int() would truncate them to the units 1-3.
+        # Truncated, they would read as the units 1-3.
         pop = random_population(rng, 12)
         with pytest.raises(DomainError, match=r"stratum unit id 1\.5 is not an integer"):
             stratum_mean_square(pop, [1.5, 2.7, 3.9])

@@ -26,7 +26,7 @@ from . import __version__
 from .datasets import file_sha256, synthetic_linear_population, write_population_csv
 from .design import NonResponseModel, StratumMode, SystematicDesign
 from .errors import ConfigurationError, DomainError, EstimationError
-from .estimators import FamilyParams
+from .estimators import PRESETS, FamilyParams
 from .montecarlo import (
     EstimatorSpec,
     SimulationConfig,
@@ -352,7 +352,7 @@ class Column:
     cell: str
 
 
-def _fixed_width(columns: list[Column], table: Table) -> list[str]:
+def _fixed_width(columns: list[Column], table: dict[str, list]) -> list[str]:
     """The heading and rows of `table` under `columns`.
 
     A heading keeps its cell's alignment and width, not its precision and
@@ -382,57 +382,49 @@ def _fixed_width(columns: list[Column], table: Table) -> list[str]:
     return lines
 
 
-class Table(dict):
-    """Records held as equal-length columns (key -> one value per row), written as a
-    JSON list of objects, csv or a fixed-width table.  It is a dict of its own type
-    only so that `_json` can tell it from a payload dict."""
+def _records(items: list[dict]) -> dict[str, list]:
+    """The table (key -> one value per row) of mappings that share their keys."""
+    return {key: [item[key] for item in items] for key in (items[0] if items else ())}
 
 
-def _records(items: list[dict]) -> Table:
-    """A Table of mappings that share their keys."""
-    return Table({key: [item[key] for item in items] for key in (items[0] if items else ())})
+def _scalar(value: object) -> str:
+    return "null" if isinstance(value, float) and not math.isfinite(value) else json.dumps(value)
 
 
-def _json(value: object, indent: str = "") -> str:
-    """`json.dumps(value, indent=2)` for str-keyed data, with null for nan and +-inf
-    (RFC 8259 has neither); a Table is written as its list of records."""
-    if isinstance(value, Table):
-        return _json_table(value, indent)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{inner}{json.dumps(key)}: {_json(item, inner)}" for key, item in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [inner + _json(item, inner) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-    if isinstance(value, float) and not math.isfinite(value):
-        return "null"
-    return json.dumps(value)
-
-
-def _json_column(values: list, indent: str) -> list[str]:
+def _json_column(values: list) -> list[str]:
     try:
         texts = list(map(float.__repr__, values))
     except TypeError:  # not all floats
-        return [_json(value, indent) for value in values]
+        return list(map(_scalar, values))
     if all(map(math.isfinite, values)):
         return texts
     return [text if math.isfinite(value) else "null" for text, value in zip(texts, values)]
 
 
-def _json_table(table: Table, indent: str) -> str:
-    """Each column formatted once, then each record from one template."""
-    inner, field = indent + "  ", indent + "    "
-    columns = [_json_column(values, field) for values in table.values()]
-    members = ",\n".join(f"{field}{json.dumps(key).replace('%', '%%')}: %s" for key in table)
-    template = f"{inner}{{\n{members}\n{inner}}}"
+def _json_table(table: dict[str, list]) -> str:
+    """The table as its list of records: each column formatted once, then each
+    record from one template."""
+    columns = [_json_column(values) for values in table.values()]
+    members = ",\n".join(f"      {json.dumps(key).replace('%', '%%')}: %s" for key in table)
+    template = f"    {{\n{members}\n    }}"
     records = [template % row for row in zip(*columns)]
-    return "[\n" + ",\n".join(records) + "\n" + indent + "]" if records else "[]"
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
 
 
-def _render(fmt: str, payload: dict, csv: Table, text: list) -> str:
-    """The report as json of `payload`, csv of `csv`, or the lines and (columns, Table)
-    tables of `text`."""
+def _json(payload: dict) -> str:
+    """`json.dumps(payload, indent=2)` for a report payload, with null for nan and
+    +-inf (RFC 8259 has neither).  A payload value is a scalar or a table, a dict of
+    equal-length columns, which is written as its list of records."""
+    items = [
+        f"  {json.dumps(key)}: {_json_table(value) if isinstance(value, dict) else _scalar(value)}"
+        for key, value in payload.items()
+    ]
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _render(fmt: str, payload: dict, csv: dict[str, list], text: list) -> str:
+    """The report as json of `payload`, csv of the table `csv`, or the lines and
+    (columns, table) pairs of `text`."""
     if fmt == "json":
         return _json(payload) + "\n"
     if fmt == "csv":
@@ -473,7 +465,7 @@ def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
     width = max(map(len, payload))
     report = _render(
         args.format, payload,
-        Table({"parameter": list(payload), "value": list(payload.values())}),
+        {"parameter": list(payload), "value": list(payload.values())},
         [f"{key:<{width}}  {value}" for key, value in payload.items()],
     )
     clock.lap("render_s")
@@ -547,7 +539,7 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     w2_grid, ell_grid = args.w2_grid, args.ell_grid
     var, mse_min, pre = pre_grid(moments, n, N, w2_grid, ell_grid, constants)
     clock.lap("theory_s")
-    rows = Table(
+    rows = dict(
         w2=[w2 for w2 in w2_grid for _ in ell_grid], ell=ell_grid * len(w2_grid),
         var_hh_mean=var, mse_family_min=mse_min, pre=pre,
     )
@@ -596,25 +588,28 @@ def _estimators(
     family = _family_params(args) if "family" in kinds or not given else None
     estimators = []
     for kind in kinds:
+        if kind not in (*PRESETS, "family"):
+            raise ConfigurationError(
+                f"unknown estimator kind {kind!r}; expected one of {(*PRESETS, 'family')}"
+            )
         if kind == "hh":
-            spec = EstimatorSpec(kind, kind)
-            name, value = "var(hh mean)", var_mean_y(moments, n, N, w2, ell)
+            params, name, value = None, "var(hh mean)", var_mean_y(moments, n, N, w2, ell)
         elif kind == "family" and args.alpha is None:
             constants = derived_constants(moments, n, N, family)
-            optimum = dataclasses.replace(family, alpha=optimum_alpha(constants, family.g))
-            spec = EstimatorSpec(kind, kind, optimum)
+            params = dataclasses.replace(family, alpha=optimum_alpha(constants, family.g))
             name, value = "min MSE(family)", family_mse_min(moments, n, w2, ell, constants)
         else:
-            # ratio and product fill in their presets, whose (a, b) = (1, 0) make lambda 1
-            # whatever --a and --b say; EstimatorSpec refuses any kind but the four.
-            params = dataclasses.replace(family, alpha=args.alpha) if kind == "family" else None
-            spec = EstimatorSpec(kind, kind, params)
-            constants = derived_constants(moments, n, N, spec.params)
+            # ratio and product take their presets, whose (a, b) = (1, 0) make lambda 1
+            # whatever --a and --b say.
+            params = (
+                dataclasses.replace(family, alpha=args.alpha) if kind == "family" else PRESETS[kind]
+            )
+            constants = derived_constants(moments, n, N, params)
             name = f"first-order MSE({kind})"
-            value = family_mse(spec.params, moments, n, w2, ell, constants)
+            value = family_mse(params, moments, n, w2, ell, constants)
         if not math.isfinite(value):
             raise DomainError(f"{name} is {value}: the first-order theory overflows")
-        estimators.append((spec, name, value))
+        estimators.append((EstimatorSpec(kind, params), name, value))
     if "family" not in kinds:
         _refuse(given, "the family estimator, which --estimators does not list")
     if not estimators:
@@ -664,7 +659,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         nr=nr,
         exhaustive_start=args.exhaustive,
     )
-    alpha = next((s.params.alpha for s in cfg.estimators if s.kind == "family"), None)
+    alpha = next((s.params.alpha for s in cfg.estimators if s.label == "family"), None)
     clock.lap("moments_s")
     report = run_simulation(pop, design, cfg)
     clock.lap("simulate_s")
@@ -694,7 +689,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         "comparisons": checks,
         "all_pass": all_pass,
     }
-    csv = Table(
+    csv = dict(
         label=results["label"], n_used=results["n_used"], n_failed=results["n_failed"],
         mean=results["empirical_mean"], bias=results["empirical_bias"],
         mse=results["empirical_mse"], mc_se_mse=results["mc_se_mse"],
@@ -729,7 +724,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             f"non-response: mode={args.stratum_mode} w2={args.w2} L={args.ell}"
             + (f"  alpha={alpha:.6f}" if alpha is not None else ""),
             "",
-            (result_columns, Table(results, flag=flags)),
+            (result_columns, dict(results, flag=flags)),
             "",
             f"theory comparison (tolerance {args.tolerance_sigma:g} sigma)",
             (comparison_columns, checks),

@@ -9,6 +9,7 @@ volume/length-style correlation.
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ def synthetic_linear_population(
     The noise standard deviation is chosen so that the magnitude of the
     population correlation is approximately `rho_target`; its sign is the
     sign of `slope`, and the realized value varies with the seed.  Units keep
-    their generation order; `sorted_by_auxiliary` re-arranges them.
+    their generation order; `sorted_by_auxiliary` re-arranges them.  A value
+    that overflows raises DomainError naming it.
     """
     if n_units < 2:
         raise DomainError(f"need at least 2 units, got {n_units}")
@@ -45,11 +47,24 @@ def synthetic_linear_population(
         raise DomainError("slope must be nonzero: a zero slope gives a constant y")
     if not x_low < x_high:
         raise DomainError(f"x_low must be below x_high, got {x_low} and {x_high}")
+    if not math.isfinite(x_high - x_low):
+        raise DomainError(f"x_high - x_low overflows for x in [{x_low}, {x_high}]")
     rng = np.random.default_rng(seed)
     x = rng.uniform(x_low, x_high, n_units)
-    signal_sd = abs(slope) * x.std()
-    noise_sd = signal_sd * np.sqrt(1.0 / rho_target**2 - 1.0)
-    y = intercept + slope * x + rng.normal(0.0, noise_sd, n_units)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x_sd = x.std()
+        signal_sd = abs(slope) * x_sd
+        # 1/rho_target**2 is inf where the square underflows to 0.
+        noise_sd = signal_sd * np.sqrt(np.divide(1.0, rho_target**2) - 1.0)
+        y = intercept + slope * x + rng.normal(0.0, noise_sd, n_units)
+    for name, value in (
+        ("the standard deviation of x", x_sd),
+        ("the standard deviation of slope * x", signal_sd),
+        ("the standard deviation of the noise", noise_sd),
+        ("y = intercept + slope * x + noise", y),
+    ):
+        if not np.isfinite(value).all():
+            raise DomainError(f"{name} overflows")
     return FinitePopulation(y=y, x=x)
 
 

@@ -43,6 +43,10 @@ class FamilyParams:
             raise DomainError("family parameter a must be nonzero")
 
 
+# The family parameters of h for each preset estimator; None is h = 1.
+PRESETS = {"hh": None, "ratio": FamilyParams(1.0, 1.0), "product": FamilyParams(1.0, -1.0)}
+
+
 def lambda_coefficient(params: FamilyParams, pop_mean_x: float) -> float:
     """Relative weight a*Xbar / (a*Xbar + b) of the auxiliary mean in the bracket."""
     scaled = params.a * pop_mean_x

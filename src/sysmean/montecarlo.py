@@ -5,9 +5,10 @@ follow-up sub-sampling), evaluates each configured estimator, and aggregates
 empirical bias/MSE with a Monte Carlo standard error so that theory
 comparisons can use a principled z-score.
 
-Every estimator is ybar*·h(xbar) with h from the general family: kind 'hh'
-is h = 1, 'ratio' and 'product' are the presets (alpha=1, g=+-1) and
-'family' has its own parameters.  xbar depends on the start index alone, so
+Every estimator is ybar*·h(xbar) with h from the general family: an
+`EstimatorSpec` with `params` None is h = 1 (the adjusted mean), and
+`estimators.PRESETS` gives the ratio and product estimators' parameters
+(alpha=1, g=+-1).  xbar depends on the start index alone, so
 h(xbar_i) = `family_estimate(1.0, xbar_i, Xbar, params)` and its failure
 flag are evaluated once per drawn start; ybar* times it has the same bits
 as the family evaluated per replicate.
@@ -75,10 +76,6 @@ from .population import FinitePopulation, population_fingerprint
 from .design import apply_nonresponse, draw_sample  # noqa: F401
 from .estimators import aux_mean, hh_mean, product_estimate, ratio_estimate  # noqa: F401
 
-# The family parameters of h for each preset kind; None is h = 1.
-PRESETS = {"hh": None, "ratio": FamilyParams(1.0, 1.0), "product": FamilyParams(1.0, -1.0)}
-ESTIMATOR_KINDS = (*PRESETS, "family")
-
 # An estimator whose replicates fail more often than this is reported invalid.
 MAX_FAILURE_RATE = 0.01
 
@@ -91,30 +88,16 @@ SEED_BLOCK = 1024
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One estimator ybar*·h(xbar), h given by family `params` (None: h = 1).
-
-    A preset kind fills in its `params` and rejects others; 'family' needs them."""
+    """One estimator ybar*·h(xbar), h given by family `params` (None: h = 1)."""
 
     label: str
-    kind: str
     params: FamilyParams | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "family":
-            if self.params is None:
-                raise ConfigurationError("estimator kind 'family' requires FamilyParams")
-            return
-        if self.kind not in PRESETS:
+        if not isinstance(self.params, (FamilyParams, type(None))):
             raise ConfigurationError(
-                f"unknown estimator kind {self.kind!r}; expected one of {ESTIMATOR_KINDS}"
+                f"estimator {self.label!r} needs FamilyParams or None, got {self.params!r}"
             )
-        preset = PRESETS[self.kind]
-        if self.params not in (None, preset):
-            raise ConfigurationError(
-                f"estimator kind {self.kind!r} has the preset parameters {preset}, "
-                f"got {self.params}"
-            )
-        object.__setattr__(self, "params", preset)
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,8 @@ def nonresponse_run(accept_population):
         replicates=MC_REPLICATES,
         master_seed=MC_SEED,
         estimators=(
-            EstimatorSpec("hh", "hh"),
-            EstimatorSpec("family", "family", FamilyParams(alpha=alpha)),
+            EstimatorSpec("hh"),
+            EstimatorSpec("family", FamilyParams(alpha=alpha)),
         ),
         nr=nr,
     )
@@ -304,7 +304,7 @@ def test_criterion_6_exhaustive_enumeration(accept_population):
     cfg = SimulationConfig(
         replicates=ACCEPT_K,
         master_seed=1,
-        estimators=(EstimatorSpec("hh", "hh"),),
+        estimators=(EstimatorSpec("hh"),),
         nr=NonResponseModel(w2=0.0, ell=1.0),
         exhaustive_start=True,
     )

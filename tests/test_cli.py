@@ -648,6 +648,20 @@ class TestUsageErrors:
              "sysmean: error: slope must be nonzero"),
             (["synthesize", "--units", "20", "--rho", "-0.5", "--out", "{out}"],
              "sysmean: error: target correlation magnitude must be in (0, 1]"),
+            # rho_target**2 underflows to 0, so 1/rho_target**2 divides by zero
+            (["synthesize", "--units", "10", "--rho", "1e-200", "--out", "{out}"],
+             "sysmean: error: the standard deviation of the noise overflows"),
+            (["synthesize", "--units", "10", "--x-low", "-1e308", "--x-high", "1e308",
+              "--out", "{out}"],
+             "sysmean: error: x_high - x_low overflows"),
+            (["synthesize", "--units", "10", "--slope", "1e308", "--out", "{out}"],
+             "sysmean: error: the standard deviation of slope * x overflows"),
+            (["synthesize", "--units", "10", "--x-low", "-1e308", "--x-high", "1e307",
+              "--out", "{out}"],
+             "sysmean: error: the standard deviation of x overflows"),
+            (["synthesize", "--units", "10", "--x-low", "1e160", "--x-high", "1.00000000001e160",
+              "--slope", "1e150", "--out", "{out}"],
+             "sysmean: error: y = intercept + slope * x + noise overflows"),
         ],
     )
     def test_non_finite_and_negative_numbers(self, pop_csv, tmp_path, capsys, argv, message):

@@ -117,7 +117,7 @@ def simulate(nr, N):
     """Run a 2-replicate hh simulation of `nr` on a random population of N units, n = 2."""
     pop = random_population(np.random.default_rng(3), N)
     cfg = SimulationConfig(
-        replicates=2, master_seed=1, estimators=(EstimatorSpec("hh", "hh"),), nr=nr
+        replicates=2, master_seed=1, estimators=(EstimatorSpec("hh"),), nr=nr
     )
     return run_simulation(pop, SystematicDesign(N=N, n=2), cfg)
 

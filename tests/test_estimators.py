@@ -14,6 +14,7 @@ from sysmean import (
 )
 from sysmean.design import SampleRealization
 from sysmean.estimators import (
+    PRESETS,
     aux_mean,
     hh_mean,
     product_estimate,
@@ -155,8 +156,8 @@ class TestClassicalEstimators:
             product_estimate(10.0, 5.0, 0.0)
 
     def test_family_specialization_is_bit_for_bit(self, rng):
-        ratio_params = FamilyParams(alpha=1.0, g=1.0)
-        product_params = FamilyParams(alpha=1.0, g=-1.0)
+        # The presets `simulate --estimators` maps ratio and product through.
+        ratio_params, product_params = PRESETS["ratio"], PRESETS["product"]
         for _ in range(1000):
             ybar = rng.uniform(0.5, 100.0)
             xbar = rng.uniform(0.5, 50.0)

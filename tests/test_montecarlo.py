@@ -31,7 +31,7 @@ from sysmean import (
 )
 from sysmean.datasets import synthetic_linear_population
 from sysmean.design import apply_nonresponse, draw_sample
-from sysmean.estimators import aux_mean, hh_mean, product_estimate, ratio_estimate
+from sysmean.estimators import PRESETS, aux_mean, hh_mean, product_estimate, ratio_estimate
 from sysmean.montecarlo import (
     MAX_REPLICATES,
     SEED_BLOCK,
@@ -53,7 +53,7 @@ def hh_only(replicates, seed, exhaustive=False, nr=NO_NR):
     return SimulationConfig(
         replicates=replicates,
         master_seed=seed,
-        estimators=(EstimatorSpec("hh", "hh"),),
+        estimators=(EstimatorSpec("hh"),),
         nr=nr,
         exhaustive_start=exhaustive,
     )
@@ -88,10 +88,10 @@ class TestDegenerateCases:
         pop = FinitePopulation(y=(5.0,) * 12, x=(3.0,) * 12)
         design = SystematicDesign(N=12, n=3)
         specs = (
-            EstimatorSpec("hh", "hh"),
-            EstimatorSpec("ratio", "ratio"),
-            EstimatorSpec("product", "product"),
-            EstimatorSpec("family", "family", FamilyParams(alpha=0.5, g=1.0)),
+            EstimatorSpec("hh"),
+            EstimatorSpec("ratio", PRESETS["ratio"]),
+            EstimatorSpec("product", PRESETS["product"]),
+            EstimatorSpec("family", FamilyParams(alpha=0.5, g=1.0)),
         )
         cfg = SimulationConfig(replicates=50, master_seed=2, estimators=specs, nr=NO_NR)
         report = run_simulation(pop, design, cfg)
@@ -106,8 +106,8 @@ class TestDeterminism:
         stratum = frozenset(range(1, 16))
         nr = NonResponseModel(w2=0.25, ell=2.0, stratum=stratum)
         specs = (
-            EstimatorSpec("hh", "hh"),
-            EstimatorSpec("family", "family", FamilyParams(alpha=0.9)),
+            EstimatorSpec("hh"),
+            EstimatorSpec("family", FamilyParams(alpha=0.9)),
         )
         cfg = SimulationConfig(replicates=400, master_seed=99, estimators=specs, nr=nr)
         assert run_simulation(pop, design, cfg) == run_simulation(pop, design, cfg)
@@ -125,7 +125,7 @@ class TestFailureHandling:
         # sample (1,3) has mean x = 0, so the ratio estimator fails there
         pop = FinitePopulation(y=(4.0, 6.0, 8.0, 2.0), x=(1.0, 2.0, -1.0, 3.0))
         design = SystematicDesign(N=4, n=2)
-        specs = (EstimatorSpec("hh", "hh"), EstimatorSpec("ratio", "ratio"))
+        specs = (EstimatorSpec("hh"), EstimatorSpec("ratio", PRESETS["ratio"]))
         cfg = SimulationConfig(
             replicates=2, master_seed=0, estimators=specs, nr=NO_NR, exhaustive_start=True
         )
@@ -142,8 +142,8 @@ class TestFailureHandling:
         pop = FinitePopulation(y=(4.0, 6.0, 8.0, 2.0), x=(1.0, 2.0, -1.0, 3.0))
         design = SystematicDesign(N=4, n=2)
         specs = (
-            EstimatorSpec("product", "product"),
-            EstimatorSpec("family", "family", FamilyParams(alpha=1.0, g=-1.0)),
+            EstimatorSpec("product", PRESETS["product"]),
+            EstimatorSpec("family", FamilyParams(alpha=1.0, g=-1.0)),
         )
         cfg = SimulationConfig(
             replicates=2, master_seed=0, estimators=specs, nr=NO_NR, exhaustive_start=True
@@ -155,37 +155,12 @@ class TestFailureHandling:
         by_hand = [product_estimate(6.0, 0.0, 1.25), product_estimate(4.0, 2.5, 1.25)]
         assert family.empirical_mean == sum(by_hand) / 2
 
-    @pytest.mark.parametrize(
-        "kind, params",
-        [
-            ("hh", FamilyParams(alpha=0.0)),
-            ("ratio", FamilyParams(alpha=1.0, g=-1.0)),
-            ("product", FamilyParams(alpha=1.0, g=1.0)),
-            ("ratio", FamilyParams(alpha=1.0, g=1.0, b=2.0)),
-        ],
-    )
-    def test_preset_kind_rejects_other_params(self, kind, params):
-        with pytest.raises(ConfigurationError, match="preset"):
-            EstimatorSpec(kind, kind, params)
-
-    @pytest.mark.parametrize(
-        "kind, params",
-        [
-            ("hh", None),
-            ("ratio", FamilyParams(alpha=1.0, g=1.0)),
-            ("product", FamilyParams(alpha=1.0, g=-1.0)),
-        ],
-    )
-    def test_preset_kind_fills_in_its_params(self, kind, params):
-        assert EstimatorSpec(kind, kind).params == params
-        assert EstimatorSpec(kind, kind, params) == EstimatorSpec(kind, kind)
-
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(
                 replicates=10,
                 master_seed=0,
-                estimators=(EstimatorSpec("a", "hh"), EstimatorSpec("a", "ratio")),
+                estimators=(EstimatorSpec("a"), EstimatorSpec("a", PRESETS["ratio"])),
                 nr=NO_NR,
             )
 
@@ -199,13 +174,10 @@ class TestFailureHandling:
         with pytest.raises(ConfigurationError, match="needs two replicates"):
             hh_only(1, seed=0)
 
-    def test_family_kind_requires_params(self):
-        with pytest.raises(ConfigurationError):
-            EstimatorSpec("family", "family")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EstimatorSpec("x", "median")
+    def test_params_other_than_family_params_rejected(self):
+        # the old positional call (label, kind) fails here, not in the replicate loop
+        with pytest.raises(ConfigurationError, match="needs FamilyParams or None, got 'hh'"):
+            EstimatorSpec("hh", "hh")
 
 
 class TestMonotonicityProbe:
@@ -235,8 +207,8 @@ class TestMonotonicityProbe:
         c = derived_constants(m, 12, 240)
         alpha = optimum_alpha(c, 1.0)
         specs = (
-            EstimatorSpec("hh", "hh"),
-            EstimatorSpec("family", "family", FamilyParams(alpha=alpha)),
+            EstimatorSpec("hh"),
+            EstimatorSpec("family", FamilyParams(alpha=alpha)),
         )
         cfg = SimulationConfig(replicates=20_000, master_seed=8, estimators=specs, nr=NO_NR)
         report = run_simulation(pop, design, cfg)
@@ -398,9 +370,9 @@ class TestMemory:
         pop = synthetic_linear_population(240, seed=3)
         design = SystematicDesign(240, 12)
         specs = (
-            EstimatorSpec("hh", "hh"),
-            EstimatorSpec("ratio", "ratio"),
-            EstimatorSpec("family", "family", FamilyParams(0.5)),
+            EstimatorSpec("hh"),
+            EstimatorSpec("ratio", PRESETS["ratio"]),
+            EstimatorSpec("family", FamilyParams(0.5)),
         )
         small, large = (
             simulation_peak_bytes(pop, design, SimulationConfig(reps, 7, specs, NO_NR))
@@ -419,7 +391,7 @@ class TestMemory:
         else:
             stratum = np.random.default_rng(1).choice(240, 60, replace=False)
             nr = NonResponseModel(w2=0.25, ell=2.0, stratum=frozenset(int(u) + 1 for u in stratum))
-        cfg = SimulationConfig(1000, 7, (EstimatorSpec("hh", "hh"),), nr)
+        cfg = SimulationConfig(1000, 7, (EstimatorSpec("hh"),), nr)
         tracemalloc.start()
         try:
             _Kernel(pop, SystematicDesign(240, 12), cfg).means()
@@ -441,7 +413,8 @@ class TestMemory:
         assert peak <= 200 * 1024
 
 
-# Each estimator kind by its own public definition, not by the family preset.
+# Each estimator by its own public definition, not by the family preset; a label
+# not listed here is a family member.
 REFERENCE_ESTIMATORS = {
     "hh": lambda spec, ybar_star, xbar, pop_mean_x: ybar_star,
     "ratio": lambda spec, *means: ratio_estimate(*means),
@@ -468,9 +441,8 @@ def per_unit_report(pop, design, cfg, rng_for=None):
         ybar_star, xbar = hh_mean(realization), aux_mean(realization)
         for j, spec in enumerate(cfg.estimators):
             try:
-                estimates[j, rep] = REFERENCE_ESTIMATORS[spec.kind](
-                    spec, ybar_star, xbar, pop_mean_x
-                )
+                reference = REFERENCE_ESTIMATORS.get(spec.label, REFERENCE_ESTIMATORS["family"])
+                estimates[j, rep] = reference(spec, ybar_star, xbar, pop_mean_x)
             except (SingularityError, DomainError):
                 failed[j, rep] = True
     return _report(pop, cfg, estimates, failed)
@@ -487,14 +459,12 @@ def simulation_case(pop_seed, n, k, w2, ell, bernoulli, exhaustive, replicates, 
         nr = NonResponseModel(w2=w2, ell=ell, stratum=stratum)
     pop_mean_x = float(pop.x.mean())
     specs = (
-        EstimatorSpec("hh", "hh"),
-        EstimatorSpec("ratio", "ratio"),
-        EstimatorSpec("product", "product"),
-        EstimatorSpec("family", "family", FamilyParams(alpha=0.8, g=1.5, b=2.0)),
+        EstimatorSpec("hh"),
+        EstimatorSpec("ratio", PRESETS["ratio"]),
+        EstimatorSpec("product", PRESETS["product"]),
+        EstimatorSpec("family", FamilyParams(alpha=0.8, g=1.5, b=2.0)),
         # base < 0, a DomainError, on samples with xbar above Xbar + 1/6
-        EstimatorSpec(
-            "failing", "family", FamilyParams(alpha=3.0, g=0.5, b=-(pop_mean_x + 0.5))
-        ),
+        EstimatorSpec("failing", FamilyParams(alpha=3.0, g=0.5, b=-(pop_mean_x + 0.5))),
     )
     cfg = SimulationConfig(
         replicates=replicates,

@@ -593,7 +593,7 @@ def _estimators(
                 f"unknown estimator kind {kind!r}; expected one of {(*PRESETS, 'family')}"
             )
         if kind == "hh":
-            params, name, value = None, "var(hh mean)", var_mean_y(moments, n, N, w2, ell)
+            params, name, value = PRESETS[kind], "var(hh mean)", var_mean_y(moments, n, N, w2, ell)
         elif kind == "family" and args.alpha is None:
             constants = derived_constants(moments, n, N, family)
             params = dataclasses.replace(family, alpha=optimum_alpha(constants, family.g))

@@ -175,7 +175,7 @@ class TestFailureHandling:
             hh_only(1, seed=0)
 
     def test_params_other_than_family_params_rejected(self):
-        # the old positional call (label, kind) fails here, not in the replicate loop
+        # a preset's name in place of its parameters fails here, not in the replicate loop
         with pytest.raises(ConfigurationError, match="needs FamilyParams or None, got 'hh'"):
             EstimatorSpec("hh", "hh")
 

@@ -7,6 +7,8 @@ import tracemalloc
 import pytest
 
 from sysmean import (
+    EstimatorSpec,
+    FamilyParams,
     SystematicDesign,
     compute_moments,
     derived_constants,
@@ -376,6 +378,20 @@ class TestSimulate:
                      "--estimators", "familyx", "--g", "0"])
         assert code == 2
         assert "unknown estimator kind 'familyx'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("hh", None), ("ratio", FamilyParams(1.0, 1.0)), ("product", FamilyParams(1.0, -1.0))],
+    )
+    def test_each_preset_name_maps_to_its_params(self, pop_csv, kind, params):
+        # --a, --b and --g are given to no family here, so the presets alone decide.
+        args = build_parser().parse_args(
+            ["simulate", str(pop_csv), "--n", "12", "--estimators", kind]
+        )
+        pop = load_population(pop_csv)
+        design = SystematicDesign(pop.N, 12)
+        [(spec, _, _)] = cli._estimators(args, compute_moments(pop, design), design, 0.0)
+        assert spec == EstimatorSpec(kind, params)
 
     @pytest.mark.parametrize("w2", ["-0.1", "1.5"])
     def test_out_of_range_w2_is_usage_error(self, pop_csv, capsys, w2):

@@ -174,10 +174,15 @@ class TestFailureHandling:
         with pytest.raises(ConfigurationError, match="needs two replicates"):
             hh_only(1, seed=0)
 
-    def test_params_other_than_family_params_rejected(self):
-        # a preset's name in place of its parameters fails here, not in the replicate loop
-        with pytest.raises(ConfigurationError, match="needs FamilyParams or None, got 'hh'"):
-            EstimatorSpec("hh", "hh")
+    @pytest.mark.parametrize(
+        "params, shown",
+        [("hh", "'hh'"), ((1.0, 1.0), r"\(1\.0, 1\.0\)"), ({"alpha": 1.0}, "{'alpha': 1.0}")],
+    )
+    def test_params_other_than_family_params_rejected(self, params, shown):
+        # a preset's name, or FamilyParams' fields unwrapped, in place of the parameters
+        # fails here, not in the replicate loop
+        with pytest.raises(ConfigurationError, match=f"needs FamilyParams or None, got {shown}"):
+            EstimatorSpec("hh", params)
 
 
 class TestMonotonicityProbe:

@@ -124,12 +124,13 @@ def load_population(
     for a non-numeric or non-finite cell (citing data row and column), and
     DomainError when fewer than 2 data rows are present.
 
-    A body that numpy's C reader takes whole is parsed in C; any other body
-    goes through a Python row loop, which reads the same values and words
-    every error.  Given a path, numpy opens the file itself and reads it in
-    chunks; an open source, or a path that numpy would decompress by its
-    suffix, is given to numpy as the handle, which it reads line by line.
-    Bytes that are not UTF-8 raise ParseError.
+    A body that numpy's C reader takes whole, quoted cells included, is
+    parsed in C; any other body goes through a Python row loop, which reads
+    the same values and words every error.  Given a path, numpy opens the
+    file itself and reads it in chunks; an open source, or a path that numpy
+    would decompress by its suffix, is given to numpy as the handle, which
+    it reads line by line.
+    Bytes that are not UTF-8 raise ParseError, whichever reader meets them.
     """
     try:
         if hasattr(source, "read"):
@@ -207,23 +208,19 @@ def _load_table(
     numpy reads `body`: either `handle` itself, which numpy pulls one line at
     a time, or the path of the file `handle` reads, which numpy opens and
     reads in chunks (it takes chunks from a `str` path only), skipping the
-    one header line.  Returns the (rows, 2) table only when the C
-    reader accepts every row and the row loop would read the same values: no
-    quote character anywhere (csv quoting can span delimiters and lines), at
-    least 2 rows, all finite.  Otherwise rewinds the handle and returns None,
-    leaving the row loop to accept the file or to say what is wrong with it.
-    The quote scan reads the whole body from `handle`, so bytes that are not
-    UTF-8 raise before numpy opens the path.
+    one header line.  A `"` opens and closes a quoted cell as it does for
+    csv, so a quoted cell may hold the delimiter or a line break.  Returns
+    the (rows, 2) table only when the C reader accepts every row, finds at
+    least 2 and all are finite.  Otherwise rewinds the handle and returns
+    None, leaving the row loop to accept the file or to say what is wrong
+    with it.  Bytes that are not UTF-8 make numpy raise UnicodeDecodeError,
+    a ValueError, so the row loop meets them too.
     """
     try:
         if not handle.seekable():
             return None
         start = handle.tell()
     except (AttributeError, OSError):
-        return None
-    quoted = any('"' in chunk for chunk in iter(lambda: handle.read(1 << 16), ""))
-    handle.seek(start)
-    if quoted:
         return None
     try:
         with warnings.catch_warnings():
@@ -235,7 +232,7 @@ def _load_table(
                 delimiter=delimiter,
                 usecols=usecols,
                 comments=None,
-                quotechar=None,
+                quotechar='"',
                 ndmin=2,
                 dtype=float,
             )

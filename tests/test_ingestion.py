@@ -67,10 +67,38 @@ NAMED_CASES = {
     "crlf": (b"y,x\r\n1.5,2\r\n-0.0,4e1\r\n", (("1.5", "-0.0"), ("2.0", "40.0")), True),
     "bare_cr": (b"y,x\r1,2\r3,4\r", (("1.0", "3.0"), ("2.0", "4.0")), True),
     "tab": (b"x\ty\tz\n1\t2\tq\n3\t4\tr\n", (("2.0", "4.0"), ("1.0", "3.0")), True),
-    "quoted_cells": (b'y,x\n"1",2\n3,"4"\n', (("1.0", "3.0"), ("2.0", "4.0")), False),
+    "quoted_cells": (b'y,x\n"1",2\n3,"4"\n', (("1.0", "3.0"), ("2.0", "4.0")), True),
     "quote_spans_lines": (
         b'y,x,note\n1,2,"a\n3,4\n5,6,b"\n7,8,c\n',
         (("1.0", "7.0"), ("2.0", "8.0")),
+        True,
+    ),
+    # Cells where csv and numpy quoting could part ways.
+    "text_after_closing_quote": (b'y,x\n"1"2,3\n4,5\n', (("12.0", "4.0"), ("3.0", "5.0")), True),
+    "space_before_opening_quote": (
+        b'y,x\n "1",3\n4,5\n',
+        (ParseError, "row 1, column 'y': cannot parse '\"1\"' as a number"),
+        False,
+    ),
+    "doubled_quote": (
+        b'y,x\n"1""",3\n4,5\n',
+        (ParseError, "row 1, column 'y': cannot parse '1\"' as a number"),
+        False,
+    ),
+    "quoted_empty_cell": (
+        b'y,x\n"",3\n4,5\n',
+        (ParseError, "row 1, column 'y': cannot parse '' as a number"),
+        False,
+    ),
+    "quoted_empty_row": (b'y,x\n1,2\n"",""\n4,5\n', (("1.0", "4.0"), ("2.0", "5.0")), False),
+    "quoted_nan": (
+        b'y,x\n1,2\n3,"nan"\n',
+        (ParseError, "row 2, column 'x': value nan is not finite"),
+        False,
+    ),
+    "quoted_overflow": (
+        b'y,x\n"1e500",2\n3,4\n',
+        (ParseError, "row 1, column 'y': value inf is not finite"),
         False,
     ),
     "underscore": (b"y,x\n1_0,2\n3,4\n", (("10.0", "3.0"), ("2.0", "4.0")), False),
@@ -98,6 +126,27 @@ def test_named_file_cases(tmp_path, name):
         assert _outcome(lambda: load_population(path)) == expected
     assert calls == [fast]
     assert _by_rows(lambda: load_population(path)) == expected
+    # numpy reads an open source, unlike a path, one line at a time.
+    source = io.StringIO(data.decode(), newline="")
+    with _c_reader_calls() as calls:
+        assert _outcome(lambda: load_population(source)) == expected
+    assert calls == [fast]
+
+
+@pytest.mark.filterwarnings("error")
+def test_c_reader_takes_a_long_quoted_body(tmp_path):
+    # Quotes on every row, so each chunk that numpy reads holds some.
+    rows = [(f'"{i}.5"', f"{-i}e-3") for i in range(4000)]
+    path = tmp_path / "pop.csv"
+    path.write_text("y,x\n" + "".join(f"{y},{x}\n" for y, x in rows), encoding="utf-8")
+    with _c_reader_calls() as calls:
+        outcome = _outcome(lambda: load_population(path))
+    assert calls == [True]
+    assert outcome == (
+        tuple(repr(float(y.strip('"'))) for y, _ in rows),
+        tuple(repr(float(x)) for _, x in rows),
+    )
+    assert _by_rows(lambda: load_population(path)) == outcome
 
 
 @pytest.mark.filterwarnings("error")
@@ -205,10 +254,12 @@ def test_a_path_through_a_symlink_and_dotdot_reads_the_file_open_reads(tmp_path,
 UNDECODABLE = {
     # name: (file bytes, the `_load_table` results before the error is raised)
     "header": (b"y,\xffx\n1,2\n3,4\n", []),
-    # The quote scan decodes the whole body before the C reader runs.
+    # Reading the header decodes the file's first buffer, which holds the byte.
     "unquoted_body": (b"y,x\n1,2\n\xff,4\n3,5\n", []),
-    # The quote ends the scan in the first chunk, so the row loop meets the byte.
+    # Past that buffer numpy meets the byte; its UnicodeDecodeError is a
+    # ValueError, so the row loop reads the body again and raises.
     "quoted_body": (b'y,x\n"1",2\n' + b"3,4\n" * 40_000 + b"\xff,4\n", [False]),
+    "long_unquoted_body": (b"y,x\n1,2\n" + b"3,4\n" * 40_000 + b"\xff,4\n", [False]),
 }
 
 
@@ -233,8 +284,10 @@ CELL = st.one_of(
     st.text(alphabet="0123456789.eE+-_ \t,\"", max_size=6),
 )
 DELIMITER = st.sampled_from([",", "\t"])
+FIELD = st.one_of(NUMBER, st.one_of(NUMBER, CELL).map(lambda cell: f'"{cell}"'))
 LINE = st.one_of(
-    st.tuples(NUMBER, NUMBER, DELIMITER).map(lambda t: t[0] + t[2] + t[1]),
+    # A pair whose cells may each be quoted whole.
+    st.tuples(FIELD, FIELD, DELIMITER).map(lambda t: t[0] + t[2] + t[1]),
     # A valid pair followed by a quote that csv reads as opening or closing a field.
     st.tuples(NUMBER, NUMBER, DELIMITER, st.sampled_from(['"', '"a', 'b"', '""'])).map(
         lambda t: t[2].join(t[:2] + t[3:])

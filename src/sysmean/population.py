@@ -128,9 +128,9 @@ def load_population(
     parsed in C; any other body goes through a Python row loop, which reads
     the same values and words every error.  Given a path, numpy opens the
     file itself and reads it in chunks; an open source, or a path that numpy
-    would decompress by its suffix, is given to numpy as the handle, which
-    it reads line by line.
-    Bytes that are not UTF-8 raise ParseError, whichever reader meets them.
+    would decompress by its suffix, is given to numpy as the handle, which it
+    reads line by line.  Bytes that are not UTF-8 raise ParseError, whichever
+    reader meets them.
     """
     try:
         if hasattr(source, "read"):

@@ -284,7 +284,7 @@ CELL = st.one_of(
     st.text(alphabet="0123456789.eE+-_ \t,\"", max_size=6),
 )
 DELIMITER = st.sampled_from([",", "\t"])
-FIELD = st.one_of(NUMBER, st.one_of(NUMBER, CELL).map(lambda cell: f'"{cell}"'))
+FIELD = st.one_of(NUMBER, CELL.map(lambda cell: f'"{cell}"'))
 LINE = st.one_of(
     # A pair whose cells may each be quoted whole.
     st.tuples(FIELD, FIELD, DELIMITER).map(lambda t: t[0] + t[2] + t[1]),

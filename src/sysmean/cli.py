@@ -56,6 +56,8 @@ from .theory import classical_mse, pre_optimum  # noqa: F401
 
 DEFAULT_W2_GRID = (0.1, 0.2, 0.3, 0.4)
 DEFAULT_ELL_GRID = (2.0, 2.5, 3.0, 3.5)
+# theory-table's explicit moments: one option for each field.
+_MOMENTS = tuple(field.name for field in dataclasses.fields(PopulationMoments))
 
 
 def _finite_float(text: str) -> float:
@@ -138,9 +140,14 @@ def _family_params(args: argparse.Namespace) -> FamilyParams:
     return params
 
 
+def _option(name: str) -> str:
+    """The option string of the `args` attribute `name`."""
+    return "--" + name.replace("_", "-")
+
+
 def _given(args: argparse.Namespace, *names: str) -> list[str]:
     """Those of the options `names` (as `args` names them) that were given, as spelled."""
-    return [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    return [_option(name) for name in names if getattr(args, name) is not None]
 
 
 def _refuse(given: list[str], scope: str) -> None:
@@ -193,15 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group = p_table.add_argument_group("explicit moments (instead of an input file)")
     group.add_argument("--pop-size", type=int, help="population size N")
-    group.add_argument("--mean-y", type=_finite_float)
-    group.add_argument("--mean-x", type=_finite_float)
-    group.add_argument("--s2-y", type=_finite_float)
-    group.add_argument("--s2-x", type=_finite_float)
-    group.add_argument("--rho", type=_finite_float)
+    for name in _MOMENTS:
+        s2y2_help = "stratum mean square, direct value" if name == "s2_y2" else None
+        group.add_argument(_option(name), type=_finite_float, help=s2y2_help)
     group.add_argument("--rho-w", type=_finite_float, help="sets both intraclass correlations")
-    group.add_argument("--rho-y", type=_finite_float)
-    group.add_argument("--rho-x", type=_finite_float)
-    group.add_argument("--s2-y2", type=_finite_float, help="stratum mean square, direct value")
     p_table.add_argument("--w2-grid", type=_float_list, default=list(DEFAULT_W2_GRID))
     p_table.add_argument("--ell-grid", type=_float_list, default=list(DEFAULT_ELL_GRID))
     _add_family_options(p_table)
@@ -479,43 +481,31 @@ def _moments_from_args(
 ) -> tuple[PopulationMoments, SystematicDesign, str | None]:
     """Resolve (moments, design, input sha) from a file, whose reading `clock`
     times as "ingest_s", or from explicit scalars."""
-    explicit = [args.pop_size, args.mean_y, args.mean_x, args.s2_y, args.s2_x, args.rho]
     if args.input is not None:
-        moment_options = _given(args, "pop_size", "mean_y", "mean_x", "s2_y", "s2_x", "rho",
-                                "rho_w", "rho_y", "rho_x", "s2_y2")
+        moment_options = _given(args, "pop_size", *_MOMENTS, "rho_w")
         _refuse(moment_options, "explicit moments, not to an input file")
         pop, design, sha = _ingest(args, clock)
         moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor, 0.75)
         return moments, design, sha
 
     _refuse(_given(args, "expect_sha256", "sort_by"), "an input file, which this run lacks")
-    if any(v is None for v in explicit):
+    # --rho-w stands in for --rho-y and --rho-x, and --s2-y2 may be left unset.
+    required = [name for name in ("pop_size", *_MOMENTS) if name not in ("rho_y", "rho_x", "s2_y2")]
+    if any(getattr(args, name) is None for name in required):
         raise ConfigurationError(
-            "without an input file, all of --pop-size --mean-y --mean-x --s2-y "
-            "--s2-x --rho are required"
+            f"without an input file, all of {' '.join(map(_option, required))} are required"
         )
+    values = {name: getattr(args, name) for name in _MOMENTS}
     if args.rho_w is not None:
-        if args.rho_y is not None or args.rho_x is not None:
+        if _given(args, "rho_y", "rho_x"):
             raise ConfigurationError("--rho-w conflicts with --rho-y/--rho-x")
-        rho_y = rho_x = args.rho_w
-    elif args.rho_y is not None and args.rho_x is not None:
-        rho_y, rho_x = args.rho_y, args.rho_x
-    else:
+        values.update(rho_y=args.rho_w, rho_x=args.rho_w)
+    elif args.rho_y is None or args.rho_x is None:
         raise ConfigurationError("provide --rho-w, or both --rho-y and --rho-x")
     if args.s2_y2 is not None and args.s2y2_factor is not None:
         raise ConfigurationError("--s2-y2 conflicts with --s2y2-factor")
-    moments = PopulationMoments(
-        mean_y=args.mean_y,
-        mean_x=args.mean_x,
-        s2_y=args.s2_y,
-        s2_x=args.s2_x,
-        rho=args.rho,
-        rho_y=rho_y,
-        rho_x=rho_x,
-        s2_y2=args.s2_y2,
-    )
     design = SystematicDesign(args.pop_size, args.n)
-    return _with_s2y2_factor(moments, args.s2y2_factor), design, None
+    return _with_s2y2_factor(PopulationMoments(**values), args.s2y2_factor), design, None
 
 
 def _axis_cell(values: list[float]) -> str:

@@ -130,7 +130,9 @@ def load_population(
     file itself and reads it in chunks; an open source, or a path that numpy
     would decompress by its suffix, is given to numpy as the handle, which it
     reads line by line.  Bytes that are not UTF-8 raise ParseError, whichever
-    reader meets them.
+    reader meets them.  A cell longer than the csv module's field limit
+    raises ParseError in the header and in the row loop; the C reader has no
+    such limit, so a body it takes whole may hold one.
     """
     try:
         if hasattr(source, "read"):
@@ -167,8 +169,10 @@ def _parse_population(
     if not first.strip():
         raise DomainError("input file is empty")
     delimiter = _sniff_delimiter(first)
-    header = next(csv.reader([first], delimiter=delimiter))
-    header = [h.strip() for h in header]
+    try:
+        header = [h.strip() for h in next(csv.reader([first], delimiter=delimiter))]
+    except csv.Error as exc:  # such as a cell past csv's field limit
+        raise ParseError(f"header: {exc}") from None
     for name in (y_column, x_column):
         if name not in header:
             raise ConfigurationError(
@@ -188,13 +192,17 @@ def _parse_population(
     # The row loop defines a valid body and words every error with its row.
     y: list[float] = []
     x: list[float] = []
-    for row_number, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) <= max(y_idx, x_idx):
-            raise ParseError(f"row {row_number} has {len(row)} fields, expected {len(header)}")
-        y.append(_parse_cell(row[y_idx], row_number, y_column))
-        x.append(_parse_cell(row[x_idx], row_number, x_column))
+    row_number = 0
+    try:
+        for row_number, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) <= max(y_idx, x_idx):
+                raise ParseError(f"row {row_number} has {len(row)} fields, expected {len(header)}")
+            y.append(_parse_cell(row[y_idx], row_number, y_column))
+            x.append(_parse_cell(row[x_idx], row_number, x_column))
+    except csv.Error as exc:  # raised while reading the row after `row_number`
+        raise ParseError(f"row {row_number + 1}: {exc}") from None
     if len(y) < 2:
         raise DomainError(f"need at least 2 data rows, got {len(y)}")
     return FinitePopulation(y=y, x=x)

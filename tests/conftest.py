@@ -1,8 +1,19 @@
 """Shared fixtures and independent oracles for the test suite."""
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
 from sysmean import FinitePopulation, PopulationMoments
+
+# hypothesis imports this module to report a falsifying example, and its
+# dependencies warn when first imported.  Inside a test marked
+# filterwarnings("error") that warning would end the run with INTERNALERROR
+# instead of the report, so the module is imported once here, outside any test.
+with contextlib.suppress(ImportError), warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def brute_force_intraclass(values, n, k):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -117,6 +118,10 @@ FOREST_MOMENTS = [
     "--s2-y", "24114.67", "--s2-x", "8.76",
     "--rho", "0.8710", "--rho-w", "0.8710", "--s2-y2", "18086.0025",
 ]
+EXPLICIT_MOMENT_OPTIONS = [
+    "--pop-size", "--mean-y", "--mean-x", "--s2-y", "--s2-x", "--rho",
+    "--rho-w", "--rho-y", "--rho-x", "--s2-y2",
+]
 
 
 class TestTheoryTable:
@@ -201,6 +206,8 @@ class TestTheoryTable:
          "--rho-y, --s2-y2 apply only to explicit moments, not to an input file"),
         (["--rho-w", "0.5"], "--rho-w applies only to explicit moments"),
         (["--rho-x", "0.5", "--mean-y", "3"], "--mean-y, --rho-x apply only to explicit moments"),
+        *(([option, "1"], f"{option} applies only to explicit moments, not to an input file")
+          for option in EXPLICIT_MOMENT_OPTIONS),
     ])
     def test_moment_options_with_a_file_are_usage_errors(self, pop_csv, capsys, options,
                                                           message):
@@ -209,6 +216,39 @@ class TestTheoryTable:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    def test_rho_w_sets_both_intraclass_correlations(self, tmp_path, capsys):
+        without_rho_w = FOREST_MOMENTS[:-4] + FOREST_MOMENTS[-2:]
+        manifest = tmp_path / "run.json"
+        main(["theory-table", *FOREST_MOMENTS, "--manifest", str(manifest)])
+        by_rho_w = capsys.readouterr().out
+        main(["theory-table", *without_rho_w, "--rho-y", "0.8710", "--rho-x", "0.8710"])
+        assert capsys.readouterr().out == by_rho_w
+        recorded = json.loads(manifest.read_text())
+        # The parameters are the options as given; the moments are as resolved.
+        assert recorded["parameters"]["rho_w"] == 0.871
+        assert recorded["parameters"]["rho_y"] is None
+        assert recorded["parameters"]["moments"]["rho_y"] == 0.871
+
+    @pytest.mark.parametrize("options, message", [
+        (["--rho-w", "0.5", "--rho-x", "0.5"], "--rho-w conflicts with --rho-y/--rho-x"),
+        (["--rho-y", "0.5"], "provide --rho-w, or both --rho-y and --rho-x"),
+        (["--rho-w", "0.5", "--s2-y2", "1", "--s2y2-factor", "0.5"],
+         "--s2-y2 conflicts with --s2y2-factor"),
+    ])
+    def test_conflicting_moment_options_are_usage_errors(self, capsys, options, message):
+        argv = ["theory-table", "--pop-size", "176", "--n", "16", "--mean-y", "1",
+                "--mean-x", "1", "--s2-y", "1", "--s2-x", "1", "--rho", "0.5", *options]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"sysmean: error: {message}\n"
+
+    def test_the_explicit_moments_group_offers_its_options(self):
+        parser = build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        table = commands.choices["theory-table"]
+        (group,) = (g for g in table._action_groups if g.title.startswith("explicit moments"))
+        offered = [s for action in group._group_actions for s in action.option_strings]
+        assert sorted(offered) == sorted(EXPLICIT_MOMENT_OPTIONS)
 
     @pytest.mark.parametrize("options, message", [
         (["--expect-sha256", "deadbeef"], "--expect-sha256 applies only to an input file"),
@@ -774,6 +814,21 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sysmean: error: input is not UTF-8 text: invalid start byte 0xff" in captured.err
+
+    @pytest.mark.parametrize("rows, where", [
+        (["y,x,note", "1,2,{}", "3,1_0,b"], "row 1"),
+        (["y,x,note", '1,2,"{}"', "3,1_0,b"], "row 1"),
+        (["y,x,{}", "1,2,c", "3,4,b"], "header"),
+    ])
+    def test_a_cell_past_the_csv_field_limit_is_usage_error(self, tmp_path, capsys, rows,
+                                                            where):
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(rows).format("a" * 200_000) + "\n", encoding="utf-8")
+        assert main(["params", str(path), "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sysmean: error: {where}: field larger than field limit")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("x_low", ["5", "6"])
     def test_synthesize_empty_x_range_is_usage_error(self, tmp_path, capsys, x_low):

@@ -8,7 +8,8 @@ loop alone is reached by patching the C reader out.
 """
 import io
 import os
-from contextlib import contextmanager
+import threading
+from contextlib import contextmanager, suppress
 from unittest import mock
 
 import pytest
@@ -54,12 +55,23 @@ def _by_rows(read):
         return _outcome(read)
 
 
+@contextmanager
 def _pipe(data: bytes):
-    """A non-seekable text source holding `data`."""
+    """A non-seekable text source holding `data`, fed by a thread, so `data`
+    may exceed the pipe's buffer."""
     read_fd, write_fd = os.pipe()
-    with os.fdopen(write_fd, "wb") as writer:
-        writer.write(data)
-    return open(read_fd, "r", encoding="utf-8-sig", newline="")
+
+    def feed():
+        with suppress(BrokenPipeError), os.fdopen(write_fd, "wb") as writer:
+            writer.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        with open(read_fd, "r", encoding="utf-8-sig", newline="") as handle:
+            yield handle
+    finally:
+        feeder.join()
 
 
 NAMED_CASES = {
@@ -251,6 +263,40 @@ def test_a_path_through_a_symlink_and_dotdot_reads_the_file_open_reads(tmp_path,
             (tmp_path / decoy).unlink()
 
 
+LONG_CELL = "a" * 200_000
+FIELD_LIMIT_CASES = {
+    # name: (file text, where the error is); `1_0` keeps the body from the C reader.
+    "unquoted": (f"y,x,note\n1,2,{LONG_CELL}\n3,1_0,b\n", "row 1"),
+    "quoted": (f'y,x,note\n1,2,"{LONG_CELL}"\n3,1_0,b\n', "row 1"),
+    "after_a_blank_row": (f"y,x,note\n1_0,2,c\n\n3,4,{LONG_CELL}\n", "row 3"),
+    "header": (f"y,x,{LONG_CELL}\n1,2,c\n3,4,b\n", "header"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(FIELD_LIMIT_CASES))
+def test_a_cell_past_the_csv_field_limit_is_a_parse_error(tmp_path, name):
+    text, where = FIELD_LIMIT_CASES[name]
+    path = tmp_path / "pop.csv"
+    path.write_text(text, encoding="utf-8")
+    with _pipe(text.encode()) as handle:
+        outcomes = [_outcome(lambda: load_population(source)) for source in (path, handle)]
+    for kind, message in outcomes:
+        assert kind is ParseError
+        assert message.startswith(f"{where}: field larger than field limit")
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_c_reader_takes_a_long_cell_in_a_body_it_reads_whole(tmp_path):
+    text = f"y,x,note\n1,2,{LONG_CELL}\n3,4,b\n"
+    path = tmp_path / "pop.csv"
+    path.write_text(text, encoding="utf-8")
+    with _c_reader_calls() as calls:
+        assert _outcome(lambda: load_population(path)) == (("1.0", "3.0"), ("2.0", "4.0"))
+    assert calls == [True]
+    assert _by_rows(lambda: load_population(path))[0] is ParseError
+
+
 UNDECODABLE = {
     # name: (file bytes, the `_load_table` results before the error is raised)
     "header": (b"y,\xffx\n1,2\n3,4\n", []),
@@ -296,6 +342,17 @@ LINE = st.one_of(
     st.sampled_from(["", " ", "\t", " ,\t"]),
 )
 ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+LINES = st.lists(st.tuples(LINE, ENDING), max_size=8)
+
+
+def _well_formed_lines(header):
+    """2 to 8 rows of numbers in the header's delimiter and width, each cell
+    optionally quoted whole: bodies that the C reader takes."""
+    delimiter = "\t" if "\t" in header else ","
+    width = len(header.split(delimiter))
+    cell = st.one_of(NUMBER, NUMBER.map(lambda number: f'"{number}"'))
+    row = st.lists(cell, min_size=width, max_size=width).map(delimiter.join)
+    return st.lists(st.tuples(row, ENDING), min_size=2, max_size=8)
 
 
 @pytest.fixture(scope="module")
@@ -306,11 +363,13 @@ def body_file(tmp_path_factory):
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    header=st.sampled_from(HEADERS),
-    lines=st.lists(st.tuples(LINE, ENDING), max_size=8),
+    header_and_lines=st.sampled_from(HEADERS).flatmap(
+        lambda header: st.tuples(st.just(header), st.one_of(LINES, _well_formed_lines(header)))
+    ),
     last_ending=st.booleans(),
 )
-def test_c_reader_agrees_with_row_loop(body_file, header, lines, last_ending):
+def test_c_reader_agrees_with_row_loop(body_file, header_and_lines, last_ending):
+    header, lines = header_and_lines
     text = header + "\n" + "".join(line + ending for line, ending in lines)
     if lines and not last_ending:
         text = text[: -len(lines[-1][1])]

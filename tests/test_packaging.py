@@ -1,14 +1,15 @@
 """Packaging guards: sysmean imports only the standard library and its declared
 dependencies, pyproject.toml carries the package's version, every name in
 `sysmean.__all__` resolves once, the benchmark's tracer still finds every
-function it wraps, the README's library example runs, the README names
-only options the CLI has and its Install section names every build
-requirement."""
+function it wraps, the README's library example runs, its command examples
+exit as it states, the README names only options the CLI has and its
+Install section names every build requirement."""
 import argparse
 import ast
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -104,18 +105,37 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert namespace["report"].replicates == 10_000
 
 
-def readme_options() -> set[str]:
-    """Every --option in the README's inline code spans and `sysmean` command lines."""
+def readme_commands() -> list[str]:
+    """The README's `sysmean` command lines, continuation lines joined, in order."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```\w*\n(.*?)^```$", readme, flags=re.S | re.M)
-    prose = re.sub(r"^```\w*\n.*?^```$", "", readme, flags=re.S | re.M)
-    commands = [
+    return [
         line for block in blocks
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("sysmean ")
     ]
-    texts = [*re.findall(r"`([^`]+)`", prose), *commands]
+
+
+def readme_options() -> set[str]:
+    """Every --option in the README's inline code spans and `sysmean` command lines."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"^```\w*\n.*?^```$", "", readme, flags=re.S | re.M)
+    texts = [*re.findall(r"`([^`]+)`", prose), *readme_commands()]
     return {option for text in texts for option in re.findall(r"(?<![\w-])--[a-z][\w-]*", text)}
+
+
+def test_readme_commands_exit_as_stated(tmp_path, monkeypatch):
+    # The README says the first `simulate` example exits 1 (a check fails
+    # against first-order theory) and every other command exits 0.
+    from sysmean.cli import main
+
+    commands = [shlex.split(line, comments=True)[1:] for line in readme_commands()]
+    # The first command to name pop.csv writes it for the others.
+    assert next(argv for argv in commands if "pop.csv" in argv)[0] == "synthesize"
+    first_simulate = next(argv for argv in commands if argv[0] == "simulate")
+    monkeypatch.chdir(tmp_path)
+    codes = [main(argv) for argv in commands]
+    assert codes == [1 if argv is first_simulate else 0 for argv in commands]
 
 
 def test_readme_names_only_options_the_cli_has():

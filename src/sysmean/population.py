@@ -290,12 +290,30 @@ def intraclass_correlation(
         raise DesignError(
             f"expected {design.N} values for design N={design.N}, got {values.size}"
         )
+    _, total_ss, within_ss = _deviation_sums(values, design)
+    return _intraclass(total_ss, within_ss, design, name)
+
+
+def _deviation_sums(
+    values: np.ndarray, design: SystematicDesign
+) -> tuple[np.ndarray, float, float]:
+    """A column's deviations d from its mean, Σd², and Σ over samples of (Σd)².
+
+    Every sum is numpy's own `np.add.reduce`, the one `var` uses, so
+    Σd²/(N-1) is `values.var(ddof=1)` bit for bit.  No sum goes through
+    BLAS, whose rounding depends on the CPU kernel and the thread count.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         deviations = values - values.mean()
-        total_ss = float(deviations @ deviations)
         # Column i of the (n, k) reshape is the i-th systematic sample.
-        sample_sums = deviations.reshape(design.n, design.k).sum(axis=0)
-        within_ss = float(sample_sums @ sample_sums)
+        sample_sums = np.add.reduce(deviations.reshape(design.n, design.k), axis=0)
+        total_ss = float(np.add.reduce(deviations * deviations))
+        within_ss = float(np.add.reduce(sample_sums * sample_sums))
+    return deviations, total_ss, within_ss
+
+
+def _intraclass(total_ss: float, within_ss: float, design: SystematicDesign, name: str) -> float:
+    """rho_w from a column's Σd² and Σ(Σd)², as `intraclass_correlation` defines it."""
     if not (math.isfinite(total_ss) and math.isfinite(within_ss)):
         raise DomainError(f"the intraclass correlation of {name} overflows; rescale {name}")
     if total_ss == 0.0:
@@ -335,8 +353,8 @@ def compute_moments(pop: FinitePopulation, design: SystematicDesign) -> Populati
         raise DesignError(f"population has {pop.N} units but design expects {design.N}")
 
     y, x = pop.y, pop.x
-    with np.errstate(over="ignore", invalid="ignore"):
-        s2_y, s2_x = float(y.var(ddof=1)), float(x.var(ddof=1))
+    (dy, ss_y, within_y), (dx, ss_x, within_x) = (_deviation_sums(v, design) for v in (y, x))
+    s2_y, s2_x = ss_y / (pop.N - 1), ss_x / (pop.N - 1)
     for name, values, s2 in (("y", y, s2_y), ("x", x, s2_x)):
         # The rounded mean of equal values can differ from them, and then s2 is not 0.
         if values.min() == values.max():
@@ -344,15 +362,16 @@ def compute_moments(pop: FinitePopulation, design: SystematicDesign) -> Populati
         if s2 == 0 or not math.isfinite(s2):
             how = "underflows to 0" if s2 == 0 else "overflows"
             raise DomainError(f"the mean square of {name} {how}; rescale {name}")
+    rho = float(np.add.reduce(dy * dx)) / math.sqrt(ss_y) / math.sqrt(ss_x)
 
     return PopulationMoments(
         mean_y=float(y.mean()),
         mean_x=float(x.mean()),
         s2_y=s2_y,
         s2_x=s2_x,
-        rho=float(np.corrcoef(y, x)[0, 1]),
-        rho_y=intraclass_correlation(y, design, "y"),
-        rho_x=intraclass_correlation(x, design, "x"),
+        rho=min(1.0, max(-1.0, rho)),  # rounding can carry |rho| just past 1
+        rho_y=_intraclass(ss_y, within_y, design, "y"),
+        rho_x=_intraclass(ss_x, within_x, design, "x"),
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 import warnings
@@ -126,19 +127,21 @@ def load_population(
 
     A body that numpy's C reader takes whole, quoted cells included, is
     parsed in C; any other body goes through a Python row loop, which reads
-    the same values and words every error.  Given a path, numpy opens the
-    file itself and reads it in chunks; an open source, or a path that numpy
-    would decompress by its suffix, is given to numpy as the handle, which it
-    reads line by line.  Bytes that are not UTF-8 raise ParseError, whichever
-    reader meets them.  A cell longer than the csv module's field limit
-    raises ParseError in the header and in the row loop; the C reader has no
-    such limit, so a body it takes whole may hold one.
+    the same values and words every error.  Given the path of a regular file,
+    numpy opens the file itself and reads it in chunks.  Any other source (an
+    open one, a pipe, or a path that numpy would decompress by its suffix) has
+    its body read whole into memory, and numpy reads that copy, so a source
+    is read as its file would be.  Bytes that are not UTF-8 raise ParseError,
+    whichever reader meets them.  A cell longer than the csv module's field
+    limit raises ParseError in the header and in the row loop; the C reader
+    has no such limit, so a body it takes whole may hold one.
     """
     try:
         if hasattr(source, "read"):
-            return _parse_population(source, source, y_column, x_column)  # type: ignore[arg-type]
+            return _parse_population(source, None, y_column, x_column)  # type: ignore[arg-type]
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            return _parse_population(handle, _numpy_path(source) or handle, y_column, x_column)
+            path = _numpy_path(source) if handle.seekable() else None
+            return _parse_population(handle, path, y_column, x_column)
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise ParseError(f"input is not UTF-8 text: {exc.reason} 0x{bad:02x}") from None
@@ -163,7 +166,7 @@ def _numpy_path(source: object) -> str | None:
 
 
 def _parse_population(
-    handle: TextIO, body: str | TextIO, y_column: str, x_column: str
+    handle: TextIO, path: str | None, y_column: str, x_column: str
 ) -> FinitePopulation:
     first = handle.readline()
     if not first.strip():
@@ -185,7 +188,9 @@ def _parse_population(
     y_idx = header.index(y_column)
     x_idx = header.index(x_column)
 
-    table = _load_table(handle, body, delimiter, (y_idx, x_idx))
+    if path is None:
+        handle = io.StringIO(handle.read(), newline="")
+    table = _load_table(handle, path, delimiter, (y_idx, x_idx))
     if table is not None:
         return FinitePopulation(y=table[:, 0], x=table[:, 1])
 
@@ -209,33 +214,28 @@ def _parse_population(
 
 
 def _load_table(
-    handle: TextIO, body: str | TextIO, delimiter: str, usecols: tuple[int, int]
+    handle: TextIO, path: str | None, delimiter: str, usecols: tuple[int, int]
 ) -> np.ndarray | None:
-    """Parse the rest of a seekable `handle` with numpy's C reader.
+    """Parse the rest of `handle` with numpy's C reader.
 
-    numpy reads `body`: either `handle` itself, which numpy pulls one line at
-    a time, or the path of the file `handle` reads, which numpy opens and
-    reads in chunks (it takes chunks from a `str` path only), skipping the
-    one header line.  A `"` opens and closes a quoted cell as it does for
-    csv, so a quoted cell may hold the delimiter or a line break.  Returns
-    the (rows, 2) table only when the C reader accepts every row, finds at
-    least 2 and all are finite.  Otherwise rewinds the handle and returns
-    None, leaving the row loop to accept the file or to say what is wrong
-    with it.  Bytes that are not UTF-8 make numpy raise UnicodeDecodeError,
-    a ValueError, so the row loop meets them too.
+    Given `path`, the file `handle` reads, numpy opens it and reads it in
+    chunks (it takes chunks from a `str` path only), skipping the one header
+    line; otherwise `handle` holds the body in memory and numpy reads it from
+    there.  A `"` opens and closes a quoted cell as it does for csv, so a
+    quoted cell may hold the delimiter or a line break.  Returns the (rows, 2)
+    table only when the C reader accepts every row, finds at least 2 and all
+    are finite.  Otherwise rewinds the handle and returns None, leaving the
+    row loop to accept the file or to say what is wrong with it.  Bytes that
+    are not UTF-8 make numpy raise UnicodeDecodeError, a ValueError, so the
+    row loop meets them too.
     """
-    try:
-        if not handle.seekable():
-            return None
-        start = handle.tell()
-    except (AttributeError, OSError):
-        return None
+    start = handle.tell()
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(
-                body,
-                skiprows=0 if body is handle else 1,
+                path or handle,
+                skiprows=1 if path else 0,
                 encoding="utf-8-sig",
                 delimiter=delimiter,
                 usecols=usecols,

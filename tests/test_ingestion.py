@@ -138,7 +138,7 @@ def test_named_file_cases(tmp_path, name):
         assert _outcome(lambda: load_population(path)) == expected
     assert calls == [fast]
     assert _by_rows(lambda: load_population(path)) == expected
-    # numpy reads an open source, unlike a path, one line at a time.
+    # numpy reads an open source's body from a copy in memory, not by path.
     source = io.StringIO(data.decode(), newline="")
     with _c_reader_calls() as calls:
         assert _outcome(lambda: load_population(source)) == expected
@@ -173,13 +173,15 @@ def test_string_io_source_uses_the_c_reader():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("data", [b"y,x\n1,2\n3,4\n", b"y,x\n1,2\nz,4\n"])
-def test_non_seekable_source_goes_to_the_row_loop(tmp_path, data):
+def test_a_pipe_is_read_as_its_file_is(tmp_path, data):
     path = tmp_path / "pop.csv"
     path.write_bytes(data)
-    with _c_reader_calls() as calls, _pipe(data) as handle:
-        outcome = _outcome(lambda: load_population(handle))
-    assert calls == [False]
-    assert outcome == _by_rows(lambda: load_population(path))
+    with _c_reader_calls() as calls:
+        expected = _outcome(lambda: load_population(path))
+    with _c_reader_calls() as pipe_calls, _pipe(data) as handle:
+        assert _outcome(lambda: load_population(handle)) == expected
+    assert pipe_calls == calls
+    assert expected == _by_rows(lambda: load_population(path))
 
 
 @contextmanager
@@ -196,8 +198,12 @@ def _numpy_sources():
         yield sources
 
 
+def _is_body_copy(source, text):
+    return isinstance(source, io.StringIO) and source.getvalue() == text.split("\n", 1)[1]
+
+
 @pytest.mark.filterwarnings("error")
-def test_numpy_opens_a_path_itself_and_reads_a_handle_as_given(tmp_path):
+def test_numpy_opens_a_path_itself_and_reads_any_other_body_from_memory(tmp_path):
     text = "y,x\n1,2\n3,4\n5,-0.0\n"
     path = tmp_path / "pop.csv"
     path.write_text(text, encoding="utf-8")
@@ -206,16 +212,46 @@ def test_numpy_opens_a_path_itself_and_reads_a_handle_as_given(tmp_path):
         with _numpy_sources() as sources:
             assert _outcome(lambda: load_population(source)) == expected
         assert sources == [str(path)]
-    handle = io.StringIO(text)
     with _numpy_sources() as sources:
-        assert _outcome(lambda: load_population(handle)) == expected
-    assert sources == [handle]
-    # numpy would decompress this name, so it gets the open handle.
+        assert _outcome(lambda: load_population(io.StringIO(text))) == expected
+    assert len(sources) == 1 and _is_body_copy(sources[0], text)
+    # numpy would decompress this name, so it gets a copy of the body.
     named = tmp_path / "pop.csv.gz"
     named.write_text(text, encoding="utf-8")
     with _numpy_sources() as sources:
         assert _outcome(lambda: load_population(named)) == expected
-    assert len(sources) == 1 and not isinstance(sources[0], str)
+    assert len(sources) == 1 and _is_body_copy(sources[0], text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_path_that_cannot_seek_is_read_from_memory(tmp_path):
+    # numpy reopening a named pipe by its path would wait for a writer forever.
+    text = "y,x\n1,2\n3,4\n"
+    fifo = tmp_path / "pop.fifo"
+    os.mkfifo(fifo)
+    sources = []
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        if isinstance(source, str):
+            raise AssertionError(f"numpy was given the path {source}")
+        return original(source, *args, **kwargs)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as writer:
+            writer.write(text)
+
+    original = population.np.loadtxt
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        with mock.patch.object(population.np, "loadtxt", spy):
+            outcome = _outcome(lambda: load_population(fifo))
+    finally:
+        feeder.join()
+    assert outcome == (("1.0", "3.0"), ("2.0", "4.0"))
+    assert len(sources) == 1 and _is_body_copy(sources[0], text)
 
 
 @pytest.mark.filterwarnings("error")
@@ -291,9 +327,12 @@ def test_the_c_reader_takes_a_long_cell_in_a_body_it_reads_whole(tmp_path):
     text = f"y,x,note\n1,2,{LONG_CELL}\n3,4,b\n"
     path = tmp_path / "pop.csv"
     path.write_text(text, encoding="utf-8")
+    expected = (("1.0", "3.0"), ("2.0", "4.0"))
     with _c_reader_calls() as calls:
-        assert _outcome(lambda: load_population(path)) == (("1.0", "3.0"), ("2.0", "4.0"))
-    assert calls == [True]
+        assert _outcome(lambda: load_population(path)) == expected
+        with _pipe(text.encode()) as handle:
+            assert _outcome(lambda: load_population(handle)) == expected
+    assert calls == [True, True]
     assert _by_rows(lambda: load_population(path))[0] is ParseError
 
 
@@ -320,6 +359,10 @@ def test_non_utf8_bytes_are_a_parse_error(tmp_path, name):
         assert _outcome(lambda: load_population(path)) == expected
     assert calls == table_results
     assert _by_rows(lambda: load_population(path)) == expected
+    # Read from a pipe, the body is decoded whole before either reader sees it.
+    with _c_reader_calls() as calls, _pipe(data) as handle:
+        assert _outcome(lambda: load_population(handle)) == expected
+    assert calls == []
 
 
 HEADERS = ["y,x", "x,y", "y,x,z", "z\ty\tx", "y\tx"]

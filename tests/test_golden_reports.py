@@ -9,15 +9,25 @@ The files are written, and files no case writes deleted, by
     PYTHONPATH=src python tests/test_golden_reports.py
 
 which should only be run when a report change is intended.
+
+The reports are the same bytes whichever BLAS kernel OpenBLAS picks for the
+CPU and however many threads it runs: the cases are replayed in child
+processes under other kernels and thread counts.
 """
 import contextlib
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sysmean
 from sysmean.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -122,6 +132,88 @@ def test_json_reports_are_strict_json():
         text = path.read_text(encoding="utf-8")
         if text:  # a usage error writes no report
             json.loads(text, parse_constant=reject)
+
+
+def mismatched_cases(pop: Path) -> list[str]:
+    """The cases whose exit code, stdout or stderr differ from their golden files."""
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    mismatched = []
+    for case in sorted(CASES):
+        code, out, err = run_case(case, pop)
+        golden = [(out, "stdout")] + [(err, "stderr")] * (code == 2)
+        if code != codes[case] or any(
+            text.encode("utf-8") != (GOLDEN / f"{case}.{kind}").read_bytes()
+            for text, kind in golden
+        ):
+            mismatched.append(case)
+    return mismatched
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """The environment of a child process that imports this sysmean and this module."""
+    path = [str(Path(sysmean.__file__).parents[1]), str(Path(__file__).parent)]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **variables}
+
+
+REPLAY = """
+import pathlib, sys, tempfile, test_golden_reports as golden
+with tempfile.TemporaryDirectory() as tmp:
+    mismatched = golden.mismatched_cases(golden.write_population(pathlib.Path(tmp)))
+sys.exit(f"cases that differ from their golden files: {mismatched}" if mismatched else 0)
+"""
+
+
+def openblas_config() -> str:
+    """numpy's OpenBLAS build configuration, or "" when numpy is built on another BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        return ""
+    return blas.get("openblas configuration", "") if "openblas" in blas.get("name", "") else ""
+
+
+def cpu_flags() -> set[str]:
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("flags"):
+                return set(line.split(":", 1)[1].split())
+    return set()
+
+
+# OpenBLAS kernels for x86-64 CPUs, each with the CPU flags it needs: the
+# SSE3 and SSE4.2 kernels run on any x86-64 CPU, Haswell and Zen need AVX2 and FMA.
+CORETYPES = {"Prescott": set(), "Nehalem": set(), "Haswell": {"avx2", "fma"},
+             "Zen": {"avx2", "fma"}}
+
+
+@pytest.mark.parametrize("coretype", sorted(CORETYPES))
+def test_reports_do_not_depend_on_the_blas_kernel(coretype):
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS's x86-64 kernels need an x86-64 CPU")
+    if not openblas_config():
+        pytest.skip("numpy is not built on OpenBLAS")
+    if not CORETYPES[coretype] <= cpu_flags():
+        pytest.skip(f"the {coretype} kernel needs {sorted(CORETYPES[coretype])}")
+    result = subprocess.run(
+        [sys.executable, "-c", REPLAY],
+        capture_output=True, text=True, env=child_env(OPENBLAS_CORETYPE=coretype),
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    pop = tmp_path / "pop.csv"
+    assert main(["synthesize", "--units", "24000", "--seed", "28", "--out", str(pop)]) == 0
+    for command in ("params", "theory-table"):
+        reports = [
+            subprocess.run(
+                [sys.executable, "-m", "sysmean.cli", command, str(pop), "--n", "1200"],
+                capture_output=True, check=True, env=child_env(OPENBLAS_NUM_THREADS=threads),
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert reports[0] == reports[1], f"{command} differs between 1 and 2 BLAS threads"
 
 
 def regenerate() -> None:

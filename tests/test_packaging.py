@@ -2,8 +2,8 @@
 dependencies, pyproject.toml carries the package's version, every name in
 `sysmean.__all__` resolves once, the benchmark's tracer still finds every
 function it wraps, the README's library example runs, its command examples
-exit as it states, the README names only options the CLI has and its
-Install section names every build requirement."""
+exit as it states, the README names only options the CLI has, its Install section names every
+build requirement, and no module calls BLAS."""
 import argparse
 import ast
 import importlib
@@ -75,6 +75,54 @@ def test_every_import_is_stdlib_or_declared():
     for path in sources:
         undeclared = imported_packages(path) - allowed
         assert not undeclared, f"{path.name} imports undeclared {sorted(undeclared)}"
+
+
+# numpy calls that go through BLAS or LAPACK, whose rounding depends on the
+# CPU kernel and thread count that OpenBLAS picks at run time.
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "corrcoef", "cov", "linalg"}
+
+
+def blas_calls(path: Path) -> list[str]:
+    """Each `@`, BLAS-backed numpy name or `numpy.linalg` import in the file, by line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = {node.module.split(".")[-1]} | {alias.name for alias in node.names}
+            found += [(node.lineno, f"import {name}") for name in sorted(names & BLAS_NAMES)]
+        elif isinstance(node, ast.Import):
+            found += [
+                (node.lineno, f"import {alias.name}")
+                for alias in node.names if alias.name.startswith("numpy.linalg")
+            ]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_no_module_sums_through_blas():
+    # Reports are the same bytes whatever BLAS kernel or thread count numpy uses.
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        calls = blas_calls(path)
+        assert not calls, f"{path.name} calls BLAS: {calls}"
+
+
+def test_the_blas_check_sees_each_form(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import numpy.linalg\nfrom numpy import dot\nfrom numpy.linalg import norm\n"
+        "a @ b\na @= b\nnp.corrcoef(a, b)\nnp.cov(a)\na.dot(b)\nnp.linalg.norm(a)\n"
+        "np.add.reduce(a * b)\n",
+        encoding="utf-8",
+    )
+    assert blas_calls(path) == [
+        "line 1: import numpy.linalg", "line 2: import dot", "line 3: import linalg",
+        "line 4: @", "line 5: @", "line 6: .corrcoef", "line 7: .cov", "line 8: .dot",
+        "line 9: .linalg",
+    ]
 
 
 def test_every_traced_benchmark_target_resolves():

@@ -2,8 +2,8 @@
 dependencies, pyproject.toml carries the package's version, every name in
 `sysmean.__all__` resolves once, the benchmark's tracer still finds every
 function it wraps, the README's library example runs, its command examples
-exit as it states, the README names only options the CLI has, its Install section names every
-build requirement, and no module calls BLAS."""
+exit as it states, the README names only options the CLI has, its Install
+section names every build requirement, and no module calls BLAS."""
 import argparse
 import ast
 import importlib

@@ -245,6 +245,15 @@ class TestComputeMoments:
         assert m.rho_x == pytest.approx(brute_force_intraclass(pop.x, 4, 6), rel=1e-12)
         assert m.s2_y2 is None
 
+    @pytest.mark.parametrize("N, n", [(24, 4), (240, 12), (24000, 1200)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_mean_squares_keep_the_bits_of_var(self, rng, N, n, scale):
+        pop = random_population(rng, N)
+        pop = FinitePopulation(y=pop.y * scale, x=pop.x / scale)
+        m = compute_moments(pop, SystematicDesign(N=N, n=n))
+        assert (m.s2_y, m.s2_x) == (pop.y.var(ddof=1), pop.x.var(ddof=1))
+        assert m.rho == pytest.approx(np.corrcoef(pop.y, pop.x)[0, 1], rel=1e-12)
+
     def test_identical_variables_have_unit_correlation(self):
         values = (1.0, 5.0, 2.0, 8.0, 3.0, 9.0)
         pop = FinitePopulation(y=values, x=values)

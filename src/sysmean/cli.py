@@ -14,8 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
+import io
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -322,13 +325,23 @@ def _ingest(
     args: argparse.Namespace, clock: _Stopwatch
 ) -> tuple[FinitePopulation, SystematicDesign, str]:
     """The input file's population, arranged by --sort-by, and its design with
-    --n, after checking its sha256; `clock` times the reading as "ingest_s"."""
-    sha = file_sha256(args.input)
+    --n, after checking its sha256; `clock` times the reading as "ingest_s".
+
+    A regular file is hashed and parsed by its path.  Any other input, such as
+    a pipe, is read once, and its bytes are hashed and parsed."""
+    source: str | io.TextIOWrapper = args.input
+    if os.path.isfile(args.input):
+        sha = file_sha256(args.input)
+    else:
+        with open(args.input, "rb") as handle:
+            data = handle.read()
+        sha = hashlib.sha256(data).hexdigest()
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     if args.expect_sha256 and sha != args.expect_sha256.lower():
         raise ConfigurationError(
             f"input checksum mismatch: file has sha256 {sha}, expected {args.expect_sha256}"
         )
-    pop = load_population(args.input, y_column=args.y_col, x_column=args.x_col)
+    pop = load_population(source, y_column=args.y_col, x_column=args.x_col)
     if args.sort_by:
         pop = sorted_by_auxiliary(pop, by=args.sort_by)
     clock.lap("ingest_s")
@@ -744,8 +757,8 @@ def cmd_synthesize(args: argparse.Namespace, argv: list[str]) -> int:
         slope=args.slope,
         intercept=args.intercept,
     )
-    write_population_csv(pop, args.out)
-    _emit(args, None, _manifest(args, argv, None, output_sha256=file_sha256(args.out)))
+    data = write_population_csv(pop, args.out)
+    _emit(args, None, _manifest(args, argv, None, output_sha256=hashlib.sha256(data).hexdigest()))
     return 0
 
 

@@ -68,11 +68,14 @@ def synthetic_linear_population(
     return FinitePopulation(y=y, x=x)
 
 
-def write_population_csv(pop: FinitePopulation, path: str | Path) -> None:
-    """Write the population as comma-separated text under the header row `y,x`."""
+def write_population_csv(pop: FinitePopulation, path: str | Path) -> bytes:
+    """Write the population as comma-separated text under the header row `y,x`,
+    and return the bytes written."""
     lines = ["y,x"]
     lines.extend(f"{y!r},{x!r}" for y, x in zip(pop.y.tolist(), pop.x.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    Path(path).write_bytes(data)
+    return data
 
 
 def file_sha256(path: str | Path) -> str:

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -490,9 +489,11 @@ def run_simulation(
         raise DomainError(f"population has {pop.N} units but design expects {design.N}")
     kernel = _Kernel(pop, design, cfg)
     ybar_star, starts = kernel.means()
-    pop_mean_x = float(pop.x.mean())
-    drawn = np.flatnonzero(np.bincount(starts, minlength=design.k)).tolist()
-    estimates, failed = [], []
+    pop_mean_x, true_mean_y = float(pop.x.mean()), float(pop.y.mean())
+    counts = np.bincount(starts, minlength=design.k)
+    drawn = np.flatnonzero(counts).tolist()
+    buffer = np.empty(cfg.replicates)
+    results = []
     for spec in cfg.estimators:
         h, bad = np.ones(design.k), np.zeros(design.k, dtype=bool)
         if spec.params is not None:
@@ -501,64 +502,55 @@ def run_simulation(
                     h[i] = family_estimate(1.0, kernel.xbars[i], pop_mean_x, spec.params)
                 except (SingularityError, DomainError):
                     bad[i] = True
-        estimate = h[starts]
-        estimate *= ybar_star
-        estimates.append(estimate)
-        failed.append(bad[starts])
-    return _report(pop, cfg, estimates, failed)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a square that overflows is an MSE of inf
-def _report(
-    pop: FinitePopulation,
-    cfg: SimulationConfig,
-    estimates: Sequence[np.ndarray],
-    failed: Sequence[np.ndarray],
-) -> SimulationReport:
-    """Aggregate each estimator's replicate estimates, skipping the failed ones.
-
-    The moments are `np.mean` and `np.std(ddof=1)`'s operations, bit for bit,
-    on one buffer reused by every estimator instead of their temporaries."""
-    true_mean_y = float(pop.y.mean())
-    buffer = np.empty(cfg.replicates)
-    results = []
-    for j, spec in enumerate(cfg.estimators):
-        ok = ~failed[j]
-        n_used = int(np.count_nonzero(ok))
-        n_failed = cfg.replicates - n_used
-        # With every replicate failed (then also invalid) the moments are nan.
-        empirical_mean = empirical_mse = mc_se_mse = math.nan
-        if n_used > 0:
-            errors = buffer[:n_used]
-            values = estimates[j] if n_failed == 0 else np.compress(ok, estimates[j], out=errors)
-            empirical_mean = float(np.add.reduce(values) / n_used)
-            np.square(np.subtract(values, true_mean_y, out=errors), out=errors)
-            mse = np.add.reduce(errors) / n_used
-            empirical_mse, mc_se_mse = float(mse), 0.0
-            if n_used >= 2:
-                # np.std(ddof=1): the squared deviations from the mean, over n - 1.
-                np.square(np.subtract(errors, mse, out=errors), out=errors)
-                sd = np.sqrt(np.add.reduce(errors) / (n_used - 1))
-                mc_se_mse = float(sd / math.sqrt(n_used))
-        results.append(
-            EstimatorResult(
-                label=spec.label,
-                n_used=n_used,
-                n_failed=n_failed,
-                empirical_mean=empirical_mean,
-                empirical_bias=empirical_mean - true_mean_y,
-                empirical_mse=empirical_mse,
-                mc_se_mse=mc_se_mse,
-                valid=n_failed / cfg.replicates <= MAX_FAILURE_RATE,
-            )
-        )
-
+        values = buffer[: cfg.replicates - int(counts[bad].sum())]
+        if len(values) < cfg.replicates:
+            ok = ~bad[starts]
+            np.multiply(h[starts[ok]], ybar_star[ok], out=values)
+        else:
+            np.take(h, starts, out=values)
+            values *= ybar_star
+        results.append(_result(spec.label, values, cfg.replicates, true_mean_y))
     return SimulationReport(
         results=tuple(results),
         replicates=cfg.replicates,
         master_seed=cfg.master_seed,
         population_sha256=population_fingerprint(pop),
         true_mean_y=true_mean_y,
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a square that overflows is an MSE of inf
+def _result(
+    label: str, values: np.ndarray, replicates: int, true_mean_y: float
+) -> EstimatorResult:
+    """One estimator's result from the estimates of the replicates it did not
+    fail, `values`, out of `replicates`; `values` is overwritten.
+
+    The moments are `np.mean` and `np.std(ddof=1)`'s operations, bit for bit,
+    done in place instead of on their temporaries."""
+    n_used = len(values)
+    n_failed = replicates - n_used
+    # With every replicate failed (then also invalid) the moments are nan.
+    empirical_mean = empirical_mse = mc_se_mse = math.nan
+    if n_used > 0:
+        empirical_mean = float(np.add.reduce(values) / n_used)
+        np.square(np.subtract(values, true_mean_y, out=values), out=values)
+        mse = np.add.reduce(values) / n_used
+        empirical_mse, mc_se_mse = float(mse), 0.0
+        if n_used >= 2:
+            # np.std(ddof=1): the squared deviations from the mean, over n - 1.
+            np.square(np.subtract(values, mse, out=values), out=values)
+            sd = np.sqrt(np.add.reduce(values) / (n_used - 1))
+            mc_se_mse = float(sd / math.sqrt(n_used))
+    return EstimatorResult(
+        label=label,
+        n_used=n_used,
+        n_failed=n_failed,
+        empirical_mean=empirical_mean,
+        empirical_bias=empirical_mean - true_mean_y,
+        empirical_mse=empirical_mse,
+        mc_se_mse=mc_se_mse,
+        valid=n_failed / replicates <= MAX_FAILURE_RATE,
     )
 
 

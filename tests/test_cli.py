@@ -1,12 +1,18 @@
 import argparse
+import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import sysmean
 from sysmean import (
     EstimatorSpec,
     FamilyParams,
@@ -28,6 +34,48 @@ def pop_csv(tmp_path):
                  "--out", str(path)])
     assert code == 0
     return path
+
+
+def run_sysmean(*argv: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """Run this sysmean's CLI in a child process whose stdin and stdout are pipes."""
+    path = [str(Path(sysmean.__file__).parents[1])]
+    path += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    return subprocess.run(
+        [sys.executable, "-m", "sysmean.cli", *argv],
+        input=stdin, capture_output=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin and /dev/stdout")
+class TestPipes:
+    def test_params_reads_a_pipe_as_its_file(self, pop_csv, tmp_path):
+        by_path = run_sysmean("params", str(pop_csv), "--n", "12")
+        piped = run_sysmean(
+            "params", "/dev/stdin", "--n", "12", "--manifest", str(tmp_path / "m.json"),
+            stdin=pop_csv.read_bytes(),
+        )
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == by_path.stdout
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        assert manifest["input"]["sha256"] == file_sha256(pop_csv)
+
+    def test_a_pipe_that_is_not_utf8_exits_2(self):
+        piped = run_sysmean("params", "/dev/stdin", "--n", "2", stdin=b"y,x\n1,2\n\xff,3\n")
+        assert piped.returncode == 2
+        assert b"input is not UTF-8 text" in piped.stderr
+
+    def test_synthesize_writes_a_pipe_and_hashes_what_it_wrote(self, tmp_path):
+        manifest_path = tmp_path / "m.json"
+        written = run_sysmean(
+            "synthesize", "--units", "24", "--seed", "1", "--out", "/dev/stdout",
+            "--manifest", str(manifest_path),
+        )
+        assert written.returncode == 0, written.stderr
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["parameters"]["output_sha256"] == hashlib.sha256(written.stdout).hexdigest()
+        main(["synthesize", "--units", "24", "--seed", "1", "--out", str(tmp_path / "pop.csv")])
+        assert written.stdout == (tmp_path / "pop.csv").read_bytes()
 
 
 class TestSynthesize:

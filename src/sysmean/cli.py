@@ -101,7 +101,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--manifest",
         help="write the run manifest to this file ('-' for stdout; default: "
-        "next to --out, or stderr when reporting to stdout)",
+        "next to an --out file, else stderr)",
     )
 
 
@@ -304,8 +304,24 @@ class _Stopwatch:
         self._last = now
 
 
+def _regular_or_new(path: str) -> bool:
+    """Whether `path` names a regular file or nothing yet, not a device or pipe."""
+    return os.path.isfile(path) or not os.path.exists(path)
+
+
+def _check_targets(args: argparse.Namespace) -> None:
+    """Refuse a --manifest that names the --out file, whose report it would replace."""
+    out, manifest = getattr(args, "out", None), getattr(args, "manifest", None)
+    if out and manifest and manifest != "-" and _regular_or_new(out):
+        if os.path.realpath(out) == os.path.realpath(manifest):
+            raise ConfigurationError(
+                f"--manifest {manifest!r} names the --out file; give them different paths"
+            )
+
+
 def _emit(args: argparse.Namespace, report: str | None, manifest: dict) -> None:
-    """Write the report (None: the command wrote --out itself) and the manifest."""
+    """Write the report (None: the command wrote --out itself) and the manifest:
+    by default beside an --out file, to stderr when --out is a device or pipe."""
     if report is not None and args.out:
         Path(args.out).write_text(report, encoding="utf-8")
     elif report is not None:
@@ -315,7 +331,7 @@ def _emit(args: argparse.Namespace, report: str | None, manifest: dict) -> None:
         sys.stdout.write(manifest_text)
     elif args.manifest:
         Path(args.manifest).write_text(manifest_text, encoding="utf-8")
-    elif args.out:
+    elif args.out and _regular_or_new(args.out):
         Path(str(args.out) + ".manifest.json").write_text(manifest_text, encoding="utf-8")
     else:
         sys.stderr.write(manifest_text)
@@ -802,6 +818,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
+        _check_targets(args)
         return args.func(args, argv)
     except (EstimationError, OSError, MemoryError) as exc:
         print(f"sysmean: error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -38,12 +38,15 @@ chance below span/2**32 a draw) is drawn again by a Generator on its stream,
 and so is every row of a call whose follow-up takes _CHOICE_MIN draws or
 more, which `Generator.choice` draws faster in C.
 
-A call builds the k samples once, into the per-start table of its `_Kernel`:
-row i holds the sample with start index i + 1, its y values, xbar_i and,
-with a fixed stratum, the parts `_Samples.of` gives of it: the respondent
-count and y total, the non-respondents' y values in unit order and h2.
-Blocks take their rows from the table, in Bernoulli mode with the parts
-under their drawn masks, and h reads xbar_i there.  Every y and x total is
+A call builds the k samples once, into the per-start table `_start_table`
+gives of (population, design, non-response model): row i holds the sample
+with start index i + 1, its y values, xbar_i and, with a fixed stratum, the
+parts `_Samples.of` gives of it: the respondent count and y total, the
+non-respondents' y values in unit order and h2.  `_Kernel` keeps only its
+draw state over that table.  Blocks take their rows from the table, in
+Bernoulli mode with the parts under their drawn masks, and h reads xbar_i
+there, through `_start_factors`, as does `_exact_errors`, the exact design
+MSE and bias of each estimator over the k samples.  Every y and x total is
 `sequential_totals`, added left to right from +0.0 as the per-unit reference
 path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`) adds, and
 the streams are consumed as that path consumes them, so the reports are
@@ -340,9 +343,46 @@ class _Samples:
         return _Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
+@dataclass(frozen=True)
+class _StartTable:
+    """The k candidate samples of a design, row i the one with start index
+    i + 1: its y values `ys`, its x mean `xbars[i]` and, with a fixed
+    stratum, its `_Samples` parts (`stratum`; None in Bernoulli mode).
+    `h2_of[n2]` is the follow-up size of n2 non-respondents, w2 the
+    non-response rate, and `mean_x`, `mean_y` are the population means."""
+
+    ys: np.ndarray
+    xbars: list[float]
+    stratum: _Samples | None
+    h2_of: np.ndarray
+    w2: float
+    mean_x: float
+    mean_y: float
+
+
+def _start_table(
+    pop: FinitePopulation, design: SystematicDesign, nr: NonResponseModel
+) -> _StartTable:
+    """The per-start table of `design` on `pop` under `nr`; a fixed stratum
+    must hold round(w2·N) units."""
+    if pop.N != design.N:
+        raise DomainError(f"population has {pop.N} units but design expects {design.N}")
+    n, k = design.n, design.k
+    ys, xs = (units.reshape(n, k).T.copy() for units in (pop.y, pop.x))
+    h2_of = follow_up_sizes(n, nr.ell)
+    stratum = None
+    if nr.mode is StratumMode.FIXED_STRATUM:
+        units, size = nr.stratum or frozenset(), round(nr.w2 * design.N)
+        if len(units) != size:
+            raise DesignError(f"stratum size {len(units)} does not match round(w2*N)={size}")
+        missing = _stratum_mask(units, design.N, DesignError).reshape(n, k).T
+        stratum = _Samples.of(ys, missing, h2_of)
+    xbars = (sequential_totals(xs) / n).tolist()
+    return _StartTable(ys, xbars, stratum, h2_of, nr.w2, float(pop.x.mean()), float(pop.y.mean()))
+
+
 class _Kernel:
-    """One call's replicates, a block at a time, over its per-start table:
-    `ys`, `xbars` and, with a fixed stratum, `table`, built once in `__init__`.
+    """One call's replicates, a block at a time, over its per-start `table`.
 
     A block's draws give each replicate's start index, in Bernoulli mode its
     non-respondent mask, and where h2 < n2 the places its follow-up takes
@@ -355,32 +395,23 @@ class _Kernel:
     """
 
     def __init__(self, pop: FinitePopulation, design: SystematicDesign, cfg: SimulationConfig):
-        n, k, nr = design.n, design.k, cfg.nr
-        self.n, self.k, self.w2 = n, k, nr.w2
+        self.table = table = _start_table(pop, design, cfg.nr)
+        self.n, self.k = n, k = design.n, design.k
         self.replicates, self.master_seed = cfg.replicates, cfg.master_seed
         # A word w gives the double (w >> 11)·2**-53, which is below w2 exactly
         # when w < ceil(w2·2**53) << 11.
-        self.below = np.uint64(math.ceil(nr.w2 * 2**53) << 11)
-        # The per-start table: row i holds the sample with start index i + 1.
-        self.ys, xs = (units.reshape(n, k).T.copy() for units in (pop.y, pop.x))
-        self.xbars = (sequential_totals(xs) / n).tolist()
-        self.h2_of = follow_up_sizes(n, nr.ell)
-        self.fixed = nr.mode is StratumMode.FIXED_STRATUM
+        self.below = np.uint64(math.ceil(table.w2 * 2**53) << 11)
+        self.fixed = table.stratum is not None
         if self.fixed:
-            stratum, size = nr.stratum or frozenset(), round(nr.w2 * design.N)
-            if len(stratum) != size:
-                raise DesignError(f"stratum size {len(stratum)} does not match round(w2*N)={size}")
-            missing = _stratum_mask(stratum, design.N, DesignError).reshape(n, k).T
-            self.table = _Samples.of(self.ys, missing, self.h2_of)
-            h2_max = follow_up = int(
-                np.where(self.table.h2 < self.table.n2, self.table.h2, 0).max(initial=0)
-            )
+            parts = table.stratum
+            h2_max = follow_up = int(np.where(parts.h2 < parts.n2, parts.h2, 0).max(initial=0))
             # A block touches only the non-respondents of its starts.
-            self.width = max(self.table.nr_y.shape[1], 1)
+            self.width = max(parts.nr_y.shape[1], 1)
         else:
-            h2_max = int(self.h2_of[n])
+            h2_max = int(table.h2_of[n])
             # Up to _FLOYD_MAX_POPULATION units, no follow-up needs a tail shuffle.
-            follow_up = int(self.h2_of[round(nr.w2 * n)]) if n <= _FLOYD_MAX_POPULATION else h2_max
+            expected = int(table.h2_of[round(table.w2 * n)])
+            follow_up = expected if n <= _FLOYD_MAX_POPULATION else h2_max
             self.width = n
         self.raw = follow_up < _CHOICE_MIN
         self.rows = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // self.width))
@@ -417,9 +448,9 @@ class _Kernel:
         for row in np.flatnonzero(redo).tolist():
             self._draw_row(seeds[row], first + row, row, starts, miss, taken)
         if self.fixed:
-            parts = self.table.take(starts)
+            parts = self.table.stratum.take(starts)
         else:
-            parts = _Samples.of(self.ys[starts], miss, self.h2_of)
+            parts = _Samples.of(self.table.ys[starts], miss, self.table.h2_of)
         # A sample without a draw follows up all its non-respondents; the
         # padding adds +0.0, which leaves a total from +0.0 as it is.
         followed = np.where((parts.h2 < parts.n2)[:, None], taken[:, : parts.nr_y.shape[1]], True)
@@ -436,8 +467,8 @@ class _Kernel:
         else:
             starts, redo = (first + np.arange(rows)) % self.k, np.zeros(rows, dtype=bool)
         miss = None if self.fixed else words[:, self.start_draw : self.follow_up_at] < self.below
-        n2 = self.table.n2[starts] if self.fixed else miss.sum(axis=1)
-        h2 = self.h2_of[n2]
+        n2 = self.table.stratum.n2[starts] if self.fixed else miss.sum(axis=1)
+        h2 = self.table.h2_of[n2]
         steps = np.where(h2 < n2, h2, 0)
         taken = np.zeros((rows, self.width), dtype=bool)
         if steps.any():
@@ -465,14 +496,29 @@ class _Kernel:
         i = int(rng.integers(0, self.k)) if self.start_draw else rep % self.k
         starts[row] = i
         if self.fixed:
-            n2 = int(self.table.n2[i])
+            n2 = int(self.table.stratum.n2[i])
         else:
-            miss[row] = rng.random(self.n) < self.w2
+            miss[row] = rng.random(self.n) < self.table.w2
             n2 = np.count_nonzero(miss[row])
-        h2 = int(self.h2_of[n2])
+        h2 = int(self.table.h2_of[n2])
         taken[row] = False
         if h2 < n2:
             taken[row, rng.choice(n2, h2, replace=False)] = True
+
+
+def _start_factors(
+    spec: EstimatorSpec, table: _StartTable, starts
+) -> tuple[np.ndarray, np.ndarray]:
+    """h(xbar_i) of `spec` at each start index i in `starts`, and whether h
+    raises a singularity or domain error there; h = 1 and no failure elsewhere."""
+    h, bad = np.ones(len(table.xbars)), np.zeros(len(table.xbars), dtype=bool)
+    if spec.params is not None:
+        for i in starts:
+            try:
+                h[i] = family_estimate(1.0, table.xbars[i], table.mean_x, spec.params)
+            except (SingularityError, DomainError):
+                bad[i] = True
+    return h, bad
 
 
 def run_simulation(
@@ -485,23 +531,14 @@ def run_simulation(
     draws it, for that estimator only; estimators with more than 1% failures
     are flagged invalid in the report.
     """
-    if pop.N != design.N:
-        raise DomainError(f"population has {pop.N} units but design expects {design.N}")
     kernel = _Kernel(pop, design, cfg)
     ybar_star, starts = kernel.means()
-    pop_mean_x, true_mean_y = float(pop.x.mean()), float(pop.y.mean())
     counts = np.bincount(starts, minlength=design.k)
     drawn = np.flatnonzero(counts).tolist()
     buffer = np.empty(cfg.replicates)
     results = []
     for spec in cfg.estimators:
-        h, bad = np.ones(design.k), np.zeros(design.k, dtype=bool)
-        if spec.params is not None:
-            for i in drawn:
-                try:
-                    h[i] = family_estimate(1.0, kernel.xbars[i], pop_mean_x, spec.params)
-                except (SingularityError, DomainError):
-                    bad[i] = True
+        h, bad = _start_factors(spec, kernel.table, drawn)
         values = buffer[: cfg.replicates - int(counts[bad].sum())]
         if len(values) < cfg.replicates:
             ok = ~bad[starts]
@@ -509,14 +546,54 @@ def run_simulation(
         else:
             np.take(h, starts, out=values)
             values *= ybar_star
-        results.append(_result(spec.label, values, cfg.replicates, true_mean_y))
+        results.append(_result(spec.label, values, cfg.replicates, kernel.table.mean_y))
     return SimulationReport(
         results=tuple(results),
         replicates=cfg.replicates,
         master_seed=cfg.master_seed,
         population_sha256=population_fingerprint(pop),
-        true_mean_y=true_mean_y,
+        true_mean_y=kernel.table.mean_y,
     )
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # log(0) at w2 = 0; inf squares
+def _exact_errors(table: _StartTable, specs) -> list[tuple[float, float]]:
+    """The exact design MSE and bias of each of `specs`, from the k samples.
+
+    Given start i, ybar* has mean mu_i, the sample's y mean, and variance
+    v_i: with a fixed stratum (n2_i/n)²·(1/h2_i − 1/n2_i)·s²_i, s²_i the mean
+    square of y over the sample's non-respondents (v_i = 0 where h2_i >= n2_i);
+    in Bernoulli mode c·s²_i, s²_i the mean square of y over the sample and
+    c = Σ_j Bin(j; n, w2)·(j/n)²·(1/h2(j) − 1/j) (Hansen & Hurwitz 1946).
+    So ybar*·h_i has MSE mean_i[h_i²·v_i + (h_i·mu_i − Ybar)²] and bias
+    mean_i(h_i·mu_i) − Ybar, over the starts where h is defined; both are
+    nan where it is defined at none."""
+    k, n = table.ys.shape
+    mu, v = table.ys.mean(axis=1), np.zeros(k)
+    if table.stratum is None:
+        j = np.arange(1, n + 1)
+        log_fact = np.array([math.lgamma(m + 1) for m in range(n + 1)])
+        log_pmf = log_fact[n] - log_fact[j] - log_fact[n - j]
+        log_pmf += j * np.log(table.w2) + (n - j) * np.log1p(-table.w2)
+        c = np.sum(np.exp(log_pmf) * (j / n) ** 2 * (1 / table.h2_of[j] - 1 / j))
+        v = c * table.ys.var(axis=1, ddof=1)
+    else:
+        parts = table.stratum
+        rows = np.flatnonzero(parts.h2 < parts.n2)
+        n2, h2, nr_y = parts.n2[rows], parts.h2[rows], parts.nr_y[rows]
+        s2 = nr_y.var(axis=1, ddof=1, where=np.arange(nr_y.shape[1]) < n2[:, None])
+        v[rows] = (n2 / n) ** 2 * (1 / h2 - 1 / n2) * s2
+    errors = []
+    for spec in specs:
+        h, bad = _start_factors(spec, table, range(k))
+        ok = ~bad
+        if not ok.any():
+            errors.append((math.nan, math.nan))
+            continue
+        means = h[ok] * mu[ok]
+        mse = np.mean(h[ok] ** 2 * v[ok] + (means - table.mean_y) ** 2)
+        errors.append((float(mse), float(np.mean(means) - table.mean_y)))
+    return errors
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a square that overflows is an MSE of inf

@@ -36,6 +36,7 @@ from sysmean import (
 )
 from sysmean.cli import main
 from sysmean.datasets import synthetic_linear_population
+from sysmean.montecarlo import _exact_errors, _start_table
 from sysmean.population import PopulationMoments
 from sysmean.theory import classical_mse
 from reference import classical_bias
@@ -66,8 +67,9 @@ MISPRINT_RECOMPUTED = 388.66
 # close to 0.9.  Seed 28 is pinned because at k = 20 the realized
 # between-sample correlation structure fluctuates from instance to instance;
 # this instance is one where the first-order theory describes the exact
-# design MSE well (exact enumeration puts the adjusted-mean gap at 0.4% and
-# the optimum-family gap at 3.2%), which is what the tolerance assumes.
+# design MSE well (the exact design MSE puts the adjusted-mean gap at 0.36%
+# and the optimum-family gap at 3.18%, as test_criterion_7_first_order_gaps
+# computes), which is what the tolerance assumes.
 ACCEPT_N, ACCEPT_SAMPLE, ACCEPT_K = 240, 12, 20
 ACCEPT_SEED = 28
 MC_SEED = 20260811
@@ -346,6 +348,24 @@ def test_criterion_7_montecarlo_vs_nonresponse_theory(nonresponse_run):
         f"(slack {slack / theory_family:.1%}); {MC_REPLICATES} replicates in "
         f"{elapsed:.1f}s"
     )
+
+
+def test_criterion_7_first_order_gaps(accept_population, nonresponse_run):
+    # Not a gate: the gaps criterion 7's tolerances were set against, from the
+    # exact design MSE of the fixture's design and engineered stratum.
+    _, moments, constants, _ = nonresponse_run
+    design = SystematicDesign(N=ACCEPT_N, n=ACCEPT_SAMPLE)
+    nr = NonResponseModel(w2=0.25, ell=2.0, stratum=engineered_stratum())
+    alpha = optimum_alpha(constants, 1.0)
+    specs = [EstimatorSpec("hh"), EstimatorSpec("family", FamilyParams(alpha=alpha))]
+    (exact_hh, _), (exact_family, _) = _exact_errors(
+        _start_table(accept_population, design, nr), specs
+    )
+    first_order_hh = var_mean_y(moments, ACCEPT_SAMPLE, ACCEPT_N, 0.25, 2.0)
+    first_order_family = family_mse_min(moments, ACCEPT_SAMPLE, 0.25, 2.0, constants)
+    gap_hh = abs(first_order_hh - exact_hh) / first_order_hh
+    gap_family = abs(first_order_family - exact_family) / first_order_family
+    assert (round(100 * gap_hh, 2), round(100 * gap_family, 2)) == (0.36, 3.18)
 
 
 def test_criterion_8_unbiasedness(nonresponse_run):

@@ -595,6 +595,28 @@ class TestManifestAndRerun:
         assert manifest["parameters"]["n"] == 12
         assert "created_utc" in manifest
 
+    def test_manifest_beside_a_device_out_goes_to_stderr(self, pop_csv, tmp_path, capsys):
+        # A link to the null device stands for any --out that is not a regular file.
+        out = tmp_path / "null"
+        out.symlink_to(os.devnull)
+        capsys.readouterr()
+        assert main(["params", str(pop_csv), "--n", "12", "--out", str(out)]) == 0
+        assert not (tmp_path / "null.manifest.json").exists()
+        assert json.loads(capsys.readouterr().err)["command"] == "params"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["params", "{pop}", "--n", "12"], ["synthesize", "--units", "24", "--seed", "1"]],
+        ids=["params", "synthesize"],
+    )
+    def test_manifest_naming_the_out_file_exits_2(self, pop_csv, tmp_path, capsys, argv):
+        out = tmp_path / "report.txt"
+        same = os.path.join(str(tmp_path), ".", "report.txt")
+        argv = [arg.format(pop=pop_csv) for arg in argv]
+        assert main([*argv, "--out", str(out), "--manifest", same]) == 2
+        assert "names the --out file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_reproduces_output_byte_identically(self, pop_csv, tmp_path):
         out = tmp_path / "table.csv"
         main(["theory-table", str(pop_csv), "--n", "12", "--format", "csv",

@@ -24,7 +24,7 @@ from sysmean.design import (
     nearest_valid_sample_sizes,
 )
 from conftest import random_population
-from reference import enumerate_samples, enumerated_design_variance
+from reference import enumerate_samples
 
 
 class TestSystematicDesign:
@@ -279,12 +279,3 @@ class TestSampleRealizationInvariants:
                 y_observed={1: 1.0},
                 x_observed=(1.0, 2.0),
             )
-
-
-class TestEnumeratedDesignVariance:
-    def test_matches_direct_computation(self, rng):
-        design = SystematicDesign(N=20, n=4)
-        values = rng.normal(3.0, 2.0, 20)
-        means = [np.mean([values[u - 1] for u in s]) for s in enumerate_samples(design)]
-        expected = np.mean((np.array(means) - values.mean()) ** 2)
-        assert enumerated_design_variance(values, design) == pytest.approx(expected, rel=1e-14)

@@ -1,6 +1,11 @@
 import dataclasses
+import importlib.util
+import itertools
+import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from hypothesis import strategies as st
 
 import sysmean.montecarlo
 from conftest import random_population
-from reference import enumerate_samples, enumerated_design_variance
+from reference import enumerate_samples
 from sysmean import (
     ConfigurationError,
     DomainError,
@@ -30,20 +35,24 @@ from sysmean import (
     run_simulation,
     var_mean_y,
 )
+from sysmean.cli import main
 from sysmean.datasets import synthetic_linear_population
-from sysmean.design import apply_nonresponse, draw_sample
+from sysmean.design import apply_nonresponse, draw_sample, follow_up_size
 from sysmean.estimators import PRESETS, aux_mean, hh_mean, product_estimate, ratio_estimate
 from sysmean.montecarlo import (
     MAX_REPLICATES,
     SEED_BLOCK,
     EstimatorResult,
     SimulationReport,
+    _exact_errors,
     _floyd,
     _Kernel,
     _lemire,
     _result,
+    _start_table,
     _stream_words,
     _StreamSeed,
+    design_rng,
     replicate_rng,
 )
 
@@ -66,7 +75,7 @@ class TestExhaustiveMode:
         design = SystematicDesign(N=60, n=6)
         report = run_simulation(pop, design, hh_only(10, seed=1, exhaustive=True))
         result = report.by_label("hh")
-        enum_var = enumerated_design_variance(pop.y, design)
+        [(enum_var, _)] = _exact_errors(_start_table(pop, design, NO_NR), [EstimatorSpec("hh")])
         assert result.empirical_mse == pytest.approx(enum_var, rel=1e-12)
         assert result.empirical_bias == pytest.approx(0.0, abs=1e-12 * abs(report.true_mean_y))
         # the intraclass representation of the same variance is exact
@@ -582,6 +591,174 @@ class TestPerStartTableKernel:
             assert len(calls) == with_params * min(k, replicates)
 
 
+def enumerated_errors(pop, design, nr, specs):
+    """Each spec's design MSE and bias by brute force: every start, in Bernoulli
+    mode every non-respondent mask weighted by w2^j·(1 − w2)^(n − j), and every
+    one of the C(n2, h2) follow-ups, each estimate by the spec's reference
+    estimator.  A start where the estimator fails is left out; (nan, nan) if
+    it fails at every start."""
+    n, mean_x, mean_y = design.n, float(pop.x.mean()), float(pop.y.mean())
+
+    def masks(units):
+        """Each non-respondent mask of a sample, with its probability."""
+        if nr.mode is StratumMode.FIXED_STRATUM:
+            return [([u in (nr.stratum or ()) for u in units], 1.0)]
+        return [
+            (bits, nr.w2 ** sum(bits) * (1 - nr.w2) ** (n - sum(bits)))
+            for bits in itertools.product((False, True), repeat=n)
+        ]
+
+    errors = []
+    for spec in specs:
+        reference = REFERENCE_ESTIMATORS.get(spec.label, REFERENCE_ESTIMATORS["family"])
+        means, squares = [], []
+        for units in enumerate_samples(design):
+            y = [pop.y.item(u - 1) for u in units]
+            xbar = math.fsum(pop.x.item(u - 1) for u in units) / n
+            try:
+                reference(spec, 1.0, xbar, mean_x)
+            except (SingularityError, DomainError):
+                continue
+            mean = square = 0.0
+            for missing, weight in masks(units):
+                respondents = [v for v, m in zip(y, missing) if not m]
+                nonrespondents = [v for v, m in zip(y, missing) if m]
+                n2 = len(nonrespondents)
+                h2 = follow_up_size(n2, nr.ell)
+                follow_ups = list(itertools.combinations(nonrespondents, h2))
+                for follow_up in follow_ups:
+                    t2 = n2 * math.fsum(follow_up) / h2 if n2 else 0.0
+                    estimate = reference(spec, (math.fsum(respondents) + t2) / n, xbar, mean_x)
+                    mean += weight / len(follow_ups) * estimate
+                    square += weight / len(follow_ups) * (estimate - mean_y) ** 2
+            means.append(mean)
+            squares.append(square)
+        if means:
+            mse, mean = math.fsum(squares) / len(squares), math.fsum(means) / len(means)
+            errors.append((mse, mean - mean_y))
+        else:
+            errors.append((math.nan, math.nan))
+    return errors
+
+
+def perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's own populations and exact hh MSEs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module's annotations there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExactDesignErrors:
+    """`_exact_errors`, the exact design MSE and bias over the per-start table,
+    against brute-force enumeration and the benchmark's independent oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pop_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        k=st.integers(1, 4),
+        w2=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 0.9),
+        ell=st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(1.0, 5.0),
+        bernoulli=st.booleans(),
+    )
+    @example(pop_seed=1, n=4, k=6, w2=0.25, ell=2.0, bernoulli=False)
+    @example(pop_seed=1, n=5, k=4, w2=0.5, ell=2.0, bernoulli=True)
+    def test_equals_brute_force_enumeration(self, pop_seed, n, k, w2, ell, bernoulli):
+        pop, design, cfg = simulation_case(
+            pop_seed, n, k, w2, ell, bernoulli, exhaustive=False, replicates=2, seed=1
+        )
+        got = _exact_errors(_start_table(pop, design, cfg.nr), cfg.estimators)
+        expected = enumerated_errors(pop, design, cfg.nr, cfg.estimators)
+        scale = abs(float(pop.y.mean()))
+        for (mse, bias), (mse_ref, bias_ref) in zip(got, expected):
+            assert mse == pytest.approx(mse_ref, rel=1e-12, nan_ok=True)
+            assert bias == pytest.approx(bias_ref, rel=1e-12, abs=1e-12 * scale, nan_ok=True)
+
+    def test_a_start_where_h_fails_is_left_out(self):
+        # The failing member is undefined at some starts of this case, not all.
+        pop, design, cfg = simulation_case(
+            pop_seed=1, n=4, k=6, w2=0.25, ell=2.0, bernoulli=False, exhaustive=False,
+            replicates=2, seed=1,
+        )
+        failing = cfg.estimators[-1]
+        assert 0 < run_simulation(pop, design, dataclasses.replace(
+            cfg, estimators=(failing,), replicates=12, exhaustive_start=True
+        )).results[0].n_failed < 12
+        [(mse, bias)] = _exact_errors(_start_table(pop, design, cfg.nr), [failing])
+        [(mse_ref, bias_ref)] = enumerated_errors(pop, design, cfg.nr, [failing])
+        assert math.isfinite(mse)
+        assert mse == pytest.approx(mse_ref, rel=1e-12)
+        assert bias == pytest.approx(bias_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    def test_nan_when_h_fails_at_every_start(self, bernoulli):
+        pop, design, cfg = simulation_case(
+            pop_seed=2, n=4, k=5, w2=0.25, ell=2.0, bernoulli=bernoulli, exhaustive=False,
+            replicates=2, seed=1,
+        )
+        # a·Xbar + b = 0, so the g = -1 member is singular on every sample.
+        never = EstimatorSpec("never", FamilyParams(1.0, -1.0, b=-float(pop.x.mean())))
+        [(mse, bias)] = _exact_errors(_start_table(pop, design, cfg.nr), [never])
+        assert math.isnan(mse) and math.isnan(bias)
+        assert all(map(math.isnan, enumerated_errors(pop, design, cfg.nr, [never])[0]))
+
+    def test_full_response_hh_is_the_variance_of_the_sample_means(self, rng):
+        design = SystematicDesign(N=20, n=4)
+        values = rng.normal(3.0, 2.0, 20)
+        pop = FinitePopulation(y=values, x=rng.uniform(1.0, 2.0, 20))
+        means = [np.mean([values[u - 1] for u in s]) for s in enumerate_samples(design)]
+        expected = np.mean((np.array(means) - values.mean()) ** 2)
+        [(mse, bias)] = _exact_errors(_start_table(pop, design, NO_NR), [EstimatorSpec("hh")])
+        assert mse == pytest.approx(expected, rel=1e-14)
+        assert bias == pytest.approx(0.0, abs=1e-14 * abs(values.mean()))
+
+    @pytest.mark.parametrize("size", ["SMALL", "LARGE"])
+    def test_hh_is_the_benchmark_oracle(self, tmp_path, size):
+        # The sim_n12 and reports_large populations (benchmark seed 1), with
+        # the stratum of the first sim_n12 call (master seed 1000).
+        inputs = perfbench_inputs()
+        bench = inputs.write_population(tmp_path, getattr(inputs, size), 1)
+        pop, design = FinitePopulation(y=bench.y, x=bench.x), SystematicDesign(bench.N, bench.n)
+        units = inputs.fixed_stratum(bench.N, 0.25, 1000)
+        cases = [
+            (NonResponseModel(0.25, 2.0, stratum=frozenset(int(u) + 1 for u in units)),
+             inputs.exact_hh_mse_fixed(bench, units, 2.0)),
+            (NonResponseModel(0.25, 2.0, mode=StratumMode.BERNOULLI_PER_REPLICATE),
+             inputs.exact_hh_mse_bernoulli(bench, 0.25, 2.0)),
+        ]
+        for nr, expected in cases:
+            [(mse, _)] = _exact_errors(_start_table(pop, design, nr), [EstimatorSpec("hh")])
+            assert mse == pytest.approx(expected, rel=1e-12)
+
+    def test_readme_simulate_example_agrees_with_the_oracle(self, tmp_path):
+        # README's first simulate example exits 1 against first-order theory;
+        # against the exact MSE its z-scores are +1.38, -1.31 and -0.95.
+        pop_csv, out = tmp_path / "pop.csv", tmp_path / "report.json"
+        assert main(["synthesize", "--units", "240", "--rho", "0.9", "--seed", "28",
+                     "--out", str(pop_csv)]) == 0
+        assert main(["simulate", str(pop_csv), "--n", "12", "--w2", "0.25", "--ell", "2",
+                     "--replicates", "20000", "--seed", "7", "--format", "json",
+                     "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        stratum = frozenset(int(u) + 1 for u in design_rng(7).choice(240, 60, replace=False))
+        specs = [
+            EstimatorSpec("hh"),
+            EstimatorSpec("ratio", PRESETS["ratio"]),
+            EstimatorSpec("family", FamilyParams(report["alpha"])),
+        ]
+        pop = synthetic_linear_population(240, rho_target=0.9, seed=28)
+        nr = NonResponseModel(0.25, 2.0, stratum=stratum)
+        table = _start_table(pop, SystematicDesign(240, 12), nr)
+        z = {
+            result["label"]: (result["empirical_mse"] - mse) / result["mc_se_mse"]
+            for result, (mse, _) in zip(report["results"], _exact_errors(table, specs))
+        }
+        assert [round(z[label], 2) for label in ("hh", "ratio", "family")] == [1.38, -1.31, -0.95]
+
+
 # Master seeds of 1, 2, 4 and 5 or more 32-bit words.
 SEEDS = [0, 1, 28, 20250811, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**128 + 1, 10**50]
 INDICES = [0, 1, SEED_BLOCK - 1, SEED_BLOCK, SEED_BLOCK + 1]
@@ -688,10 +865,10 @@ def reads_a_rejected_half_word(kernel, rep, words):
         start = (words[0] & 0xFFFFFFFF) * kernel.k >> 32
         halves.insert(0, words[0] >> 32)
     if kernel.fixed:
-        n2 = int(kernel.table.n2[start])
+        n2 = int(kernel.table.stratum.n2[start])
     else:
         n2 = sum(word < kernel.below for word in words[kernel.start_draw : kernel.follow_up_at])
-    h2 = int(kernel.h2_of[n2])
+    h2 = int(kernel.table.h2_of[n2])
     return h2 < n2 and any(rejected(halves[s], n2 - h2 + s + 1) for s in range(h2))
 
 

@@ -24,9 +24,10 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
-from .datasets import file_sha256, synthetic_linear_population, write_population_csv
+from .datasets import file_sha256, population_csv, synthetic_linear_population
 from .design import NonResponseModel, StratumMode, SystematicDesign
 from .errors import ConfigurationError, DomainError, EstimationError
 from .estimators import PRESETS, FamilyParams
@@ -257,7 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--slope", type=_finite_float, default=3.0)
     p_synth.add_argument("--intercept", type=_finite_float, default=10.0)
     p_synth.add_argument("--out", required=True, help="output CSV path")
-    p_synth.add_argument("--manifest", help="manifest path (default: OUT.manifest.json)")
+    p_synth.add_argument(
+        "--manifest",
+        help="manifest path ('-' for stdout; default: next to an --out file, else stderr)",
+    )
     p_synth.set_defaults(func=cmd_synthesize)
 
     p_rerun = sub.add_parser("rerun", help="replay a run manifest")
@@ -309,32 +313,49 @@ def _regular_or_new(path: str) -> bool:
     return os.path.isfile(path) or not os.path.exists(path)
 
 
+def _manifest_target(args: argparse.Namespace) -> str | TextIO:
+    """Where the manifest goes: --manifest ('-' is stdout), else the file beside
+    an --out that is a regular file or new, else stderr."""
+    manifest, out = getattr(args, "manifest", None), getattr(args, "out", None)
+    if manifest == "-":
+        return sys.stdout
+    if manifest:
+        return manifest
+    if out and _regular_or_new(out):
+        return out + ".manifest.json"
+    return sys.stderr
+
+
 def _check_targets(args: argparse.Namespace) -> None:
-    """Refuse a --manifest that names the --out file, whose report it would replace."""
-    out, manifest = getattr(args, "out", None), getattr(args, "manifest", None)
-    if out and manifest and manifest != "-" and _regular_or_new(out):
-        if os.path.realpath(out) == os.path.realpath(manifest):
-            raise ConfigurationError(
-                f"--manifest {manifest!r} names the --out file; give them different paths"
-            )
+    """Refuse, before any work, an --out or manifest that names the input file
+    or the --out file as a regular or new file: its write would replace that file."""
+    named: dict[str, str] = {}
+    for option, path in (
+        ("input", getattr(args, "input", None)),
+        ("--out", getattr(args, "out", None)),
+        ("--manifest", _manifest_target(args)),
+    ):
+        if isinstance(path, str) and _regular_or_new(path):
+            real = os.path.realpath(path)
+            if real in named:
+                raise ConfigurationError(
+                    f"{option} {path!r} names the {named[real]} file; give them different paths"
+                )
+            named[real] = option
 
 
-def _emit(args: argparse.Namespace, report: str | None, manifest: dict) -> None:
-    """Write the report (None: the command wrote --out itself) and the manifest:
-    by default beside an --out file, to stderr when --out is a device or pipe."""
-    if report is not None and args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
-    elif report is not None:
+def _emit(args: argparse.Namespace, report: str, manifest: dict) -> None:
+    """Write the report to --out or stdout, then the manifest to its target."""
+    target = _manifest_target(args)
+    if args.out:
+        Path(args.out).write_text(report, encoding="utf-8", newline="")
+    else:
         sys.stdout.write(report)
     manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    if args.manifest == "-":
-        sys.stdout.write(manifest_text)
-    elif args.manifest:
-        Path(args.manifest).write_text(manifest_text, encoding="utf-8")
-    elif args.out and _regular_or_new(args.out):
-        Path(str(args.out) + ".manifest.json").write_text(manifest_text, encoding="utf-8")
+    if isinstance(target, str):
+        Path(target).write_text(manifest_text, encoding="utf-8")
     else:
-        sys.stderr.write(manifest_text)
+        target.write(manifest_text)
 
 
 def _ingest(
@@ -643,7 +664,11 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     pop, design, sha = _ingest(args, clock)
 
     fixed = args.stratum_mode == "fixed"
-    stratum = None
+    # The model checks w2 and L before a stratum of round(w2 * N) units is drawn.
+    nr = NonResponseModel(
+        w2=args.w2, ell=args.ell, mode=StratumMode(args.stratum_mode),
+        stratum=frozenset() if fixed else None,
+    )
     if fixed:
         size = round(args.w2 * pop.N)
         if size == pop.N:
@@ -651,22 +676,15 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
                 f"--w2 {args.w2} puts all {size} of {pop.N} units in the non-response "
                 "stratum; at least one unit must respond"
             )
-        # An out-of-range rate draws nothing here; NonResponseModel rejects it below.
-        chosen = (
-            design_rng(args.seed).choice(pop.N, size, replace=False)
-            if 0 < size <= pop.N else ()
-        )
-        stratum = frozenset(int(u) + 1 for u in chosen)
-    nr = NonResponseModel(
-        w2=args.w2, ell=args.ell, mode=StratumMode(args.stratum_mode), stratum=stratum
-    )
-    w2_theory = len(stratum) / pop.N if fixed else args.w2
+        chosen = design_rng(args.seed).choice(pop.N, size, replace=False)
+        nr = dataclasses.replace(nr, stratum=frozenset(int(u) + 1 for u in chosen))
+    w2_theory = len(nr.stratum) / pop.N if fixed else args.w2
 
     moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
     if w2_theory > 0 and args.ell > 1 and args.s2y2_factor is None:
         # Bernoulli non-response draws uniformly from the whole population,
         # so its stratum mean square is the overall mean square.
-        s2_y2 = stratum_mean_square(pop, stratum) if fixed else moments.s2_y
+        s2_y2 = stratum_mean_square(pop, nr.stratum) if fixed else moments.s2_y
         moments = dataclasses.replace(moments, s2_y2=s2_y2)
 
     # The targets need no report: a theory-domain error exits before any replicate runs.
@@ -773,8 +791,9 @@ def cmd_synthesize(args: argparse.Namespace, argv: list[str]) -> int:
         slope=args.slope,
         intercept=args.intercept,
     )
-    data = write_population_csv(pop, args.out)
-    _emit(args, None, _manifest(args, argv, None, output_sha256=hashlib.sha256(data).hexdigest()))
+    text = population_csv(pop)
+    sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    _emit(args, text, _manifest(args, argv, None, output_sha256=sha))
     return 0
 
 

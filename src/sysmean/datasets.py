@@ -38,6 +38,8 @@ def synthetic_linear_population(
     """
     if n_units < 2:
         raise DomainError(f"need at least 2 units, got {n_units}")
+    if n_units > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"{n_units} units are more than a float64 column can hold")
     if not 0.0 < rho_target <= 1.0:
         raise DomainError(
             f"target correlation magnitude must be in (0, 1], got {rho_target}; "
@@ -68,14 +70,10 @@ def synthetic_linear_population(
     return FinitePopulation(y=y, x=x)
 
 
-def write_population_csv(pop: FinitePopulation, path: str | Path) -> bytes:
-    """Write the population as comma-separated text under the header row `y,x`,
-    and return the bytes written."""
-    lines = ["y,x"]
-    lines.extend(f"{y!r},{x!r}" for y, x in zip(pop.y.tolist(), pop.x.tolist()))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(path).write_bytes(data)
-    return data
+def population_csv(pop: FinitePopulation) -> str:
+    """The population as comma-separated text under the header row `y,x`."""
+    lines = ["y,x", *(f"{y!r},{x!r}" for y, x in zip(pop.y.tolist(), pop.x.tolist())), ""]
+    return "\n".join(lines)
 
 
 def file_sha256(path: str | Path) -> str:

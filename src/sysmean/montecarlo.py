@@ -50,10 +50,14 @@ MSE and bias of each estimator over the k samples.  Every y and x total is
 `sequential_totals`, added left to right from +0.0 as the per-unit reference
 path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`) adds, and
 the streams are consumed as that path consumes them, so the reports are
-bit-identical to it on every Python version.  A block's arrays have the same
-shapes from block to block, whatever its draws: numpy keeps freed buffers of
+bit-identical to it on every Python version.  numpy keeps freed buffers of
 under 1 KiB for reuse by size, and arrays of ever new sizes would make that
-cache, and the process, grow call after call.
+cache, and the process, grow call after call.  So a block's draw arrays (the
+raw words and the starts, masks and follow-up places) take their shapes from
+the block's row count alone, whatever its draws, and only a seed block's last
+block has fewer rows.  In Bernoulli mode the non-respondents' y values, and
+the follow-up places cut to them, are as wide as the block's largest n2, one
+of at most n + 1 widths.
 """
 from __future__ import annotations
 
@@ -533,19 +537,14 @@ def run_simulation(
     """
     kernel = _Kernel(pop, design, cfg)
     ybar_star, starts = kernel.means()
-    counts = np.bincount(starts, minlength=design.k)
-    drawn = np.flatnonzero(counts).tolist()
+    drawn = np.flatnonzero(np.bincount(starts, minlength=design.k)).tolist()
     buffer = np.empty(cfg.replicates)
     results = []
     for spec in cfg.estimators:
         h, bad = _start_factors(spec, kernel.table, drawn)
-        values = buffer[: cfg.replicates - int(counts[bad].sum())]
-        if len(values) < cfg.replicates:
-            ok = ~bad[starts]
-            np.multiply(h[starts[ok]], ybar_star[ok], out=values)
-        else:
-            np.take(h, starts, out=values)
-            values *= ybar_star
+        values = np.multiply(np.take(h, starts, out=buffer), ybar_star, out=buffer)
+        if bad.any():  # h is 1 at a failed start; its replicates are dropped here
+            values = values[~bad[starts]]
         results.append(_result(spec.label, values, cfg.replicates, kernel.table.mean_y))
     return SimulationReport(
         results=tuple(results),

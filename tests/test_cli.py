@@ -65,6 +65,16 @@ class TestPipes:
         assert piped.returncode == 2
         assert b"input is not UTF-8 text" in piped.stderr
 
+    def test_params_reads_and_writes_pipes(self, pop_csv):
+        by_path = run_sysmean("params", str(pop_csv), "--n", "12")
+        piped = run_sysmean(
+            "params", "/dev/stdin", "--n", "12", "--out", "/dev/stdout",
+            stdin=pop_csv.read_bytes(),
+        )
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == by_path.stdout
+        assert json.loads(piped.stderr)["input"]["sha256"] == file_sha256(pop_csv)
+
     def test_synthesize_writes_a_pipe_and_hashes_what_it_wrote(self, tmp_path):
         manifest_path = tmp_path / "m.json"
         written = run_sysmean(
@@ -481,7 +491,7 @@ class TestSimulate:
         [(spec, _, _)] = cli._estimators(args, compute_moments(pop, design), design, 0.0)
         assert spec == EstimatorSpec(kind, params)
 
-    @pytest.mark.parametrize("w2", ["-0.1", "1.5"])
+    @pytest.mark.parametrize("w2", ["-0.1", "1.5", "1e308", "-1e308"])
     def test_out_of_range_w2_is_usage_error(self, pop_csv, capsys, w2):
         code = main(["simulate", str(pop_csv), "--n", "12", "--w2", w2,
                      "--replicates", "10"])
@@ -616,6 +626,26 @@ class TestManifestAndRerun:
         assert main([*argv, "--out", str(out), "--manifest", same]) == 2
         assert "names the --out file" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--out", "--manifest"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["params", "--n", "12"], ["theory-table", "--n", "12"],
+         ["simulate", "--n", "12", "--replicates", "10"]],
+        ids=["params", "theory-table", "simulate"],
+    )
+    def test_an_output_naming_the_input_exits_2(
+        self, pop_csv, capsys, monkeypatch, argv, option
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run read its input")
+
+        monkeypatch.setattr(cli, "load_population", refuse)
+        sha = file_sha256(pop_csv)
+        same = os.path.join(str(pop_csv.parent), ".", pop_csv.name)
+        assert main([argv[0], str(pop_csv), *argv[1:], option, same]) == 2
+        assert f"{option} {same!r} names the input file" in capsys.readouterr().err
+        assert file_sha256(pop_csv) == sha
 
     def test_rerun_reproduces_output_byte_identically(self, pop_csv, tmp_path):
         out = tmp_path / "table.csv"
@@ -788,6 +818,12 @@ class TestUsageErrors:
             (["synthesize", "--units", "10", "--x-low", "1e160", "--x-high", "1.00000000001e160",
               "--slope", "1e150", "--out", "{out}"],
              "sysmean: error: y = intercept + slope * x + noise overflows"),
+            # Past 2**60 - 1 units a float64 column has more bytes than numpy can index.
+            *(
+                (["synthesize", "--units", str(units), "--out", "{out}"],
+                 f"sysmean: error: {units} units are more than a float64 column can hold")
+                for units in (2**60, 2**62, 2**63 - 1, 10**20)
+            ),
         ],
     )
     def test_non_finite_and_negative_numbers(self, pop_csv, tmp_path, capsys, argv, message):

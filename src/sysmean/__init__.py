@@ -7,7 +7,7 @@ family, and checking its closed-form first-order bias/MSE theory by
 design-based Monte Carlo.
 """
 
-__version__ = "0.6.2"
+__version__ = "0.7.0"
 
 from .design import NonResponseModel, StratumMode, SystematicDesign
 from .errors import (

@@ -327,14 +327,19 @@ def _manifest_target(args: argparse.Namespace) -> str | TextIO:
 
 
 def _check_targets(args: argparse.Namespace) -> None:
-    """Refuse, before any work, an --out or manifest that names the input file
-    or the --out file as a regular or new file: its write would replace that file."""
+    """Refuse, before any work, an --out or manifest file that cannot be
+    written (a directory, or in a directory that does not exist) or that names
+    the input file or the --out file as a regular or new file: its write would
+    replace that file."""
     named: dict[str, str] = {}
     for option, path in (
         ("input", getattr(args, "input", None)),
         ("--out", getattr(args, "out", None)),
         ("--manifest", _manifest_target(args)),
     ):
+        if option != "input" and isinstance(path, str):
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigurationError(f"{option} {path!r} is a directory or in a missing one")
         if isinstance(path, str) and _regular_or_new(path):
             real = os.path.realpath(path)
             if real in named:
@@ -783,13 +788,8 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def cmd_synthesize(args: argparse.Namespace, argv: list[str]) -> int:
     pop = synthetic_linear_population(
-        args.units,
-        rho_target=args.rho,
-        seed=args.seed,
-        x_low=args.x_low,
-        x_high=args.x_high,
-        slope=args.slope,
-        intercept=args.intercept,
+        args.units, rho_target=args.rho, seed=args.seed, x_low=args.x_low,
+        x_high=args.x_high, slope=args.slope, intercept=args.intercept,
     )
     text = population_csv(pop)
     sha = hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -196,11 +196,5 @@ def apply_nonresponse(
     y_observed = {u: pop.y.item(u - 1) for u in observed}
     x_observed = tuple(pop.x.item(u - 1) for u in units)
     return SampleRealization(
-        sample_index=units[0],
-        units=units,
-        respondents=respondents,
-        nonrespondents=nonrespondents,
-        subsample=subsample,
-        y_observed=y_observed,
-        x_observed=x_observed,
+        units[0], units, respondents, nonrespondents, subsample, y_observed, x_observed
     )

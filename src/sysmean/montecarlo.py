@@ -1,9 +1,11 @@
 """Design-based Monte Carlo engine for verifying the closed-form theory.
 
 Replicates the full mechanism (random or cycled start index, non-response,
-follow-up sub-sampling), evaluates each configured estimator, and aggregates
-empirical bias/MSE with a Monte Carlo standard error so that theory
-comparisons can use a principled z-score.
+follow-up sub-sampling) and aggregates each estimator's empirical bias and
+MSE, with a Monte Carlo standard error for a z-test against the theory, in
+memory that does not grow with the replicate count: `_StartSums` keeps per
+start index i the count r_i and Σd..Σd⁴ of d = ybar* − K_i, K_i the first
+ybar* drawn at i, which `_result` pools as Chan, Golub & LeVeque (1983) do.
 
 Every estimator is ybar*·h(xbar) with h from the general family: an
 `EstimatorSpec` with `params` None is h = 1 (the adjusted mean), and
@@ -20,8 +22,8 @@ no SeedSequence per replicate: `_stream_words` computes the seed words of
 SEED_BLOCK replicates at once with one vectorised pass of the SeedSequence
 hash, which numpy keeps stable (NEP 19), so the streams are bit for bit
 those of `replicate_rng`.  A spawn key is one 32-bit word, so a run has at
-most 2**32 - 1 replicates.  Aggregation reduces in replicate order, so a
-report is bit-identical for a given (population, design, config)
+most 2**32 - 1 replicates.  The sums take the seed blocks in replicate
+order, so a report is bit-identical for a given (population, design, config)
 regardless of how the replicates would be scheduled.
 
 The replicates run in blocks of up to _BLOCK_ROWS (`_Kernel`).  A block
@@ -49,7 +51,7 @@ there, through `_start_factors`, as does `_exact_errors`, the exact design
 MSE and bias of each estimator over the k samples.  Every y and x total is
 `sequential_totals`, added left to right from +0.0 as the per-unit reference
 path (`draw_sample`, `apply_nonresponse`, `hh_mean`, `aux_mean`) adds, and
-the streams are consumed as that path consumes them, so the reports are
+the streams are consumed as that path consumes them, so the replicates are
 bit-identical to it on every Python version.  numpy keeps freed buffers of
 under 1 KiB for reuse by size, and arrays of ever new sizes would make that
 cache, and the process, grow call after call.  So a block's draw arrays (the
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -344,7 +346,7 @@ class _Samples:
         return cls(ys.shape[1] - n2, sequential_totals(ys, ~miss), n2, h2_of[n2], nr_y)
 
     def take(self, rows: np.ndarray) -> _Samples:
-        return _Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return _Samples(self.n1[rows], self.t1[rows], self.n2[rows], self.h2[rows], self.nr_y[rows])
 
 
 @dataclass(frozen=True)
@@ -383,6 +385,26 @@ def _start_table(
         stratum = _Samples.of(ys, missing, h2_of)
     xbars = (sequential_totals(xs) / n).tolist()
     return _StartTable(ys, xbars, stratum, h2_of, nr.w2, float(pop.x.mean()), float(pop.y.mean()))
+
+
+class _StartSums:
+    """Per start index i: `first[i]`, K_i, the first ybar* drawn at i, and in
+    column i of `sums` the count r_i and Σd, Σd², Σd³, Σd⁴ of d = ybar* − K_i."""
+
+    def __init__(self, k: int) -> None:
+        self.first, self.sums = np.zeros(k), np.zeros((5, k))
+
+    def add(self, starts: np.ndarray, ybar_star: np.ndarray) -> None:
+        """Add a seed block of replicates, in replicate order, as the sums take them."""
+        k, rows = len(self.first), len(starts)
+        first_at = np.full(k, rows)  # each start's first row in the block, else `rows`
+        np.minimum.at(first_at, starts, np.arange(rows))
+        new = (self.sums[0] == 0) & (first_at < rows)
+        self.first[new] = ybar_star[first_at[new]]
+        d = ybar_star - self.first[starts]
+        d2 = d * d
+        powers = (np.ones_like(d), d, d2, d2 * d, d2 * d2)
+        self.sums += [np.bincount(starts, weights=power, minlength=k) for power in powers]
 
 
 class _Kernel:
@@ -426,16 +448,17 @@ class _Kernel:
         self.follow_up_at = self.start_draw + (0 if self.fixed else n)
         self.count = self.follow_up_at + (max(h2_max - self.start_draw, 0) + 1) // 2
 
-    def means(self) -> tuple[np.ndarray, np.ndarray]:
-        """ybar* and the 0-based start index of each replicate, in replicate order."""
-        ybar_stars, starts = np.empty(self.replicates), np.empty(self.replicates, dtype=np.intp)
+    def start_sums(self) -> _StartSums:
+        """The per-start sums of the call's replicates, added a seed block at a time."""
+        sums = _StartSums(self.k)
+        ybar_star, starts = np.empty(SEED_BLOCK), np.empty(SEED_BLOCK, dtype=np.intp)
         for first in range(0, self.replicates, SEED_BLOCK):
             seeds = _stream_words(self.master_seed, first, min(first + SEED_BLOCK, self.replicates))
             for lo in range(0, len(seeds), self.rows):
-                rows = seeds[lo : lo + self.rows]
-                block = slice(first + lo, first + lo + len(rows))
-                ybar_stars[block], starts[block] = self.block(rows, block.start)
-        return ybar_stars, starts
+                block = slice(lo, min(lo + self.rows, len(seeds)))
+                ybar_star[block], starts[block] = self.block(seeds[block], first + lo)
+            sums.add(starts[: len(seeds)], ybar_star[: len(seeds)])
+        return sums
 
     def block(self, seeds: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
         """ybar* and the 0-based start index of replicates first, first + 1, ...
@@ -536,23 +559,14 @@ def run_simulation(
     are flagged invalid in the report.
     """
     kernel = _Kernel(pop, design, cfg)
-    ybar_star, starts = kernel.means()
-    drawn = np.flatnonzero(np.bincount(starts, minlength=design.k)).tolist()
-    buffer = np.empty(cfg.replicates)
-    results = []
-    for spec in cfg.estimators:
-        h, bad = _start_factors(spec, kernel.table, drawn)
-        values = np.multiply(np.take(h, starts, out=buffer), ybar_star, out=buffer)
-        if bad.any():  # h is 1 at a failed start; its replicates are dropped here
-            values = values[~bad[starts]]
-        results.append(_result(spec.label, values, cfg.replicates, kernel.table.mean_y))
-    return SimulationReport(
-        results=tuple(results),
-        replicates=cfg.replicates,
-        master_seed=cfg.master_seed,
-        population_sha256=population_fingerprint(pop),
-        true_mean_y=kernel.table.mean_y,
+    sums, table = kernel.start_sums(), kernel.table
+    drawn = np.flatnonzero(sums.sums[0]).tolist()
+    results = tuple(
+        _result(spec.label, *_start_factors(spec, table, drawn), sums, table.mean_y)
+        for spec in cfg.estimators
     )
+    sha = population_fingerprint(pop)
+    return SimulationReport(results, cfg.replicates, cfg.master_seed, sha, table.mean_y)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # log(0) at w2 = 0; inf squares
@@ -596,38 +610,36 @@ def _exact_errors(table: _StartTable, specs) -> list[tuple[float, float]]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a square that overflows is an MSE of inf
-def _result(
-    label: str, values: np.ndarray, replicates: int, true_mean_y: float
-) -> EstimatorResult:
-    """One estimator's result from the estimates of the replicates it did not
-    fail, `values`, out of `replicates`; `values` is overwritten.
+def _result(label: str, h, bad, sums: _StartSums, true_mean_y: float) -> EstimatorResult:
+    """One estimator's result in O(k) from its h_i, the starts where h fails,
+    whose replicates are left out, and the per-start sums.
 
-    The moments are `np.mean` and `np.std(ddof=1)`'s operations, bit for bit,
-    done in place instead of on their temporaries."""
-    n_used = len(values)
-    n_failed = replicates - n_used
+    At start i the error is e = u + c, u = h_i·d and c = h_i·K_i − Ybar, so
+    with t_p = h_i^p·Σd^p there, Σe² = t2 + 2c·t1 + r·c².  The MC SE of the
+    MSE needs Σ(e² − mse)²: within each start, Σ(u² − t2/r + 2c(u − t1/r))²
+    = t4 − t2²/r + 4c(t3 − t2·t1/r) + 4c²(t2 − t1²/r), and between the starts,
+    r·(Σe²/r − mse)², 0 where every d is 0 and with one start."""
+    used = ~bad & (sums.sums[0] > 0)
+    r, s1, s2, s3, s4 = sums.sums[:, used]
+    h, first = h[used], sums.first[used]
+    h2 = h * h
+    t1, t2, t3, t4 = h * s1, h2 * s2, h2 * h * s3, h2 * h2 * s4
+    c = h * first - true_mean_y
+    n_used, replicates = int(r.sum()), int(sums.sums[0].sum())
     # With every replicate failed (then also invalid) the moments are nan.
-    empirical_mean = empirical_mse = mc_se_mse = math.nan
+    mean = mse = se = math.nan
     if n_used > 0:
-        empirical_mean = float(np.add.reduce(values) / n_used)
-        np.square(np.subtract(values, true_mean_y, out=values), out=values)
-        mse = np.add.reduce(values) / n_used
-        empirical_mse, mc_se_mse = float(mse), 0.0
-        if n_used >= 2:
-            # np.std(ddof=1): the squared deviations from the mean, over n - 1.
-            np.square(np.subtract(values, mse, out=values), out=values)
-            sd = np.sqrt(np.add.reduce(values) / (n_used - 1))
-            mc_se_mse = float(sd / math.sqrt(n_used))
-    return EstimatorResult(
-        label=label,
-        n_used=n_used,
-        n_failed=n_failed,
-        empirical_mean=empirical_mean,
-        empirical_bias=empirical_mean - true_mean_y,
-        empirical_mse=empirical_mse,
-        mc_se_mse=mc_se_mse,
-        valid=n_failed / replicates <= MAX_FAILURE_RATE,
-    )
+        mean = float(np.sum(h * first * r + t1) / n_used)
+        squares = t2 + 2 * c * t1 + r * c * c
+        mse, se = float(np.sum(squares) / n_used), 0.0
+    if n_used > 1:
+        within = t4 - t2 * t2 / r + 4 * c * (t3 - t2 * t1 / r) + 4 * c * c * (t2 - t1 * t1 / r)
+        # Round-off may take the within part, a sum of squares, below 0.
+        deviations = max(float(np.sum(within + r * (squares / r - mse) ** 2)), 0.0)
+        se = math.sqrt(deviations / (n_used - 1)) / math.sqrt(n_used)
+    n_failed = replicates - n_used
+    valid = n_failed / replicates <= MAX_FAILURE_RATE
+    return EstimatorResult(label, n_used, n_failed, mean, mean - true_mean_y, mse, se, valid)
 
 
 def compare_to_theory(
@@ -661,13 +673,6 @@ def compare_to_theory(
             rel_gap = 0.0 if gap == 0 else math.copysign(math.inf, gap)
         verdict = "PASS" if abs(z_score) <= tolerance_sigma else "FAIL"
         comparisons.append(
-            TheoryComparison(
-                label=label,
-                empirical_mse=result.empirical_mse,
-                theory_value=theory_value,
-                z_score=z_score,
-                rel_gap=rel_gap,
-                verdict=verdict,
-            )
+            TheoryComparison(label, result.empirical_mse, theory_value, z_score, rel_gap, verdict)
         )
     return comparisons

@@ -1,7 +1,12 @@
 """Reference definitions that only tests check against; no program path
-calls them.  The k systematic samples enumerated unit by unit, and the
-first-order bias of the classical ratio and product estimators."""
+calls them.  The k systematic samples enumerated unit by unit, the
+first-order bias of the classical ratio and product estimators, and the
+Monte Carlo moments over every replicate's estimate."""
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from sysmean import DerivedConstants, DomainError, PopulationMoments, SystematicDesign
 from sysmean.theory import EstimatorKind, _bias_prefactor, _require_valid_clustering
@@ -24,3 +29,14 @@ def classical_bias(
     else:
         raise DomainError(f"unknown estimator kind {kind!r}")
     return _bias_prefactor(m, n, c) * bracket
+
+
+def replicate_moments(values: np.ndarray, true_mean_y: float) -> tuple[float, float, float]:
+    """The empirical mean, MSE and MC standard error of the MSE of the estimates
+    `values` of the replicates that did not fail, by `np.mean` and
+    `np.std(ddof=1)` over them: nan without an estimate, an SE of 0 with one."""
+    if not len(values):
+        return (math.nan,) * 3
+    squared_errors = (values - true_mean_y) ** 2
+    se = squared_errors.std(ddof=1) / math.sqrt(len(values)) if len(values) >= 2 else 0.0
+    return float(values.mean()), float(squared_errors.mean()), float(se)

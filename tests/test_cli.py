@@ -647,6 +647,31 @@ class TestManifestAndRerun:
         assert f"{option} {same!r} names the input file" in capsys.readouterr().err
         assert file_sha256(pop_csv) == sha
 
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("option", ["--out", "--manifest"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["params", "{pop}", "--n", "12"],
+         ["simulate", "{pop}", "--n", "12", "--replicates", "10"],
+         ["synthesize", "--units", "24", "--seed", "1"]],
+        ids=["params", "simulate", "synthesize"],
+    )
+    def test_an_output_that_cannot_be_written_exits_2_before_any_work(
+        self, pop_csv, tmp_path, capsys, monkeypatch, argv, option, target
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started its work")
+
+        monkeypatch.setattr(cli, "load_population", refuse)
+        monkeypatch.setattr(cli, "synthetic_linear_population", refuse)
+        unwritable = tmp_path / "nodir" / "file" if target == "missing_directory" else tmp_path
+        targets = {"--out": str(tmp_path / "report.txt"), option: str(unwritable)}
+        before = sorted(tmp_path.iterdir())
+        argv = [arg.format(pop=pop_csv) for arg in argv]
+        assert main([*argv, *(token for item in targets.items() for token in item)]) == 2
+        assert f"sysmean: error: {option} {str(unwritable)!r}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_rerun_reproduces_output_byte_identically(self, pop_csv, tmp_path):
         out = tmp_path / "table.csv"
         main(["theory-table", str(pop_csv), "--n", "12", "--format", "csv",

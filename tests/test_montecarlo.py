@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import importlib.util
 import itertools
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import sysmean.montecarlo
 from conftest import random_population
-from reference import enumerate_samples
+from reference import enumerate_samples, replicate_moments
 from sysmean import (
     ConfigurationError,
     DomainError,
@@ -49,7 +50,9 @@ from sysmean.montecarlo import (
     _Kernel,
     _lemire,
     _result,
+    _start_factors,
     _start_table,
+    _StartSums,
     _stream_words,
     _StreamSeed,
     design_rng,
@@ -107,6 +110,51 @@ class TestDegenerateCases:
         report = run_simulation(pop, design, cfg)
         for result in report.results:
             assert result.empirical_mse == pytest.approx(0.0, abs=1e-20)
+
+
+class TestZeroStandardError:
+    """At k = 1 with every non-respondent followed up, each replicate is the
+    census: every estimator's squared error is one value, its MC SE exactly
+    0, and compare_to_theory passes the round-off gap to the exact MSE."""
+
+    def test_sim_k1_reports_zero_standard_errors_and_passes(self, tmp_path):
+        pop, out = tmp_path / "pop.csv", tmp_path / "report.json"
+        assert main(["synthesize", "--units", "240", "--seed", "28", "--out", str(pop)]) == 0
+        argv = ["simulate", str(pop), "--n", "240", "--replicates", "50", "--seed", "17"]
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [result["mc_se_mse"] for result in report["results"]] == [0.0] * 3
+        assert [comparison["verdict"] for comparison in report["comparisons"]] == ["PASS"] * 3
+
+    def test_run_simulation_at_k1_reports_zero_standard_errors(self):
+        pop = synthetic_linear_population(240, seed=28)
+        design = SystematicDesign(240, 240)
+        nr = NonResponseModel(w2=0.25, ell=1.0, stratum=frozenset(range(1, 61)))
+        specs = (
+            EstimatorSpec("hh"),
+            EstimatorSpec("ratio", PRESETS["ratio"]),
+            EstimatorSpec("product", PRESETS["product"]),
+            EstimatorSpec("family", FamilyParams(alpha=0.5, g=1.5)),
+        )
+        report = run_simulation(pop, design, SimulationConfig(3000, 5, specs, nr))
+        exact = _exact_errors(_start_table(pop, design, nr), specs)
+        targets = [(spec.label, mse) for spec, (mse, _) in zip(specs, exact)]
+        assert [result.mc_se_mse for result in report.results] == [0.0] * 4
+        assert [c.verdict for c in compare_to_theory(report, targets)] == ["PASS"] * 4
+
+    @pytest.mark.parametrize("replicates", [50, 3000])
+    def test_an_estimator_left_with_one_start_reports_a_zero_standard_error(self, replicates):
+        # Sample (1,3) has mean x = 0, so the ratio estimator fails there and
+        # keeps the replicates of sample (2,4) alone, every one the same.
+        pop = FinitePopulation(y=(4.1, 6.3, 8.7, 2.9), x=(1.1, 2.3, -1.1, 3.7))
+        design = SystematicDesign(N=4, n=2)
+        specs = (EstimatorSpec("ratio", PRESETS["ratio"]),)
+        cfg = SimulationConfig(replicates, 0, specs, NO_NR, exhaustive_start=True)
+        report = run_simulation(pop, design, cfg)
+        [(mse, _)] = _exact_errors(_start_table(pop, design, NO_NR), specs)
+        ratio = report.by_label("ratio")
+        assert (ratio.n_used, ratio.mc_se_mse) == (replicates // 2, 0.0)
+        assert compare_to_theory(report, [("ratio", mse)])[0].verdict == "PASS"
 
 
 class TestDeterminism:
@@ -349,23 +397,53 @@ class TestReportInvariants:
     @given(
         seed=st.integers(0, 2**32 - 1),
         replicates=st.integers(2, 3000),
-        failure_rate=st.sampled_from([0.0, 0.001, 0.3, 0.999, 1.0]),
+        k=st.integers(1, 30),
+        failure_rate=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
     )
-    def test_moments_are_numpy_mean_and_std_bit_for_bit(self, seed, replicates, failure_rate):
+    def test_moments_from_start_sums_match_numpy_mean_and_std(
+        self, seed, replicates, k, failure_rate
+    ):
         rng = np.random.default_rng(seed)
-        pop = random_population(rng, 20)
-        values = rng.normal(rng.normal() * 100, 10 ** rng.uniform(-3, 3), replicates)
-        failed = rng.random(replicates) < failure_rate
-        used = values[~failed]
-        result = _result("hh", used.copy(), replicates, float(pop.y.mean()))
-        squared_errors = (used - float(pop.y.mean())) ** 2
-        expected = (math.nan,) * 3
-        if used.size:
-            se = squared_errors.std(ddof=1) / math.sqrt(used.size) if used.size >= 2 else 0.0
-            expected = (float(used.mean()), float(squared_errors.mean()), float(se))
-        moments = (result.empirical_mean, result.empirical_mse, result.mc_se_mse)
-        assert repr(moments) == repr(expected)
-        assert result.n_used == used.size
+        true_mean_y = rng.normal() * 100
+        starts = rng.integers(0, k, replicates)
+        ybar_star = rng.normal(true_mean_y, 10 ** rng.uniform(-3, 3), replicates)
+        h, bad = rng.uniform(0.5, 2.0, k), rng.random(k) < failure_rate
+        sums = _StartSums(k)
+        for lo in range(0, replicates, SEED_BLOCK):
+            sums.add(starts[lo : lo + SEED_BLOCK], ybar_star[lo : lo + SEED_BLOCK])
+        result = _result("hh", h, bad, sums, true_mean_y)
+        used = ~bad[starts]
+        assert (result.n_used, result.n_failed) == (used.sum(), (~used).sum())
+        assert_moments_close(result, (h[starts] * ybar_star)[used], true_mean_y)
+
+
+def assert_moments_close(result, values, true_mean_y):
+    """`result`'s moments against `replicate_moments` over the estimates
+    `values`: the mean and bias within 1e-12 of the estimates' mean size, the
+    MSE and MC SE within 1e-12 relative or within their round-off.
+
+    The per-replicate path rounds every e = h·ybar*, which moves its squared
+    error by up to 2·eps·|e|·|e − Ybar|, the MSE by as much and the SE by that
+    over sqrt(n − 1); the per-start sums take h·ybar* unrounded.  They form
+    Σ(e² − mse)² from power sums, to within about 64·eps·n·max(e − Ybar)⁴,
+    and the SE is the square root of that sum.  Where every estimate is one
+    value, a nonzero reference SE is the round-off of its mean alone."""
+    mean, mse, se = replicate_moments(values, true_mean_y)
+    if not len(values):
+        assert all(map(math.isnan, (result.empirical_mean, result.empirical_mse, result.mc_se_mse)))
+        return
+    scale = 1e-12 * np.abs(values).mean()
+    assert result.empirical_mean == pytest.approx(mean, rel=0, abs=scale)
+    assert result.empirical_bias == pytest.approx(mean - true_mean_y, rel=0, abs=scale)
+    eps, errors = np.finfo(float).eps, np.abs(values - true_mean_y)
+    rounding = 4 * eps * np.max(np.abs(values) * errors)
+    assert result.empirical_mse == pytest.approx(mse, rel=1e-12, abs=rounding)
+    sums = math.sqrt(64 * eps) * np.max(errors) ** 2
+    roundoff = (rounding + sums) / math.sqrt(max(len(values) - 1, 1))
+    if len(set(values.tolist())) == 1:
+        assert 0.0 <= result.mc_se_mse <= roundoff
+    else:
+        assert result.mc_se_mse == pytest.approx(se, rel=1e-12, abs=roundoff)
 
 
 def simulation_peak_bytes(pop, design, cfg):
@@ -378,35 +456,31 @@ def simulation_peak_bytes(pop, design, cfg):
 
 
 class TestMemory:
-    def test_replicate_arrays_take_under_32_bytes_per_replicate_whatever_the_estimators(self):
-        # ybar*, the start and the one buffer every estimator's estimates go
-        # through take 24 bytes of every replicate, whatever the number of
-        # estimators (29 measured with four estimators and with one).
+    def test_peak_does_not_grow_with_the_replicate_count(self):
+        # The per-start sums take O(k) and a seed block's buffers O(SEED_BLOCK);
+        # no array grows with the replicates, whatever the estimators.
         pop = synthetic_linear_population(240, seed=3)
         design = SystematicDesign(240, 12)
         specs = (
             EstimatorSpec("hh"),
             EstimatorSpec("ratio", PRESETS["ratio"]),
             EstimatorSpec("product", PRESETS["product"]),
-            EstimatorSpec("family", FamilyParams(0.5)),
+            # base < 0, a DomainError, on samples with xbar above Xbar + 1/6
+            EstimatorSpec("failing", FamilyParams(alpha=3.0, g=0.5, b=-(pop.x.mean() + 0.5))),
         )
-
-        def growth(specs):
-            small, large = (
-                simulation_peak_bytes(pop, design, SimulationConfig(reps, 7, specs, NO_NR))
-                for reps in (8192, 24576)
-            )
-            return (large - small) / (24576 - 8192)
-
-        four, one = growth(specs), growth(specs[:1])
-        assert four < 32
-        assert abs(four - one) <= 2
+        small, large = (
+            simulation_peak_bytes(pop, design, SimulationConfig(reps, 7, specs, NO_NR))
+            for reps in (2**13, 2**17)
+        )
+        assert large - small <= 64 * 1024
+        failing = run_simulation(pop, design, SimulationConfig(2**13, 7, specs, NO_NR)).results[-1]
+        assert 0 < failing.n_failed < 2**13
 
     @pytest.mark.parametrize("bernoulli, kib", [(False, 339), (True, 336)])
     def test_replicate_blocks_peak_no_higher_than_one_replicate_at_a_time(self, bernoulli, kib):
         # The kib are the peaks of the loop that drew one replicate at a time.
         # The blocks, their seeding hashed in place, peak at 182 KiB fixed and
-        # 177 KiB Bernoulli (numpy 2.4.6).
+        # 177 KiB Bernoulli (numpy 2.4.6) with the per-replicate arrays.
         pop = synthetic_linear_population(240, seed=3)
         if bernoulli:
             nr = NonResponseModel(w2=0.25, ell=2.0, mode=StratumMode.BERNOULLI_PER_REPLICATE)
@@ -416,7 +490,7 @@ class TestMemory:
         cfg = SimulationConfig(1000, 7, (EstimatorSpec("hh"),), nr)
         tracemalloc.start()
         try:
-            _Kernel(pop, SystematicDesign(240, 12), cfg).means()
+            _Kernel(pop, SystematicDesign(240, 12), cfg).start_sums()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -445,14 +519,16 @@ REFERENCE_ESTIMATORS = {
 }
 
 
-def per_unit_report(pop, design, cfg, rng_for=None):
-    """The report along the per-unit reference path: every replicate realized
-    unit by unit, and every estimator evaluated on it.  Replicate rep draws
-    from `rng_for(rep)`, by default `replicate_rng`."""
+def per_unit_stream(pop, design, cfg, rng_for=None):
+    """Every replicate realized unit by unit along the per-unit reference path,
+    replicate rep drawing from `rng_for(rep)`, by default `replicate_rng`: the
+    0-based starts, the ybar*s, and each estimator's estimates by its public
+    definition, with a mask of those that fail."""
     samples = enumerate_samples(design)
     pop_mean_x = float(pop.x.mean())
+    starts, ybar_stars = np.empty(cfg.replicates, dtype=np.intp), np.empty(cfg.replicates)
     shape = (len(cfg.estimators), cfg.replicates)
-    estimates, failed = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+    estimates, failed = np.full(shape, np.nan), np.ones(shape, dtype=bool)
     for rep in range(cfg.replicates):
         rng = rng_for(rep) if rng_for else replicate_rng(cfg.master_seed, rep)
         if cfg.exhaustive_start:
@@ -461,23 +537,48 @@ def per_unit_report(pop, design, cfg, rng_for=None):
             start = draw_sample(design, rng)
         realization = apply_nonresponse(samples[start - 1], pop, cfg.nr, rng)
         ybar_star, xbar = hh_mean(realization), aux_mean(realization)
+        starts[rep], ybar_stars[rep] = start - 1, ybar_star
         for j, spec in enumerate(cfg.estimators):
-            try:
-                reference = REFERENCE_ESTIMATORS.get(spec.label, REFERENCE_ESTIMATORS["family"])
+            reference = REFERENCE_ESTIMATORS.get(spec.label, REFERENCE_ESTIMATORS["family"])
+            with contextlib.suppress(SingularityError, DomainError):
                 estimates[j, rep] = reference(spec, ybar_star, xbar, pop_mean_x)
-            except (SingularityError, DomainError):
-                failed[j, rep] = True
-    true_mean_y = float(pop.y.mean())
+                failed[j, rep] = False
+    return starts, ybar_stars, estimates, failed
+
+
+def per_unit_report(pop, design, cfg, rng_for=None):
+    """The report along the per-unit reference path: the starts and ybar*s of
+    `per_unit_stream` added to the per-start sums a seed block at a time."""
+    starts, ybar_stars, _, _ = per_unit_stream(pop, design, cfg, rng_for)
+    table = _start_table(pop, design, cfg.nr)
+    sums = _StartSums(design.k)
+    for lo in range(0, cfg.replicates, SEED_BLOCK):
+        sums.add(starts[lo : lo + SEED_BLOCK], ybar_stars[lo : lo + SEED_BLOCK])
+    drawn = np.unique(starts).tolist()
     return SimulationReport(
         results=tuple(
-            _result(spec.label, estimates[j][~failed[j]], cfg.replicates, true_mean_y)
-            for j, spec in enumerate(cfg.estimators)
+            _result(spec.label, *_start_factors(spec, table, drawn), sums, table.mean_y)
+            for spec in cfg.estimators
         ),
         replicates=cfg.replicates,
         master_seed=cfg.master_seed,
         population_sha256=population_fingerprint(pop),
-        true_mean_y=true_mean_y,
+        true_mean_y=table.mean_y,
     )
+
+
+def kernel_stream(pop, design, cfg):
+    """Each replicate's 0-based start and ybar* from `_Kernel.block`, over the
+    blocks a call draws."""
+    kernel = _Kernel(pop, design, cfg)
+    starts, ybar_stars = [], []
+    for first in range(0, cfg.replicates, SEED_BLOCK):
+        seeds = _stream_words(cfg.master_seed, first, min(first + SEED_BLOCK, cfg.replicates))
+        for lo in range(0, len(seeds), kernel.rows):
+            ybar_star, start = kernel.block(seeds[lo : lo + kernel.rows], first + lo)
+            starts.append(start)
+            ybar_stars.append(ybar_star)
+    return np.concatenate(starts), np.concatenate(ybar_stars)
 
 
 def simulation_case(pop_seed, n, k, w2, ell, bernoulli, exhaustive, replicates, seed):
@@ -508,12 +609,25 @@ def simulation_case(pop_seed, n, k, w2, ell, bernoulli, exhaustive, replicates, 
     return pop, SystematicDesign(N=n * k, n=n), cfg
 
 
-class TestPerStartTableKernel:
-    """run_simulation against the per-unit path and the per-replicate estimators
-    it replaces, bit for bit."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
+def simulation_cases(test):
+    """Run `test` over random `simulation_case` arguments and the listed examples."""
+    examples = [
+        dict(pop_seed=1, n=20, k=1, w2=0.5, ell=1.5, bernoulli=False, exhaustive=False,
+             replicates=30, seed=3),
+        dict(pop_seed=2, n=24, k=4, w2=0.0, ell=2.0, bernoulli=False, exhaustive=True,
+             replicates=12, seed=4),
+        dict(pop_seed=3, n=24, k=4, w2=0.5, ell=1.0, bernoulli=True, exhaustive=False,
+             replicates=30, seed=5),
+        dict(pop_seed=4, n=24, k=3, w2=0.5, ell=1e9, bernoulli=False, exhaustive=False,
+             replicates=30, seed=6),
+        dict(pop_seed=5, n=24, k=3, w2=0.5, ell=1.6, bernoulli=True, exhaustive=True,
+             replicates=30, seed=7),
+        dict(pop_seed=6, n=12, k=1, w2=0.0, ell=2.0, bernoulli=False, exhaustive=False,
+             replicates=40, seed=8),
+    ]
+    for case in examples:
+        test = example(**case)(test)
+    return settings(max_examples=300, deadline=None)(given(
         pop_seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 24),
         k=st.integers(1, 6),
@@ -523,21 +637,41 @@ class TestPerStartTableKernel:
         exhaustive=st.booleans(),
         replicates=st.integers(2, 40),
         seed=st.integers(0, 2**63),
-    )
-    @example(pop_seed=1, n=20, k=1, w2=0.5, ell=1.5, bernoulli=False, exhaustive=False,
-             replicates=30, seed=3)
-    @example(pop_seed=2, n=24, k=4, w2=0.0, ell=2.0, bernoulli=False, exhaustive=True,
-             replicates=12, seed=4)
-    @example(pop_seed=3, n=24, k=4, w2=0.5, ell=1.0, bernoulli=True, exhaustive=False,
-             replicates=30, seed=5)
-    @example(pop_seed=4, n=24, k=3, w2=0.5, ell=1e9, bernoulli=False, exhaustive=False,
-             replicates=30, seed=6)
-    @example(pop_seed=5, n=24, k=3, w2=0.5, ell=1.6, bernoulli=True, exhaustive=True,
-             replicates=30, seed=7)
+    )(test))
+
+
+class TestPerStartTableKernel:
+    """run_simulation against the per-unit path: the kernel's replicates and
+    estimates bit for bit, the moments against the per-replicate aggregation."""
+
+    @simulation_cases
     def test_reports_match_the_per_unit_path(self, **case):
         pop, design, cfg = simulation_case(**case)
         expected = per_unit_report(pop, design, cfg)
         assert repr(run_simulation(pop, design, cfg)) == repr(expected)
+
+    @simulation_cases
+    def test_kernel_replicates_and_estimates_are_the_per_unit_ones(self, **case):
+        pop, design, cfg = simulation_case(**case)
+        starts, ybar_stars, estimates, failed = per_unit_stream(pop, design, cfg)
+        kernel_starts, kernel_ybar_stars = kernel_stream(pop, design, cfg)
+        assert kernel_starts.tolist() == starts.tolist()
+        assert kernel_ybar_stars.tobytes() == ybar_stars.tobytes()
+        table = _start_table(pop, design, cfg.nr)
+        for j, spec in enumerate(cfg.estimators):
+            h, bad = _start_factors(spec, table, range(design.k))
+            assert failed[j].tolist() == bad[starts].tolist()
+            used = ~failed[j]
+            assert estimates[j][used].tobytes() == (h[starts] * ybar_stars)[used].tobytes()
+
+    @simulation_cases
+    def test_moments_match_the_per_replicate_aggregation(self, **case):
+        pop, design, cfg = simulation_case(**case)
+        _, _, estimates, failed = per_unit_stream(pop, design, cfg)
+        report = run_simulation(pop, design, cfg)
+        for j, result in enumerate(report.results):
+            assert (result.n_used, result.n_failed) == ((~failed[j]).sum(), failed[j].sum())
+            assert_moments_close(result, estimates[j][~failed[j]], report.true_mean_y)
 
     def test_failing_family_spec_fails_on_some_replicates(self):
         pop, design, cfg = simulation_case(

@@ -32,8 +32,10 @@ from .design import NonResponseModel, StratumMode, SystematicDesign
 from .errors import ConfigurationError, DomainError, EstimationError
 from .estimators import PRESETS, FamilyParams
 from .montecarlo import (
+    EstimatorResult,
     EstimatorSpec,
     SimulationConfig,
+    TheoryComparison,
     compare_to_theory,
     design_rng,
     run_simulation,
@@ -402,11 +404,14 @@ def _with_s2y2_factor(
 
 @dataclasses.dataclass(frozen=True)
 class Column:
-    """One fixed-width table column: the row key it shows, its heading and cell template."""
+    """One report column: the row key it shows, its fixed-width heading and cell
+    template, its CSV name (None for none) and the text tables it is in."""
 
     key: str
-    head: str
-    cell: str
+    head: str = ""
+    cell: str = "{}"
+    csv: str | None = None
+    tables: tuple[str, ...] = ()
 
 
 def _fixed_width(columns: list[Column], table: dict[str, list]) -> list[str]:
@@ -437,11 +442,6 @@ def _fixed_width(columns: list[Column], table: dict[str, list]) -> list[str]:
             lines = [line + " " for line in lines]
         lines = [line + cell for line, cell in zip(lines, cells)]
     return lines
-
-
-def _records(items: list[dict]) -> dict[str, list]:
-    """The table (key -> one value per row) of mappings that share their keys."""
-    return {key: [item[key] for item in items] for key in (items[0] if items else ())}
 
 
 def _scalar(value: object) -> str:
@@ -620,18 +620,42 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
+# simulate's per-estimator columns in the order of its text tables, named like the
+# JSON tables; those, then the CSV, keep the order of the fields below.
+_RESULTS, _COMPARISONS = ("results",), ("comparisons",)
+_SIM_COLUMNS = [
+    Column("label", "label", "{:<10}", "label", _RESULTS + _COMPARISONS),
+    Column("n_used", csv="n_used"),
+    Column("empirical_mean", "mean", "{:>14.6f}", "mean", _RESULTS),
+    Column("empirical_bias", "bias", "{:>13.6f}", "bias", _RESULTS),
+    Column("empirical_mse", "MSE", "{:>15.6f}", "mse", _RESULTS),
+    Column("mc_se_mse", "MC-SE", "{:>12.6f}", "mc_se_mse", _RESULTS),
+    Column("n_failed", "fail", "{:>6d}", "n_failed", _RESULTS),
+    Column("flag", tables=_RESULTS),  # "  INVALID" where `valid` is false
+    Column("target", "target", "{:<26}", tables=_COMPARISONS),
+    Column("theory_value", "theory", "{:>15.6f}", "theory", _COMPARISONS),
+    Column("z_score", "z", "{:>9.3f}", "z", _COMPARISONS),
+    Column("rel_gap", "rel-gap", "{:>10.4f}", "rel_gap", _COMPARISONS),
+    Column("verdict", "verdict", "  {}", "verdict", _COMPARISONS),
+]
+_SIM_TABLES = {
+    "results": [field.name for field in dataclasses.fields(EstimatorResult)],
+    "comparisons": [field.name for field in dataclasses.fields(TheoryComparison)] + ["target"],
+}
+
+
 def _estimators(
     args: argparse.Namespace, moments: PopulationMoments, design: SystematicDesign, w2: float
-) -> list[tuple[EstimatorSpec, str, float]]:
-    """Each listed kind's spec, labelled by it, with its first-order target's name and
-    value.  The family takes --alpha, or the optimum alpha when --alpha is not given,
-    and --a, --b and --g, which no other kind takes."""
+) -> list[dict]:
+    """One row for each listed kind: its spec, labelled by it, and its first-order
+    target's name and theory value.  The family takes --alpha, or the optimum alpha
+    when --alpha is not given, and --a, --b and --g, which no other kind takes."""
     n, N, ell = design.n, design.N, args.ell
     kinds = list(filter(None, map(str.strip, args.estimators.split(","))))
     given = _given(args, "alpha", "a", "b", "g")
     # Options given to no family are refused below, not checked here as FamilyParams.
     family = _family_params(args) if "family" in kinds or not given else None
-    estimators = []
+    rows = []
     for kind in kinds:
         if kind not in (*PRESETS, "family"):
             raise ConfigurationError(
@@ -654,12 +678,12 @@ def _estimators(
             value = family_mse(params, moments, n, w2, ell, constants)
         if not math.isfinite(value):
             raise DomainError(f"{name} is {value}: the first-order theory overflows")
-        estimators.append((EstimatorSpec(kind, params), name, value))
+        rows.append({"spec": EstimatorSpec(kind, params), "target": name, "theory_value": value})
     if "family" not in kinds:
         _refuse(given, "the family estimator, which --estimators does not list")
-    if not estimators:
+    if not rows:
         raise ConfigurationError("no estimators requested")
-    return estimators
+    return rows
 
 
 def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
@@ -693,11 +717,11 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         moments = dataclasses.replace(moments, s2_y2=s2_y2)
 
     # The targets need no report: a theory-domain error exits before any replicate runs.
-    estimators = _estimators(args, moments, design, w2_theory)
+    rows = _estimators(args, moments, design, w2_theory)
     cfg = SimulationConfig(
         replicates=args.replicates,
         master_seed=args.seed,
-        estimators=tuple(spec for spec, _, _ in estimators),
+        estimators=tuple(row["spec"] for row in rows),
         nr=nr,
         exhaustive_start=args.exhaustive,
     )
@@ -707,18 +731,17 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     clock.lap("simulate_s")
 
     comparisons = compare_to_theory(
-        report, [(spec.label, value) for spec, _, value in estimators],
+        report, [(row["spec"].label, row["theory_value"]) for row in rows],
         tolerance_sigma=args.tolerance_sigma,
     )
-    all_pass = all(c.verdict == "PASS" for c in comparisons) and all(
-        r.valid for r in report.results
-    )
+    for row, result, comparison in zip(rows, report.results, comparisons):
+        row.update(dataclasses.asdict(result), **dataclasses.asdict(comparison))
+        row["flag"] = "" if result.valid else "  INVALID"
+    all_pass = all(row["verdict"] == "PASS" and row["valid"] for row in rows)
     clock.lap("compare_s")
 
-    results = _records([dataclasses.asdict(r) for r in report.results])
-    checks = _records([
-        dict(dataclasses.asdict(c), target=name) for c, (_, name, _) in zip(comparisons, estimators)
-    ])
+    table = {key: [row[key] for row in rows] for key in rows[0]}
+    csv_names = {c.key: c.csv for c in _SIM_COLUMNS if c.csv}
     payload = {
         "population_sha256": report.population_sha256,
         "true_mean_y": report.true_mean_y,
@@ -727,37 +750,12 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         "exhaustive_start": args.exhaustive,
         "w2_theory": w2_theory,
         "alpha": alpha,
-        "results": results,
-        "comparisons": checks,
+        **{name: {key: table[key] for key in keys} for name, keys in _SIM_TABLES.items()},
         "all_pass": all_pass,
     }
-    csv = dict(
-        label=results["label"], n_used=results["n_used"], n_failed=results["n_failed"],
-        mean=results["empirical_mean"], bias=results["empirical_bias"],
-        mse=results["empirical_mse"], mc_se_mse=results["mc_se_mse"],
-        theory=checks["theory_value"], z=checks["z_score"], rel_gap=checks["rel_gap"],
-        verdict=checks["verdict"],
-    )
-    result_columns = [
-        Column("label", "label", "{:<10}"),
-        Column("empirical_mean", "mean", "{:>14.6f}"),
-        Column("empirical_bias", "bias", "{:>13.6f}"),
-        Column("empirical_mse", "MSE", "{:>15.6f}"),
-        Column("mc_se_mse", "MC-SE", "{:>12.6f}"),
-        Column("n_failed", "fail", "{:>6d}"),
-        Column("flag", "", "{}"),
-    ]
-    comparison_columns = [
-        Column("label", "label", "{:<10}"),
-        Column("target", "target", "{:<26}"),
-        Column("theory_value", "theory", "{:>15.6f}"),
-        Column("z_score", "z", "{:>9.3f}"),
-        Column("rel_gap", "rel-gap", "{:>10.4f}"),
-        Column("verdict", "verdict", "  {}"),
-    ]
-    flags = ["" if valid else "  INVALID" for valid in results["valid"]]
     text = _render(
-        args.format, payload, csv,
+        args.format, payload,
+        {csv_names[k]: table[k] for keys in _SIM_TABLES.values() for k in keys if k in csv_names},
         [
             f"population sha256={report.population_sha256[:16]}...  "
             f"N={pop.N} n={design.n} k={design.k}",
@@ -766,10 +764,10 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             f"non-response: mode={args.stratum_mode} w2={args.w2} L={args.ell}"
             + (f"  alpha={alpha:.6f}" if alpha is not None else ""),
             "",
-            (result_columns, dict(results, flag=flags)),
+            ([c for c in _SIM_COLUMNS if "results" in c.tables], table),
             "",
             f"theory comparison (tolerance {args.tolerance_sigma:g} sigma)",
-            (comparison_columns, checks),
+            ([c for c in _SIM_COLUMNS if "comparisons" in c.tables], table),
             "",
             "overall: " + ("PASS" if all_pass else "FAIL"),
         ],

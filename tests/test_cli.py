@@ -488,8 +488,8 @@ class TestSimulate:
         )
         pop = load_population(pop_csv)
         design = SystematicDesign(pop.N, 12)
-        [(spec, _, _)] = cli._estimators(args, compute_moments(pop, design), design, 0.0)
-        assert spec == EstimatorSpec(kind, params)
+        [row] = cli._estimators(args, compute_moments(pop, design), design, 0.0)
+        assert row["spec"] == EstimatorSpec(kind, params)
 
     @pytest.mark.parametrize("w2", ["-0.1", "1.5", "1e308", "-1e308"])
     def test_out_of_range_w2_is_usage_error(self, pop_csv, capsys, w2):

@@ -18,6 +18,7 @@ are compared between 1 and 2 threads.
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -133,6 +134,54 @@ def test_json_reports_are_strict_json():
         text = path.read_text(encoding="utf-8")
         if text:  # a usage error writes no report
             json.loads(text, parse_constant=reject)
+
+
+# simulate's CSV columns, each with the key of the JSON table field it holds.
+SIM_CSV_KEYS = {
+    "label": "label", "n_used": "n_used", "n_failed": "n_failed", "mean": "empirical_mean",
+    "bias": "empirical_bias", "mse": "empirical_mse", "mc_se_mse": "mc_se_mse",
+    "theory": "theory_value", "z": "z_score", "rel_gap": "rel_gap", "verdict": "verdict",
+}
+
+
+def text_table(lines: list[str], heading: str) -> list[list[str]]:
+    """The whitespace-split rows of the text table under the line `heading` starts."""
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading)) + 1
+    end = lines.index("", start)
+    return [line.split() for line in lines[start:end]]
+
+
+@pytest.mark.parametrize("name", sorted(name for name in COMMANDS if name.startswith("sim_")))
+def test_simulate_reports_agree_across_formats(name):
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    report = json.loads((GOLDEN / f"{name}_json.stdout").read_text(encoding="utf-8"))
+    records = []
+    for result, comparison in zip(report["results"], report["comparisons"], strict=True):
+        assert {**result, **comparison} == {**comparison, **result}  # label, empirical_mse
+        records.append({**result, **comparison})
+
+    header, *rows = (GOLDEN / f"{name}_csv.stdout").read_text(encoding="utf-8").splitlines()
+    assert header.split(",") == list(SIM_CSV_KEYS)
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        for cell, key in zip(row.split(","), SIM_CSV_KEYS.values(), strict=True):
+            value = record[key]
+            if value is None:  # JSON has no nan or inf
+                assert not math.isfinite(float(cell)), (name, key)
+            else:
+                assert cell == str(value), (name, key)
+
+    lines = (GOLDEN / f"{name}_table.stdout").read_text(encoding="utf-8").splitlines()
+    results = text_table(lines, "label ")
+    comparisons = text_table(lines, "theory comparison ")[1:]
+    assert [[r[0], int(r[5]), r[6:]] for r in results] == [
+        [c["label"], c["n_failed"], [] if c["valid"] else ["INVALID"]] for c in records
+    ]
+    assert [[c[0], c[-1]] for c in comparisons] == [[c["label"], c["verdict"]] for c in records]
+    all_pass = all(c["valid"] and c["verdict"] == "PASS" for c in records)
+    assert report["all_pass"] == all_pass
+    assert lines[-1] == "overall: " + ("PASS" if all_pass else "FAIL")
+    assert {codes[f"{name}_{fmt}"] for fmt in ("table", "csv", "json")} == {0 if all_pass else 1}
 
 
 def mismatched_cases(pop: Path) -> list[str]:

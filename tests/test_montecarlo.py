@@ -587,7 +587,7 @@ def simulation_case(pop_seed, n, k, w2, ell, bernoulli, exhaustive, replicates, 
     if bernoulli:
         nr = NonResponseModel(w2=w2, ell=ell, mode=StratumMode.BERNOULLI_PER_REPLICATE)
     else:
-        size = round(w2 * n * k)
+        size = round(w2 * (n * k))  # the package's order: w2 * N
         stratum = frozenset(int(u) + 1 for u in rng.choice(n * k, size=size, replace=False))
         nr = NonResponseModel(w2=w2, ell=ell, stratum=stratum)
     pop_mean_x = float(pop.x.mean())
@@ -624,6 +624,11 @@ def simulation_cases(test):
              replicates=30, seed=7),
         dict(pop_seed=6, n=12, k=1, w2=0.0, ell=2.0, bernoulli=False, exhaustive=False,
              replicates=40, seed=8),
+        # w2 * n * k and w2 * N round to different stratum sizes here.
+        dict(pop_seed=0, n=23, k=5, w2=0.8999999999999999, ell=2.0, bernoulli=False,
+             exhaustive=False, replicates=10, seed=1),
+        dict(pop_seed=0, n=9, k=5, w2=0.3, ell=2.0, bernoulli=False, exhaustive=False,
+             replicates=10, seed=1),
     ]
     for case in examples:
         test = example(**case)(test)

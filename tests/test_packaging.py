@@ -2,10 +2,12 @@
 dependencies, pyproject.toml carries the package's version, every name in
 `sysmean.__all__` resolves once, the benchmark's tracer still finds every
 function it wraps, the README's library example runs, its command examples
-exit as it states, the README names only options the CLI has, its Install
-section names every build requirement, and no module calls BLAS."""
+exit as it states, the README names only options the CLI has and lists
+`simulate`'s report fields, its Install section names every build
+requirement, and no module calls BLAS."""
 import argparse
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -199,6 +201,26 @@ def test_readme_names_only_options_the_cli_has():
     options = readme_options()
     assert {"--alpha", "--expect-sha256", "--n", "--format"} <= options
     assert not options - known, f"README names unknown options {sorted(options - known)}"
+
+
+def test_readme_lists_simulates_report_columns():
+    from sysmean.cli import _SIM_COLUMNS
+    from sysmean.montecarlo import EstimatorResult, TheoryComparison
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (table,) = re.findall(r"^\| JSON key \|.*\n\|[-|]+\|\n((?:\|.*\n)+)", readme, flags=re.M)
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()]
+
+    def code(name: str | None) -> str:
+        return f"`{name}`" if name else "—"
+
+    # The text table's INVALID flag, a column without a heading, shows `valid`.
+    json_key = {"flag": "valid"}
+    assert [row[:3] for row in rows] == [
+        [code(json_key.get(c.key, c.key)), code(c.csv), code(c.head)] for c in _SIM_COLUMNS
+    ]
+    fields = [f.name for cls in (EstimatorResult, TheoryComparison) for f in dataclasses.fields(cls)]
+    assert {row[0] for row in rows} == set(map(code, [*fields, "target"]))
 
 
 def test_readme_install_names_every_build_requirement():

@@ -219,7 +219,7 @@ def test_readme_lists_simulates_report_columns():
     assert [row[:3] for row in rows] == [
         [code(json_key.get(c.key, c.key)), code(c.csv), code(c.head)] for c in _SIM_COLUMNS
     ]
-    fields = [f.name for cls in (EstimatorResult, TheoryComparison) for f in dataclasses.fields(cls)]
+    fields = [f.name for c in (EstimatorResult, TheoryComparison) for f in dataclasses.fields(c)]
     assert {row[0] for row in rows} == set(map(code, [*fields, "target"]))
 
 

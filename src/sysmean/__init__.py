@@ -7,7 +7,7 @@ family, and checking its closed-form first-order bias/MSE theory by
 design-based Monte Carlo.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .design import NonResponseModel, StratumMode, SystematicDesign
 from .errors import (
@@ -25,6 +25,7 @@ from .montecarlo import (
     SimulationConfig,
     SimulationReport,
     compare_to_theory,
+    nonresponse_design,
     run_simulation,
 )
 from .population import (
@@ -44,7 +45,6 @@ from .theory import (
     family_mse,
     family_mse_min,
     fpc,
-    intraclass_from_pre,
     nonresponse_term,
     optimum_alpha,
     pre_optimum,
@@ -89,7 +89,7 @@ __all__ = [
     "optimum_alpha",
     "family_mse_min",
     "pre_optimum",
-    "intraclass_from_pre",
+    "nonresponse_design",
     "run_simulation",
     "compare_to_theory",
 ]

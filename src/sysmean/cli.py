@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -28,7 +29,7 @@ from typing import TextIO
 
 from . import __version__
 from .datasets import file_sha256, population_csv, synthetic_linear_population
-from .design import NonResponseModel, StratumMode, SystematicDesign
+from .design import StratumMode, SystematicDesign
 from .errors import ConfigurationError, DomainError, EstimationError
 from .estimators import PRESETS, FamilyParams
 from .montecarlo import (
@@ -37,7 +38,7 @@ from .montecarlo import (
     SimulationConfig,
     TheoryComparison,
     compare_to_theory,
-    design_rng,
+    nonresponse_design,
     run_simulation,
 )
 from .population import (
@@ -46,7 +47,6 @@ from .population import (
     compute_moments,
     load_population,
     sorted_by_auxiliary,
-    stratum_mean_square,
 )
 from .theory import (
     derived_constants,
@@ -365,20 +365,25 @@ def _emit(args: argparse.Namespace, report: str, manifest: dict) -> None:
         target.write(manifest_text)
 
 
+# What tells a file's bytes apart between two reads by its path.
+_identity = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
+
+
 def _ingest(
     args: argparse.Namespace, clock: _Stopwatch
 ) -> tuple[FinitePopulation, SystematicDesign, str]:
     """The input file's population, arranged by --sort-by, and its design with
     --n, after checking its sha256; `clock` times the reading as "ingest_s".
 
-    A regular file is hashed and parsed by its path.  Any other input, such as
-    a pipe, is read once, and its bytes are hashed and parsed."""
+    A regular file is hashed and parsed by its path, and refused if its stat
+    identity changes in between.  Any other input, such as a pipe, is read
+    once, and its bytes are hashed and parsed."""
     source: str | io.TextIOWrapper = args.input
-    if os.path.isfile(args.input):
+    identity = _identity(os.stat(args.input)) if os.path.isfile(args.input) else None
+    if identity is not None:
         sha = file_sha256(args.input)
     else:
-        with open(args.input, "rb") as handle:
-            data = handle.read()
+        data = Path(args.input).read_bytes()
         sha = hashlib.sha256(data).hexdigest()
         source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     if args.expect_sha256 and sha != args.expect_sha256.lower():
@@ -386,20 +391,17 @@ def _ingest(
             f"input checksum mismatch: file has sha256 {sha}, expected {args.expect_sha256}"
         )
     pop = load_population(source, y_column=args.y_col, x_column=args.x_col)
+    if identity is not None and _identity(os.stat(args.input)) != identity:
+        raise ConfigurationError(f"input {args.input!r} changed while it was read")
     if args.sort_by:
         pop = sorted_by_auxiliary(pop, by=args.sort_by)
     clock.lap("ingest_s")
     return pop, SystematicDesign(pop.N, args.n), sha
 
 
-def _with_s2y2_factor(
-    moments: PopulationMoments, factor: float | None, default: float | None = None
-) -> PopulationMoments:
-    """Set the stratum mean square to FACTOR * S2_y (DEFAULT when no factor is given)."""
-    factor = default if factor is None else factor
-    if factor is None:
-        return moments
-    return dataclasses.replace(moments, s2_y2=factor * moments.s2_y)
+def _with_s2y2_factor(moments: PopulationMoments, factor: float | None) -> PopulationMoments:
+    """Set the stratum mean square to FACTOR * S2_y, if a factor is given."""
+    return moments if factor is None else dataclasses.replace(moments, s2_y2=factor * moments.s2_y)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -540,7 +542,8 @@ def _moments_from_args(
         moment_options = _given(args, "pop_size", *_MOMENTS, "rho_w")
         _refuse(moment_options, "explicit moments, not to an input file")
         pop, design, sha = _ingest(args, clock)
-        moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor, 0.75)
+        factor = 0.75 if args.s2y2_factor is None else args.s2y2_factor
+        moments = _with_s2y2_factor(compute_moments(pop, design), factor)
         return moments, design, sha
 
     _refuse(_given(args, "expect_sha256", "sort_by"), "an input file, which this run lacks")
@@ -692,39 +695,15 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         raise ConfigurationError(f"--tolerance-sigma must be >= 0, got {args.tolerance_sigma}")
     pop, design, sha = _ingest(args, clock)
 
-    fixed = args.stratum_mode == "fixed"
-    # The model checks w2 and L before a stratum of round(w2 * N) units is drawn.
-    nr = NonResponseModel(
-        w2=args.w2, ell=args.ell, mode=StratumMode(args.stratum_mode),
-        stratum=frozenset() if fixed else None,
-    )
-    if fixed:
-        size = round(args.w2 * pop.N)
-        if size == pop.N:
-            raise ConfigurationError(
-                f"--w2 {args.w2} puts all {size} of {pop.N} units in the non-response "
-                "stratum; at least one unit must respond"
-            )
-        chosen = design_rng(args.seed).choice(pop.N, size, replace=False)
-        nr = dataclasses.replace(nr, stratum=frozenset(int(u) + 1 for u in chosen))
-    w2_theory = len(nr.stratum) / pop.N if fixed else args.w2
-
     moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
-    if w2_theory > 0 and args.ell > 1 and args.s2y2_factor is None:
-        # Bernoulli non-response draws uniformly from the whole population,
-        # so its stratum mean square is the overall mean square.
-        s2_y2 = stratum_mean_square(pop, nr.stratum) if fixed else moments.s2_y
-        moments = dataclasses.replace(moments, s2_y2=s2_y2)
+    nr, w2_theory, moments = nonresponse_design(
+        pop, moments, args.w2, args.ell, args.seed, StratumMode(args.stratum_mode)
+    )
 
     # The targets need no report: a theory-domain error exits before any replicate runs.
     rows = _estimators(args, moments, design, w2_theory)
-    cfg = SimulationConfig(
-        replicates=args.replicates,
-        master_seed=args.seed,
-        estimators=tuple(row["spec"] for row in rows),
-        nr=nr,
-        exhaustive_start=args.exhaustive,
-    )
+    specs = tuple(row["spec"] for row in rows)
+    cfg = SimulationConfig(args.replicates, args.seed, specs, nr, args.exhaustive)
     alpha = next((s.params.alpha for s in cfg.estimators if s.label == "family"), None)
     clock.lap("moments_s")
     report = run_simulation(pop, design, cfg)

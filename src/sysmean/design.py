@@ -84,14 +84,23 @@ class NonResponseModel:
     stratum: frozenset[int] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.w2 < 1.0:
-            raise DomainError(f"non-response rate w2 must be in [0, 1), got {self.w2}")
-        if not self.ell >= 1.0:
-            raise DomainError(f"sub-sampling ratio ell must be >= 1, got {self.ell}")
+        check_rates(self.w2, self.ell)
         if self.mode is StratumMode.FIXED_STRATUM and self.w2 > 0 and self.stratum is None:
             raise DesignError("FIXED_STRATUM with w2 > 0 requires an explicit stratum")
         if self.mode is not StratumMode.FIXED_STRATUM and self.stratum is not None:
             raise DesignError(f"a stratum applies only to FIXED_STRATUM, not to {self.mode.name}")
+
+    def stratum_size(self, N: int) -> int:
+        """The number of units, round(w2·N), in a fixed stratum of N units."""
+        return round(self.w2 * N)
+
+
+def check_rates(w2: float, ell: float) -> None:
+    """Refuse a non-response rate w2 outside [0, 1) and a ratio ell below 1 or nan."""
+    if not 0.0 <= w2 < 1.0:
+        raise DomainError(f"non-response rate w2 must be in [0, 1), got {w2}")
+    if not ell >= 1.0:
+        raise DomainError(f"sub-sampling ratio ell must be >= 1, got {ell}")
 
 
 def _stratum_mask(units: Iterable[int], N: int, error: type[Exception]) -> np.ndarray:
@@ -144,19 +153,23 @@ def draw_sample(design: SystematicDesign, rng: np.random.Generator) -> int:
     return int(rng.integers(1, design.k + 1))
 
 
-def follow_up_size(n2: int, ell: float) -> int:
-    """Sub-sample size h2 for n2 non-respondents: max(1, round(n2/ell)), 0 if n2 = 0."""
-    if n2 == 0:
-        return 0
-    return max(1, round(n2 / ell))
-
-
 def follow_up_sizes(n2_max: int, ell: float) -> np.ndarray:
-    """`follow_up_size(j, ell)` for j = 0..n2_max; `np.rint` rounds half to
-    even, as `round` does."""
+    """The sub-sample size h2 of j = 0..n2_max non-respondents: max(1, round(j/ell)),
+    0 at j = 0, rounding half to even (`np.rint`)."""
     sizes = np.maximum(1, np.rint(np.arange(n2_max + 1) / ell)).astype(np.intp)
     sizes[0] = 0
     return sizes
+
+
+def follow_up_size(n2: int, ell: float) -> int:
+    """The sub-sample size h2 of n2 non-respondents, as `follow_up_sizes` gives it."""
+    return int(follow_up_sizes(n2, ell)[n2])
+
+
+def follow_up_draws(n2, h2):
+    """How many of its n2 non-respondents a follow-up of h2 draws at random,
+    elementwise: h2, or 0 where it takes them all (h2 = n2)."""
+    return np.where(h2 < n2, h2, 0)
 
 
 def apply_nonresponse(
@@ -183,13 +196,10 @@ def apply_nonresponse(
     respondents = frozenset(units) - nonrespondents
 
     n2 = len(nonrespondents)
-    h2 = follow_up_size(n2, nr.ell)
-    if h2 == 0:
-        subsample: frozenset[int] = frozenset()
-    elif h2 >= n2:
-        subsample = nonrespondents
-    else:
-        chosen = rng.choice(sorted(nonrespondents), size=h2, replace=False)
+    draws = int(follow_up_draws(n2, follow_up_size(n2, nr.ell)))
+    subsample = nonrespondents
+    if draws:
+        chosen = rng.choice(sorted(nonrespondents), size=draws, replace=False)
         subsample = frozenset(int(u) for u in chosen)
 
     observed = sorted(respondents | subsample)

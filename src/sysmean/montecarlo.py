@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,11 +74,13 @@ from .design import (
     StratumMode,
     SystematicDesign,
     _stratum_mask,
+    follow_up_draws,
     follow_up_sizes,
 )
 from .errors import ConfigurationError, DesignError, DomainError, SingularityError
 from .estimators import FamilyParams, family_estimate, sequential_totals
-from .population import FinitePopulation, population_fingerprint
+from .population import FinitePopulation, PopulationMoments, population_fingerprint
+from .population import stratum_mean_square
 
 # Not called here; bound so that perfbench/tracing.py TARGETS still resolve.
 from .design import apply_nonresponse, draw_sample  # noqa: F401
@@ -276,6 +278,35 @@ def design_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0,)))
 
 
+def nonresponse_design(
+    pop: FinitePopulation, moments: PopulationMoments, w2: float, ell: float,
+    master_seed: int, mode: StratumMode = StratumMode.FIXED_STRATUM,
+) -> tuple[NonResponseModel, float, PopulationMoments]:
+    """The non-response model of rate w2 and sub-sampling ratio ell on `pop`, and
+    the rate and `moments` its first-order theory takes.
+
+    A fixed stratum is round(w2·N) units drawn without replacement by
+    `design_rng(master_seed)`, refused if it holds every unit; the theory takes
+    its share of N and its mean square as S2_y2.  In Bernoulli mode every unit
+    non-responds with probability w2, and the theory takes w2 and S2_y.  S2_y2
+    is set only where `moments` leaves it unset and the theory needs it."""
+    fixed = mode is StratumMode.FIXED_STRATUM
+    nr = NonResponseModel(w2, ell, mode, frozenset() if fixed else None)
+    if fixed:
+        size = nr.stratum_size(pop.N)
+        if size == pop.N:
+            raise ConfigurationError(
+                f"--w2 {w2} puts all {size} of {pop.N} units in the non-response "
+                "stratum; at least one unit must respond"
+            )
+        chosen = design_rng(master_seed).choice(pop.N, size, replace=False)
+        nr, w2 = replace(nr, stratum=frozenset(int(u) + 1 for u in chosen)), size / pop.N
+    if w2 > 0 and ell > 1 and moments.s2_y2 is None:
+        s2_y2 = stratum_mean_square(pop, nr.stratum) if fixed else moments.s2_y
+        moments = replace(moments, s2_y2=s2_y2)
+    return nr, w2, moments
+
+
 def _lemire(halves: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
     """`Generator.integers(0, span)` by Lemire's rule (arXiv:1805.10941) on each
     uint64-held 32-bit half-word: the high word of half·span, and whether the rule
@@ -378,7 +409,7 @@ def _start_table(
     h2_of = follow_up_sizes(n, nr.ell)
     stratum = None
     if nr.mode is StratumMode.FIXED_STRATUM:
-        units, size = nr.stratum or frozenset(), round(nr.w2 * design.N)
+        units, size = nr.stratum or frozenset(), nr.stratum_size(design.N)
         if len(units) != size:
             raise DesignError(f"stratum size {len(units)} does not match round(w2*N)={size}")
         missing = _stratum_mask(units, design.N, DesignError).reshape(n, k).T
@@ -430,7 +461,7 @@ class _Kernel:
         self.fixed = table.stratum is not None
         if self.fixed:
             parts = table.stratum
-            h2_max = follow_up = int(np.where(parts.h2 < parts.n2, parts.h2, 0).max(initial=0))
+            h2_max = follow_up = int(follow_up_draws(parts.n2, parts.h2).max(initial=0))
             # A block touches only the non-respondents of its starts.
             self.width = max(parts.nr_y.shape[1], 1)
         else:
@@ -480,7 +511,8 @@ class _Kernel:
             parts = _Samples.of(self.table.ys[starts], miss, self.table.h2_of)
         # A sample without a draw follows up all its non-respondents; the
         # padding adds +0.0, which leaves a total from +0.0 as it is.
-        followed = np.where((parts.h2 < parts.n2)[:, None], taken[:, : parts.nr_y.shape[1]], True)
+        drawn = follow_up_draws(parts.n2, parts.h2) > 0
+        followed = np.where(drawn[:, None], taken[:, : parts.nr_y.shape[1]], True)
         t2 = sequential_totals(parts.nr_y, followed)
         return _hh_means(self.n, parts.n1, parts.t1, parts.n2, parts.h2, t2), starts
 
@@ -495,8 +527,7 @@ class _Kernel:
             starts, redo = (first + np.arange(rows)) % self.k, np.zeros(rows, dtype=bool)
         miss = None if self.fixed else words[:, self.start_draw : self.follow_up_at] < self.below
         n2 = self.table.stratum.n2[starts] if self.fixed else miss.sum(axis=1)
-        h2 = self.table.h2_of[n2]
-        steps = np.where(h2 < n2, h2, 0)
+        steps = follow_up_draws(n2, self.table.h2_of[n2])
         taken = np.zeros((rows, self.width), dtype=bool)
         if steps.any():
             halves = self._follow_up_halves(words, int(steps.max()))
@@ -527,10 +558,10 @@ class _Kernel:
         else:
             miss[row] = rng.random(self.n) < self.table.w2
             n2 = np.count_nonzero(miss[row])
-        h2 = int(self.table.h2_of[n2])
+        draws = int(follow_up_draws(n2, self.table.h2_of[n2]))
         taken[row] = False
-        if h2 < n2:
-            taken[row, rng.choice(n2, h2, replace=False)] = True
+        if draws:
+            taken[row, rng.choice(n2, draws, replace=False)] = True
 
 
 def _start_factors(
@@ -592,7 +623,7 @@ def _exact_errors(table: _StartTable, specs) -> list[tuple[float, float]]:
         v = c * table.ys.var(axis=1, ddof=1)
     else:
         parts = table.stratum
-        rows = np.flatnonzero(parts.h2 < parts.n2)
+        rows = np.flatnonzero(follow_up_draws(parts.n2, parts.h2))
         n2, h2, nr_y = parts.n2[rows], parts.h2[rows], parts.nr_y[rows]
         s2 = nr_y.var(axis=1, ddof=1, where=np.arange(nr_y.shape[1]) < n2[:, None])
         v[rows] = (n2 / n) ** 2 * (1 / h2 - 1 / n2) * s2
@@ -634,9 +665,16 @@ def _result(label: str, h, bad, sums: _StartSums, true_mean_y: float) -> Estimat
         mse, se = float(np.sum(squares) / n_used), 0.0
     if n_used > 1:
         within = t4 - t2 * t2 / r + 4 * c * (t3 - t2 * t1 / r) + 4 * c * c * (t2 - t1 * t1 / r)
-        # Round-off may take the within part, a sum of squares, below 0.
-        deviations = max(float(np.sum(within + r * (squares / r - mse) ** 2)), 0.0)
-        se = math.sqrt(deviations / (n_used - 1)) / math.sqrt(n_used)
+        gap = squares / r - mse
+        deviations = float(np.sum(within + r * gap**2))
+        # Round-off: a few eps of each within term, and r·(2|gap| + u)·u for a
+        # gap off by u.  A sum within it (below 0, or every e² equal) is 0.
+        eps = 8 * sys.float_info.epsilon
+        bound = t4 + t2 * t2 / r + 4 * abs(c) * (abs(t3) + abs(t2 * t1) / r)
+        bound = eps * (bound + 4 * c * c * (t2 + t1 * t1 / r))
+        u = eps * (abs(squares) / r + mse)
+        if not deviations <= float(np.sum(bound + r * (2 * abs(gap) + u) * u)) < math.inf:
+            se = math.sqrt(max(deviations, 0.0) / (n_used - 1)) / math.sqrt(n_used)
     n_failed = replicates - n_used
     valid = n_failed / replicates <= MAX_FAILURE_RATE
     return EstimatorResult(label, n_used, n_failed, mean, mean - true_mean_y, mse, se, valid)

@@ -108,10 +108,6 @@ class PopulationMoments:
         return math.sqrt(self.s2_x) / abs(self.mean_x)
 
 
-def _sniff_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
-
-
 def load_population(
     source: str | Path | TextIO,
     y_column: str = "y",
@@ -171,7 +167,7 @@ def _parse_population(
     first = handle.readline()
     if not first.strip():
         raise DomainError("input file is empty")
-    delimiter = _sniff_delimiter(first)
+    delimiter = "\t" if "\t" in first else ","
     try:
         header = [h.strip() for h in next(csv.reader([first], delimiter=delimiter))]
     except csv.Error as exc:  # such as a cell past csv's field limit

@@ -1,9 +1,7 @@
 """Closed-form first-order error theory for the estimator family.
 
 Every operation here is a total function of explicit scalar inputs (moments
-plus design scalars), so each formula can be unit-tested against hand values
-and also run in reverse, e.g. solving for the intraclass correlation that
-yields a target efficiency.
+plus design scalars), so each formula can be unit-tested against hand values.
 
 Conventions: f = (N-1)/(n*N) is the design factor; 1 + (n-1)*rho is the
 within-sample clustering factor; rho_star is the square root of the Y-over-X
@@ -14,9 +12,10 @@ variance/MSE expression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
+from .design import check_rates
 from .errors import DegenerateInputError, DomainError
 from .estimators import FamilyParams, lambda_coefficient
 from .population import PopulationMoments
@@ -63,10 +62,7 @@ def _require_valid_clustering(m: PopulationMoments, n: int) -> None:
 
 def nonresponse_term(m: PopulationMoments, n: int, w2: float, ell: float) -> float:
     """Variance contribution ((ell-1)/n) * w2 * s2_y2 of the follow-up step."""
-    if not 0.0 <= w2 < 1.0:
-        raise DomainError(f"non-response rate w2 must be in [0, 1), got {w2}")
-    if not ell >= 1.0:
-        raise DomainError(f"sub-sampling ratio ell must be >= 1, got {ell}")
+    check_rates(w2, ell)
     if w2 == 0.0 or ell == 1.0:
         return 0.0
     if m.s2_y2 is None:
@@ -134,16 +130,11 @@ def classical_mse(
 ) -> float:
     """First-order MSE of the classical ratio or product estimator."""
     _require_valid_clustering(m, n)
-    if kind == "ratio":
-        bracket = (c.rho_star * c.rho_star) * (m.cv_y * m.cv_y) + (
-            (1.0 - 2.0 * c.big_k * c.rho_star) * (m.cv_x * m.cv_x)
-        )
-    elif kind == "product":
-        bracket = (c.rho_star * c.rho_star) * (m.cv_y * m.cv_y) + (
-            (1.0 + 2.0 * c.big_k * c.rho_star) * (m.cv_x * m.cv_x)
-        )
-    else:
+    sign = {"ratio": -1.0, "product": 1.0}.get(kind)
+    if sign is None:
         raise DomainError(f"unknown estimator kind {kind!r}")
+    bracket = (c.rho_star * c.rho_star) * (m.cv_y * m.cv_y)
+    bracket += (1.0 + sign * 2.0 * c.big_k * c.rho_star) * (m.cv_x * m.cv_x)
     return _mse_prefactor(m, n, c) * bracket + nonresponse_term(m, n, w2, ell)
 
 
@@ -264,37 +255,3 @@ def pre_grid(
             pre.append(_pre(var[-1], mse_min[-1]))
     return var, mse_min, pre
 
-
-def intraclass_from_pre(
-    target_pre: float,
-    m: PopulationMoments,
-    n: int,
-    N: int,
-    w2: float,
-    ell: float,
-) -> float:
-    """Solve for the common intraclass correlation giving a target PRE.
-
-    Sets rho_y = rho_x = r and finds r in (-1/(n-1), 1] such that
-    pre_optimum equals `target_pre`.  Requires an active non-response term
-    (w2 > 0, ell > 1): without it the PRE does not depend on r.
-
-    With rho_star = 1 the PRE is the Mobius map 100*(G*A + NR)/(G*B + NR) of
-    G = 1 + (n-1)*r, with A = f*S2_y, B = f*Ybar**2*(C_y**2 - K**2*C_x**2) and
-    NR the non-response term; it inverts exactly, tending to 100*A/B as G -> inf.
-    """
-    nr = nonresponse_term(m, n, w2, ell)
-    if nr == 0.0:
-        raise DomainError("PRE does not depend on the intraclass correlation when the "
-                          "non-response term vanishes")
-    c = derived_constants(replace(m, rho_y=0.0, rho_x=0.0), n, N)
-    a = c.f * m.s2_y
-    b = c.f * (m.mean_y * m.mean_y) * ((m.cv_y * m.cv_y) - (c.big_k * c.big_k) * (m.cv_x * m.cv_x))
-    denominator = target_pre * b - 100.0 * a
-    g = nr * (100.0 - target_pre) / denominator if denominator != 0.0 else math.inf
-    if not 0.0 < g <= n:
-        hi = 100.0 * (n * a + nr) / (n * b + nr)  # the PRE at r = 1; it is 100 at G = 0
-        raise DomainError(
-            f"target PRE {target_pre} is outside the attainable range [100.0000, {hi:.4f}]"
-        )
-    return (g - 1.0) / (n - 1)

@@ -26,7 +26,6 @@ from sysmean import (
     family_mse_min,
     fpc,
     intraclass_correlation,
-    intraclass_from_pre,
     nonresponse_term,
     optimum_alpha,
     pre_optimum,
@@ -39,7 +38,7 @@ from sysmean.datasets import synthetic_linear_population
 from sysmean.montecarlo import _exact_errors, _start_table
 from sysmean.population import PopulationMoments
 from sysmean.theory import classical_mse
-from reference import classical_bias
+from reference import classical_bias, intraclass_from_pre
 from conftest import brute_force_intraclass, random_moments
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,35 @@ class TestParams:
         assert main(["params", str(pop_csv), "--n", "12", "--expect-sha256", "0" * 64]) == 2
         assert "checksum mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rewrite", ["append", "replace"])
+    def test_an_input_rewritten_between_hash_and_parse_is_refused(
+        self, pop_csv, tmp_path, capsys, monkeypatch, rewrite
+    ):
+        # The hash read and the parse read must see the same file: a blank row
+        # appended parses the same but hashes differently, and a file put in
+        # its place by rename has the same bytes but another inode.
+        good = file_sha256(pop_csv)
+
+        def hash_then_rewrite(path):
+            digest = file_sha256(path)
+            if rewrite == "append":
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write("\n")
+            else:
+                copy = tmp_path / "copy.csv"
+                shutil.copyfile(path, copy)
+                os.replace(copy, path)
+            return digest
+
+        monkeypatch.setattr("sysmean.cli.file_sha256", hash_then_rewrite)
+        argv = ["params", str(pop_csv), "--n", "12", "--expect-sha256", good]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"input {str(pop_csv)!r} changed while it was read" in captured.err
+        assert captured.out == ""
+        monkeypatch.setattr("sysmean.cli.file_sha256", file_sha256)
+        assert main(argv) == (0 if rewrite == "replace" else 2)
+
     @pytest.mark.parametrize("scale, message", [
         (1e202, "the mean square of y overflows"),
         (1e-198, "the mean square of y underflows to 0"),

@@ -10,15 +10,18 @@ from sysmean import (
     DomainError,
     EstimatorSpec,
     NonResponseModel,
+    PopulationMoments,
     SimulationConfig,
     StratumMode,
     SystematicDesign,
+    nonresponse_term,
     run_simulation,
 )
 from sysmean.design import (
     SampleRealization,
     apply_nonresponse,
     draw_sample,
+    follow_up_draws,
     follow_up_size,
     follow_up_sizes,
     nearest_valid_sample_sizes,
@@ -179,11 +182,51 @@ class TestFollowUpSize:
         assert follow_up_size(1, 3.0) == 1  # max(1, round(1/3))
 
     # 2.5 and 1.5 are halves: round and np.rint both round them to even.
-    @pytest.mark.parametrize("ell", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3, 1e9])
+    @pytest.mark.parametrize("ell", [1.0, 4 / 3, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 7.3, 1e9])
     def test_table_is_the_size_of_each_count(self, ell):
-        assert follow_up_sizes(1200, ell).tolist() == [
-            follow_up_size(j, ell) for j in range(1201)
-        ]
+        for n in (*range(41), 1200):
+            assert follow_up_sizes(n, ell).tolist() == [
+                follow_up_size(j, ell) for j in range(n + 1)
+            ]
+
+    def test_halves_round_to_even(self):
+        # 5/2 and 9/2 round down to 2 and 4, 7/2 up to 4, and 3/1.5 is 2.
+        assert [follow_up_size(j, 2.0) for j in (5, 7, 9)] == [2, 4, 4]
+        assert follow_up_sizes(12, 2.0)[[5, 7, 9]].tolist() == [2, 4, 4]
+        assert follow_up_size(3, 1.5) == follow_up_sizes(3, 1.5)[3] == 2
+
+    @pytest.mark.parametrize("ell", [1.0, 1.5, 2.0, 3.0, 1e9])
+    def test_draws_are_the_size_below_the_count_else_none(self, ell):
+        n2 = np.arange(60)
+        h2 = follow_up_sizes(59, ell)
+        assert (h2 <= n2).all()
+        assert follow_up_draws(n2, h2).tolist() == [h if h < j else 0 for j, h in zip(n2, h2)]
+        assert [int(follow_up_draws(j, follow_up_size(j, ell))) for j in range(60)] == (
+            follow_up_draws(n2, h2).tolist()
+        )
+
+
+class TestRateCheck:
+    """`NonResponseModel` and `nonresponse_term` refuse (w2, ell) by one rule."""
+
+    MOMENTS = PopulationMoments(10.0, 5.0, 4.0, 1.0, 0.5, 0.1, 0.1, s2_y2=3.0)
+
+    @pytest.mark.parametrize("w2, ell", [
+        (-0.1, 2.0), (1.0, 2.0), (1.5, 0.5), (math.nan, 2.0), (math.inf, 2.0),
+        (0.2, 0.999), (0.2, math.nan), (0.0, -math.inf), (-0.0, 0.0),
+    ])
+    def test_the_model_and_the_theory_refuse_with_one_message(self, w2, ell):
+        with pytest.raises(DomainError) as model:
+            NonResponseModel(w2, ell, StratumMode.BERNOULLI_PER_REPLICATE)
+        with pytest.raises(DomainError) as theory:
+            nonresponse_term(self.MOMENTS, 12, w2, ell)
+        assert str(model.value) == str(theory.value)
+        assert str(model.value).startswith(("non-response rate w2", "sub-sampling ratio ell"))
+
+    @pytest.mark.parametrize("w2, ell", [(0.0, 1.0), (-0.0, 1.0), (0.999, 1e308), (0.5, math.inf)])
+    def test_the_model_and_the_theory_accept_the_same_edges(self, w2, ell):
+        NonResponseModel(w2, ell, StratumMode.BERNOULLI_PER_REPLICATE)
+        assert nonresponse_term(self.MOMENTS, 12, w2, ell) >= 0
 
 
 class TestApplyNonresponse:

@@ -31,9 +31,11 @@ from sysmean import (
     compute_moments,
     derived_constants,
     family_estimate,
+    nonresponse_design,
     optimum_alpha,
     population_fingerprint,
     run_simulation,
+    stratum_mean_square,
     var_mean_y,
 )
 from sysmean.cli import main
@@ -155,6 +157,96 @@ class TestZeroStandardError:
         ratio = report.by_label("ratio")
         assert (ratio.n_used, ratio.mc_se_mse) == (replicates // 2, 0.0)
         assert compare_to_theory(report, [("ratio", mse)])[0].verdict == "PASS"
+
+    def test_two_samples_symmetric_about_the_mean_give_a_zero_standard_error(self, tmp_path):
+        # k = 2 without non-response: the two sample means lie symmetric about
+        # Ybar, so hh's squared error is one value; before the floor its MC SE
+        # was round-off and its z against the exact variance was -42.
+        pop, out = tmp_path / "pop.csv", tmp_path / "report.json"
+        assert main(["synthesize", "--units", "24", "--seed", "1", "--out", str(pop)]) == 0
+        argv = ["simulate", str(pop), "--n", "12", "--estimators", "hh", "--format", "json"]
+        assert main([*argv, "--out", str(out)]) == 0
+        [result] = json.loads(out.read_text())["results"]
+        assert (result["mc_se_mse"], result["n_used"]) == (0.0, 2000)
+
+    def test_squared_errors_equal_to_round_off_give_a_zero_standard_error(self):
+        # k = 1 with two non-respondents and one followed up: the two ybar*
+        # lie symmetric about Ybar, so every squared error is one value in
+        # exact arithmetic, though the per-start sums differ from it by
+        # round-off (an SE of 2.07e-11 at MSE 1.72e-3 before the floor).
+        pop, design, cfg = simulation_case(
+            pop_seed=1136426859, n=18, k=1, w2=0.1, ell=1.5, bernoulli=False,
+            exhaustive=False, replicates=28, seed=4338958979649247376,
+        )
+        report = run_simulation(pop, design, cfg)
+        exact = _exact_errors(_start_table(pop, design, cfg.nr), cfg.estimators)
+        targets = [(spec.label, mse) for spec, (mse, _) in zip(cfg.estimators, exact)]
+        assert [result.mc_se_mse for result in report.results] == [0.0] * 5
+        assert report.by_label("hh").empirical_mse == pytest.approx(1.7177729473e-3, rel=1e-9)
+        assert [c.verdict for c in compare_to_theory(report, targets)] == ["PASS"] * 5
+
+
+class TestNonresponseDesign:
+    """`nonresponse_design` is simulate's non-response model and theory inputs."""
+
+    @pytest.fixture
+    def pop(self):
+        return synthetic_linear_population(240, seed=28)
+
+    def moments(self, pop, **changes):
+        return dataclasses.replace(compute_moments(pop, SystematicDesign(240, 12)), **changes)
+
+    def test_fixed_stratum_is_drawn_from_the_design_stream(self, pop):
+        m = self.moments(pop)
+        nr, w2, theory = nonresponse_design(pop, m, 0.2501, 2.0, 7)
+        chosen = design_rng(7).choice(240, 60, replace=False)
+        assert nr == NonResponseModel(0.2501, 2.0, stratum=frozenset(int(u) + 1 for u in chosen))
+        assert w2 == 60 / 240
+        assert theory == dataclasses.replace(m, s2_y2=stratum_mean_square(pop, nr.stratum))
+
+    def test_bernoulli_takes_w2_and_the_population_mean_square(self, pop):
+        m = self.moments(pop)
+        nr, w2, theory = nonresponse_design(
+            pop, m, 0.2501, 2.0, 7, StratumMode.BERNOULLI_PER_REPLICATE
+        )
+        assert nr == NonResponseModel(0.2501, 2.0, StratumMode.BERNOULLI_PER_REPLICATE)
+        assert (w2, theory) == (0.2501, dataclasses.replace(m, s2_y2=m.s2_y))
+
+    @pytest.mark.parametrize("w2, ell, s2_y2", [(0.0, 2.0, None), (0.25, 1.0, None),
+                                                (0.25, 2.0, 3.5)])
+    def test_leaves_a_set_or_unneeded_stratum_mean_square(self, pop, w2, ell, s2_y2):
+        for mode in StratumMode:
+            m = self.moments(pop, s2_y2=s2_y2)
+            assert nonresponse_design(pop, m, w2, ell, 7, mode)[2] == m
+
+    def test_a_stratum_of_every_unit_is_refused(self, pop):
+        with pytest.raises(ConfigurationError, match=(
+            r"--w2 0\.999 puts all 240 of 240 units in the non-response stratum; "
+            "at least one unit must respond"
+        )):
+            nonresponse_design(pop, self.moments(pop), 0.999, 2.0, 7)
+
+    @pytest.mark.parametrize("w2, ell", [(1.0, 2.0), (0.25, 0.5), (math.nan, 2.0)])
+    def test_rates_are_checked_by_the_model(self, pop, w2, ell):
+        with pytest.raises(DomainError) as refused:
+            nonresponse_design(pop, self.moments(pop), w2, ell, 7)
+        with pytest.raises(DomainError) as model:
+            NonResponseModel(w2, ell, StratumMode.BERNOULLI_PER_REPLICATE)
+        assert str(refused.value) == str(model.value)
+
+    @pytest.mark.parametrize("mode", ["fixed", "bernoulli"])
+    def test_simulate_reports_the_library_runs_mses(self, pop, tmp_path, capsys, mode):
+        path = tmp_path / "pop.csv"
+        assert main(["synthesize", "--units", "240", "--seed", "28", "--out", str(path)]) == 0
+        capsys.readouterr()
+        main(["simulate", str(path), "--n", "12", "--w2", "0.25", "--ell", "2",
+              "--stratum-mode", mode, "--estimators", "hh,ratio", "--replicates", "500",
+              "--seed", "7", "--format", "json"])
+        reported = [row["empirical_mse"] for row in json.loads(capsys.readouterr().out)["results"]]
+        nr, _, _ = nonresponse_design(pop, self.moments(pop), 0.25, 2.0, 7, StratumMode(mode))
+        specs = (EstimatorSpec("hh"), EstimatorSpec("ratio", PRESETS["ratio"]))
+        report = run_simulation(pop, SystematicDesign(240, 12), SimulationConfig(500, 7, specs, nr))
+        assert [result.empirical_mse for result in report.results] == reported
 
 
 class TestDeterminism:

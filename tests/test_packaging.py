@@ -9,6 +9,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import json
 import os
 import re
 import shlex
@@ -142,7 +143,8 @@ def test_every_traced_benchmark_target_resolves():
     assert not missing, f"benchmark targets not found: {missing}"
 
 
-def test_readme_library_example_runs(tmp_path, monkeypatch):
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The example simulates as the `simulate` command the README pairs it with.
     from sysmean.cli import main
 
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -152,7 +154,19 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert main(["synthesize", "--units", "240", "--seed", "28", "--out", "pop.csv"]) == 0
     namespace: dict = {"__name__": "readme_example"}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
-    assert namespace["report"].replicates == 10_000
+    report = namespace["report"]
+    assert report.replicates == 10_000
+    assert namespace["nr"].stratum and namespace["w2"] == 0.25
+    capsys.readouterr()
+    command = ("simulate pop.csv --n 12 --w2 0.25 --ell 2 --seed 7 --replicates 10000 "
+               "--estimators hh,family")
+    assert " ".join(command.split()) in " ".join(readme.split())
+    assert main([*command.split(), "--format", "json"]) in (0, 1)
+    reported = json.loads(capsys.readouterr().out)
+    assert reported["alpha"] == namespace["alpha"]
+    assert [(row["label"], row["empirical_mse"]) for row in reported["results"]] == [
+        (result.label, result.empirical_mse) for result in report.results
+    ]
 
 
 def readme_commands() -> list[str]:

@@ -17,7 +17,6 @@ from sysmean import (
     family_mse,
     family_mse_min,
     fpc,
-    intraclass_from_pre,
     nonresponse_term,
     optimum_alpha,
     pre_optimum,
@@ -25,7 +24,7 @@ from sysmean import (
     var_mean_y,
 )
 from sysmean.theory import classical_mse, pre_grid
-from reference import classical_bias
+from reference import classical_bias, intraclass_from_pre
 
 # Forest-strip study parameters (176 strips of timber volume vs. length),
 # with both intraclass correlations at the published working value.

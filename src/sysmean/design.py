@@ -2,9 +2,10 @@
 
 A design partitions N = n*k units (numbered 1..N in a fixed order) into k
 candidate samples; the i-th sample is (i, i+k, ..., i+(n-1)k) and one of the
-k is drawn by choosing the start index at random.  Non-response affects the
-study variable only: the auxiliary value is observed on all n sampled units,
-while non-respondents are re-contacted on a sub-sample of h2 out of n2.
+k is drawn by choosing the start index at random; every per-sample sum reads
+that layout from `SystematicDesign.samples`.  Non-response affects the study
+variable only: the auxiliary value is observed on all n sampled units, while
+non-respondents are re-contacted on a sub-sample of h2 out of n2.
 """
 from __future__ import annotations
 
@@ -55,6 +56,13 @@ class SystematicDesign:
     def k(self) -> int:
         return self.N // self.n
 
+    def samples(self, values: np.ndarray) -> np.ndarray:
+        """The (k, n) view of N unit values, row i the sample with start index
+        i + 1; values of any other shape raise DesignError."""
+        if values.shape != (self.N,):
+            raise DesignError(f"expected {self.N} values for design N={self.N}, got {values.size}")
+        return values.reshape(self.n, self.k).T
+
 
 def valid_sample_sizes(N: int) -> list[int]:
     """All sample sizes n >= 2 with N divisible by n, ascending, in O(sqrt(N)) steps."""
@@ -103,15 +111,15 @@ def check_rates(w2: float, ell: float) -> None:
         raise DomainError(f"sub-sampling ratio ell must be >= 1, got {ell}")
 
 
-def _stratum_mask(units: Iterable[int], N: int, error: type[Exception]) -> np.ndarray:
+def _stratum_mask(units: Iterable[int], N: int) -> np.ndarray:
     """The (N,) mask of the 1-based unit ids `units`.  An id that is not an
-    integer, or one outside 1..N, raises `error`."""
+    integer, or one outside 1..N, raises DesignError."""
     ids = np.fromiter(units, dtype=float)
     fractional = ids[np.trunc(ids) != ids]
     if fractional.size:
-        raise error(f"stratum unit id {float(fractional.min())!r} is not an integer")
+        raise DesignError(f"stratum unit id {float(fractional.min())!r} is not an integer")
     if ((ids < 1) | (ids > N)).any():
-        raise error("stratum contains unit indices outside 1..N")
+        raise DesignError("stratum contains unit indices outside 1..N")
     mask = np.zeros(N, dtype=bool)
     mask[ids.astype(np.intp) - 1] = True
     return mask

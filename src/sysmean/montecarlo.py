@@ -42,11 +42,11 @@ more, which `Generator.choice` draws faster in C.
 
 A call builds the k samples once, into the per-start table `_start_table`
 gives of (population, design, non-response model): row i holds the sample
-with start index i + 1, its y values, xbar_i and, with a fixed stratum, the
-parts `_Samples.of` gives of it: the respondent count and y total, the
-non-respondents' y values in unit order and h2.  `_Kernel` keeps only its
-draw state over that table.  Blocks take their rows from the table, in
-Bernoulli mode with the parts under their drawn masks, and h reads xbar_i
+`SystematicDesign.samples` lays out there, its y values, xbar_i and, with a
+fixed stratum, the parts `_Samples.of` gives of it: the respondent count and
+y total, the non-respondents' y values in unit order and h2.  `_Kernel` keeps
+only its draw state over that table.  Blocks take their rows from the table,
+in Bernoulli mode with the parts under their drawn masks, and h reads xbar_i
 there, through `_start_factors`, as does `_exact_errors`, the exact design
 MSE and bias of each estimator over the k samples.  Every y and x total is
 `sequential_totals`, added left to right from +0.0 as the per-unit reference
@@ -296,8 +296,8 @@ def nonresponse_design(
         size = nr.stratum_size(pop.N)
         if size == pop.N:
             raise ConfigurationError(
-                f"--w2 {w2} puts all {size} of {pop.N} units in the non-response "
-                "stratum; at least one unit must respond"
+                f"non-response rate w2={w2} puts all {size} of {pop.N} units in the "
+                "non-response stratum; at least one unit must respond"
             )
         chosen = design_rng(master_seed).choice(pop.N, size, replace=False)
         nr, w2 = replace(nr, stratum=frozenset(int(u) + 1 for u in chosen)), size / pop.N
@@ -382,8 +382,8 @@ class _Samples:
 
 @dataclass(frozen=True)
 class _StartTable:
-    """The k candidate samples of a design, row i the one with start index
-    i + 1: its y values `ys`, its x mean `xbars[i]` and, with a fixed
+    """The k candidate samples of a design, a row each as `design.samples`
+    lays them out: its y values `ys`, its x mean `xbars[i]` and, with a fixed
     stratum, its `_Samples` parts (`stratum`; None in Bernoulli mode).
     `h2_of[n2]` is the follow-up size of n2 non-respondents, w2 the
     non-response rate, and `mean_x`, `mean_y` are the population means."""
@@ -400,21 +400,19 @@ class _StartTable:
 def _start_table(
     pop: FinitePopulation, design: SystematicDesign, nr: NonResponseModel
 ) -> _StartTable:
-    """The per-start table of `design` on `pop` under `nr`; a fixed stratum
-    must hold round(w2·N) units."""
-    if pop.N != design.N:
-        raise DomainError(f"population has {pop.N} units but design expects {design.N}")
-    n, k = design.n, design.k
-    ys, xs = (units.reshape(n, k).T.copy() for units in (pop.y, pop.x))
-    h2_of = follow_up_sizes(n, nr.ell)
+    """The per-start table of `design` on `pop` under `nr`, its rows the
+    samples of `design.samples`; a fixed stratum must hold round(w2·N) units."""
+    # Contiguous rows: `_exact_errors`'s row means of the strided view differ in the last bit.
+    ys, xs = (design.samples(units).copy() for units in (pop.y, pop.x))
+    h2_of = follow_up_sizes(design.n, nr.ell)
     stratum = None
     if nr.mode is StratumMode.FIXED_STRATUM:
         units, size = nr.stratum or frozenset(), nr.stratum_size(design.N)
         if len(units) != size:
             raise DesignError(f"stratum size {len(units)} does not match round(w2*N)={size}")
-        missing = _stratum_mask(units, design.N, DesignError).reshape(n, k).T
+        missing = design.samples(_stratum_mask(units, design.N))
         stratum = _Samples.of(ys, missing, h2_of)
-    xbars = (sequential_totals(xs) / n).tolist()
+    xbars = (sequential_totals(xs) / design.n).tolist()
     return _StartTable(ys, xbars, stratum, h2_of, nr.w2, float(pop.x.mean()), float(pop.y.mean()))
 
 

@@ -23,7 +23,6 @@ from .design import SystematicDesign, _stratum_mask
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
-    DesignError,
     DomainError,
     ParseError,
 )
@@ -279,13 +278,9 @@ def intraclass_correlation(
     variance of the k equally likely sample means is exactly
     (N-1)/(n*N) * {1 + (n-1)*rho_w} * S^2, which the tests check by
     enumerating the k samples.  A sum that overflows raises DomainError
-    naming the values as `name`.
+    naming the values as `name`, and values that are not N long DesignError.
     """
     values = np.asarray(pop_values, dtype=float)
-    if values.ndim != 1 or values.size != design.N:
-        raise DesignError(
-            f"expected {design.N} values for design N={design.N}, got {values.size}"
-        )
     _, total_ss, within_ss = _deviation_sums(values, design)
     return _intraclass(total_ss, within_ss, design, name)
 
@@ -293,7 +288,8 @@ def intraclass_correlation(
 def _deviation_sums(
     values: np.ndarray, design: SystematicDesign
 ) -> tuple[np.ndarray, float, float]:
-    """A column's deviations d from its mean, Σd², and Σ over samples of (Σd)².
+    """A column's deviations d from its mean, Σd², and Σ over the samples of
+    `design.samples` of (Σd)²; values not N long raise DesignError.
 
     Every sum is numpy's own `np.add.reduce`, the one `var` uses, so
     Σd²/(N-1) is `values.var(ddof=1)` bit for bit.  No sum goes through
@@ -301,8 +297,7 @@ def _deviation_sums(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         deviations = values - values.mean()
-        # Column i of the (n, k) reshape is the i-th systematic sample.
-        sample_sums = np.add.reduce(deviations.reshape(design.n, design.k), axis=0)
+        sample_sums = np.add.reduce(design.samples(deviations), axis=1)
         total_ss = float(np.add.reduce(deviations * deviations))
         within_ss = float(np.add.reduce(sample_sums * sample_sums))
     return deviations, total_ss, within_ss
@@ -326,9 +321,9 @@ def _intraclass(total_ss: float, within_ss: float, design: SystematicDesign, nam
 
 def stratum_mean_square(pop: FinitePopulation, nr_stratum: Iterable[int]) -> float:
     """Mean square (divisor N2-1) of the study variable over a unit subset of
-    1-based ids.  An id that is not an integer, or one outside 1..N, and a
-    subset of fewer than 2 units raise DomainError."""
-    y = pop.y[_stratum_mask(nr_stratum, pop.N, DomainError)]
+    1-based ids.  An id that is not an integer, or one outside 1..N, raises
+    DesignError, and a subset of fewer than 2 units DomainError."""
+    y = pop.y[_stratum_mask(nr_stratum, pop.N)]
     if y.size < 2:
         raise DomainError(
             f"stratum must contain at least 2 units to define its mean square, got {y.size}"
@@ -341,13 +336,11 @@ def compute_moments(pop: FinitePopulation, design: SystematicDesign) -> Populati
 
     The stratum mean square `s2_y2` is left unset, and any downstream use
     that needs it will refuse to run; set it with `dataclasses.replace`,
-    for example to `stratum_mean_square` of a unit subset.  A column of
-    equal values raises DegenerateInputError, and one whose mean square
-    overflows or underflows to 0 raises DomainError.
+    for example to `stratum_mean_square` of a unit subset.  A population
+    not N units long raises DesignError, a column of equal values
+    DegenerateInputError, and one whose mean square overflows or underflows
+    to 0 DomainError.
     """
-    if pop.N != design.N:
-        raise DesignError(f"population has {pop.N} units but design expects {design.N}")
-
     y, x = pop.y, pop.x
     (dy, ss_y, within_y), (dx, ss_x, within_x) = (_deviation_sums(v, design) for v in (y, x))
     s2_y, s2_x = ss_y / (pop.N - 1), ss_x / (pop.N - 1)

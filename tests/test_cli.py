@@ -583,8 +583,8 @@ class TestSimulate:
                      "--replicates", "20000"])
         assert code == 2
         assert (
-            "--w2 0.999 puts all 240 of 240 units in the non-response stratum; "
-            "at least one unit must respond"
+            "non-response rate w2=0.999 puts all 240 of 240 units in the non-response "
+            "stratum; at least one unit must respond"
         ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("options, message", [

@@ -14,8 +14,11 @@ from sysmean import (
     SimulationConfig,
     StratumMode,
     SystematicDesign,
+    compute_moments,
+    intraclass_correlation,
     nonresponse_term,
     run_simulation,
+    stratum_mean_square,
 )
 from sysmean.design import (
     SampleRealization,
@@ -25,6 +28,7 @@ from sysmean.design import (
     follow_up_size,
     follow_up_sizes,
     nearest_valid_sample_sizes,
+    valid_sample_sizes,
 )
 from conftest import random_population
 from reference import enumerate_samples
@@ -91,6 +95,42 @@ class TestEnumerateSamples:
         samples = enumerate_samples(design)
         flat = [u for s in samples for u in s]
         assert sorted(flat) == list(range(1, n * k + 1))
+
+
+def refusal(call) -> tuple[type, str]:
+    """The class and text of the error `call()` raises."""
+    with pytest.raises(Exception) as refused:
+        call()
+    return type(refused.value), str(refused.value)
+
+
+class TestSamples:
+    @pytest.mark.parametrize("N, sizes", [
+        *((N, valid_sample_sizes(N)) for N in range(2, 61)),  # k = 1 included
+        (24000, [12, 1200]),
+    ])
+    def test_rows_are_the_reference_samples(self, N, sizes):
+        units = np.arange(1, N + 1)
+        for n in sizes:
+            design = SystematicDesign(N, n)
+            samples = design.samples(units)
+            assert samples.shape == (design.k, n)
+            assert np.shares_memory(samples, units)
+            assert [tuple(row) for row in samples.tolist()] == enumerate_samples(design)
+
+    def test_a_population_one_unit_short_is_refused_one_way(self):
+        design = SystematicDesign(N=24, n=4)
+        pop = random_population(np.random.default_rng(5), 23)
+        cfg = SimulationConfig(
+            replicates=2, master_seed=1, estimators=(EstimatorSpec("hh"),),
+            nr=NonResponseModel(w2=0.0, ell=1.0),
+        )
+        refusals = {
+            refusal(lambda: compute_moments(pop, design)),
+            refusal(lambda: intraclass_correlation(pop.y, design)),
+            refusal(lambda: run_simulation(pop, design, cfg)),
+        }
+        assert refusals == {(DesignError, "expected 24 values for design N=24, got 23")}
 
 
 class TestDrawSample:
@@ -160,6 +200,17 @@ class TestNonResponseModel:
         nr = NonResponseModel(w2=0.25, ell=2.0, stratum=frozenset({1.5, 2.5, 3.5}))
         with pytest.raises(DesignError, match=r"stratum unit id 1\.5 is not an integer"):
             simulate(nr, 12)
+
+    @pytest.mark.parametrize("stratum, message", [
+        ({1, 99, 3}, "stratum contains unit indices outside 1..N"),
+        ({1.5, 2.5, 3.5}, "stratum unit id 1.5 is not an integer"),
+    ])
+    def test_a_bad_stratum_id_is_refused_one_way(self, stratum, message):
+        nr = NonResponseModel(w2=0.25, ell=2.0, stratum=frozenset(stratum))
+        pop = random_population(np.random.default_rng(3), 12)
+        refusals = {refusal(lambda: simulate(nr, 12)),
+                    refusal(lambda: stratum_mean_square(pop, stratum))}
+        assert refusals == {(DesignError, message)}
 
     def test_bernoulli_mode_refuses_a_stratum(self):
         # Bernoulli mode draws its non-respondents, so a stratum there is an error.

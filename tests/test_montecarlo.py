@@ -221,8 +221,8 @@ class TestNonresponseDesign:
 
     def test_a_stratum_of_every_unit_is_refused(self, pop):
         with pytest.raises(ConfigurationError, match=(
-            r"--w2 0\.999 puts all 240 of 240 units in the non-response stratum; "
-            "at least one unit must respond"
+            r"non-response rate w2=0\.999 puts all 240 of 240 units in the non-response "
+            "stratum; at least one unit must respond"
         )):
             nonresponse_design(pop, self.moments(pop), 0.999, 2.0, 7)
 

@@ -1,7 +1,8 @@
 """Packaging guards: sysmean imports only the standard library and its declared
 dependencies, pyproject.toml carries the package's version, every name in
 `sysmean.__all__` resolves once, the benchmark's tracer still finds every
-function it wraps, the README's library example runs, its command examples
+function it wraps and the imports marked `noqa: F401` bind only the ones a
+module never calls, the README's library example runs, its command examples
 exit as it states, the README names only options the CLI has and lists
 `simulate`'s report fields, its Install section names every build
 requirement, and no module calls BLAS."""
@@ -131,16 +132,48 @@ def test_the_blas_check_sees_each_form(tmp_path):
 def test_every_traced_benchmark_target_resolves():
     # perfbench/tracing.py wraps each (module, attribute) of TARGETS with getattr;
     # a name the program no longer exposes would break `perfbench/run.py --trace 1`.
-    path = ROOT / "perfbench" / "tracing.py"
-    tracing: dict = {"__name__": "perfbench_tracing"}
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
-    assert tracing["TARGETS"]
+    targets = benchmark_targets()
+    assert targets
     missing = [
         (module, attr)
-        for module, attr, _ in tracing["TARGETS"]
+        for module, attr, _ in targets
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"benchmark targets not found: {missing}"
+
+
+def benchmark_targets() -> list[tuple[str, str, object]]:
+    """perfbench/tracing.py's TARGETS: (module, attribute, span name)."""
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing: dict = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    return tracing["TARGETS"]
+
+
+@pytest.mark.parametrize("module", ["cli", "montecarlo"])
+def test_only_uncalled_benchmark_targets_are_bound_under_noqa(module):
+    # The tracer wraps a module attribute; one the module never calls is bound
+    # by an import marked `noqa: F401`, and no other unused import hides there.
+    path = PACKAGE / f"{module}.py"
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    under_noqa = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+        for alias in node.names
+    }
+    called = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    uncalled = {
+        attr for name, attr, _ in benchmark_targets()
+        if name == f"sysmean.{module}" and attr not in called | defined
+    }
+    assert under_noqa == uncalled
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -273,7 +273,7 @@ class TestComputeMoments:
     def test_fractional_unit_ids_refused(self, rng):
         # Truncated, they would read as the units 1-3.
         pop = random_population(rng, 12)
-        with pytest.raises(DomainError, match=r"stratum unit id 1\.5 is not an integer"):
+        with pytest.raises(DesignError, match=r"stratum unit id 1\.5 is not an integer"):
             stratum_mean_square(pop, [1.5, 2.7, 3.9])
 
     def test_small_stratum_flagged(self, rng):

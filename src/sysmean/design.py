@@ -60,7 +60,7 @@ class SystematicDesign:
         """The (k, n) view of N unit values, row i the sample with start index
         i + 1; values of any other shape raise DesignError."""
         if values.shape != (self.N,):
-            raise DesignError(f"expected {self.N} values for design N={self.N}, got {values.size}")
+            raise DesignError(f"expected {self.N} values for design N={self.N}, got {values.shape}")
         return values.reshape(self.n, self.k).T
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,12 @@ class TestSamples:
             assert np.shares_memory(samples, units)
             assert [tuple(row) for row in samples.tolist()] == enumerate_samples(design)
 
+    @pytest.mark.parametrize("shape", [(23,), (25,), (4, 6), (24, 1)])
+    def test_values_of_another_shape_are_refused(self, shape):
+        message = f"expected 24 values for design N=24, got {shape}"
+        with pytest.raises(DesignError, match=f"^{re.escape(message)}$"):
+            SystematicDesign(N=24, n=4).samples(np.zeros(shape))
+
     def test_a_population_one_unit_short_is_refused_one_way(self):
         design = SystematicDesign(N=24, n=4)
         pop = random_population(np.random.default_rng(5), 23)
@@ -130,7 +137,7 @@ class TestSamples:
             refusal(lambda: intraclass_correlation(pop.y, design)),
             refusal(lambda: run_simulation(pop, design, cfg)),
         }
-        assert refusals == {(DesignError, "expected 24 values for design N=24, got 23")}
+        assert refusals == {(DesignError, "expected 24 values for design N=24, got (23,)")}
 
 
 class TestDrawSample:

@@ -129,6 +129,14 @@ def test_the_blas_check_sees_each_form(tmp_path):
     ]
 
 
+def benchmark_targets() -> list[tuple[str, str, object]]:
+    """perfbench/tracing.py's TARGETS: (module, attribute, span name)."""
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing: dict = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    return tracing["TARGETS"]
+
+
 def test_every_traced_benchmark_target_resolves():
     # perfbench/tracing.py wraps each (module, attribute) of TARGETS with getattr;
     # a name the program no longer exposes would break `perfbench/run.py --trace 1`.
@@ -142,20 +150,11 @@ def test_every_traced_benchmark_target_resolves():
     assert not missing, f"benchmark targets not found: {missing}"
 
 
-def benchmark_targets() -> list[tuple[str, str, object]]:
-    """perfbench/tracing.py's TARGETS: (module, attribute, span name)."""
-    path = ROOT / "perfbench" / "tracing.py"
-    tracing: dict = {"__name__": "perfbench_tracing"}
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
-    return tracing["TARGETS"]
-
-
 @pytest.mark.parametrize("module", ["cli", "montecarlo"])
 def test_only_uncalled_benchmark_targets_are_bound_under_noqa(module):
     # The tracer wraps a module attribute; one the module never calls is bound
     # by an import marked `noqa: F401`, and no other unused import hides there.
-    path = PACKAGE / f"{module}.py"
-    source = path.read_text(encoding="utf-8")
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
     under_noqa = {

@@ -7,7 +7,7 @@ family, and checking its closed-form first-order bias/MSE theory by
 design-based Monte Carlo.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"
 
 from .design import NonResponseModel, StratumMode, SystematicDesign
 from .errors import (

@@ -279,11 +279,15 @@ _NOT_PARAMETERS = frozenset({"command", "func", "input", "seed", "manifest"})
 
 
 def _manifest(
-    args: argparse.Namespace, argv: list[str], sha: str | None, **resolved: object
+    args: argparse.Namespace, argv: list[str], sha: str | None,
+    moments: PopulationMoments | None = None, **resolved: object,
 ) -> dict:
-    """Run manifest: every parsed option, overridden by the values the run resolved."""
+    """Run manifest: every parsed option, overridden by the values the run
+    resolved, and the moments its theory took, with their cvs."""
     parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     parameters.update(resolved)
+    if moments is not None:
+        parameters["moments"] = {k: getattr(moments, k) for k in (*_MOMENTS, "cv_y", "cv_x")}
     input_path = getattr(args, "input", None)
     return {
         "tool": "sysmean",
@@ -351,8 +355,11 @@ def _check_targets(args: argparse.Namespace) -> None:
             named[real] = option
 
 
-def _emit(args: argparse.Namespace, report: str, manifest: dict) -> None:
-    """Write the report to --out or stdout, then the manifest to its target."""
+def _emit(args: argparse.Namespace, report: str, manifest: dict, clock: _Stopwatch) -> None:
+    """End `clock`'s "render_s" lap and record its laps as the manifest's
+    timings; write the report to --out or stdout, then the manifest to its target."""
+    clock.lap("render_s")
+    manifest["timings"] = clock.laps
     target = _manifest_target(args)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8", newline="")
@@ -370,10 +377,11 @@ _identity = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 def _ingest(
-    args: argparse.Namespace, clock: _Stopwatch
-) -> tuple[FinitePopulation, SystematicDesign, str]:
-    """The input file's population, arranged by --sort-by, and its design with
-    --n, after checking its sha256; `clock` times the reading as "ingest_s".
+    args: argparse.Namespace, clock: _Stopwatch, factor: float | None
+) -> tuple[FinitePopulation, SystematicDesign, str, PopulationMoments]:
+    """The input file's population, arranged by --sort-by, its design with --n
+    and its moments, S2_y2 set to FACTOR * S2_y if a `factor` is given, after
+    checking its sha256; `clock` times the reading as "ingest_s".
 
     A regular file is hashed and parsed by its path, and refused if its stat
     identity changes in between.  Any other input, such as a pipe, is read
@@ -396,12 +404,19 @@ def _ingest(
     if args.sort_by:
         pop = sorted_by_auxiliary(pop, by=args.sort_by)
     clock.lap("ingest_s")
-    return pop, SystematicDesign(pop.N, args.n), sha
+    design = SystematicDesign(pop.N, args.n)
+    return pop, design, sha, _with_s2y2_factor(compute_moments(pop, design), factor)
 
 
 def _with_s2y2_factor(moments: PopulationMoments, factor: float | None) -> PopulationMoments:
     """Set the stratum mean square to FACTOR * S2_y, if a factor is given."""
     return moments if factor is None else dataclasses.replace(moments, s2_y2=factor * moments.s2_y)
+
+
+def _number(value: float, cell: str = "{:.6f}") -> str:
+    """`value` under the `f` cell template `cell`, or under its `e` twin at
+    magnitude 1e16 or more, where `repr` turns to exponent notation."""
+    return (cell if abs(value) < 1e16 else cell[:-2] + "e}").format(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -422,17 +437,13 @@ def _fixed_width(columns: list[Column], table: dict[str, list]) -> list[str]:
     A heading keeps its cell's alignment and width, not its precision and
     type.  A column whose template has a width is as wide as its widest cell,
     heading included.  Where two columns' cells would touch in some row, every
-    row gets one space between them.  An `f` cell shows a value of magnitude
-    1e16 or more, where `repr` turns to exponent notation, as `e` instead.
+    row gets one space between them.  An `f` cell shows its value by `_number`.
     """
     grid = []
     for c in columns:
         head = re.sub(r"(\.\d+)?[a-z]}", "}", c.cell).format(c.head)
-        if c.cell.endswith("f}"):
-            big = c.cell[:-2] + "e}"
-            cells = [head, *((c.cell if abs(v) < 1e16 else big).format(v) for v in table[c.key])]
-        else:
-            cells = [head, *map(c.cell.format, table[c.key])]
+        number = functools.partial(_number, cell=c.cell)
+        cells = [head, *map(number if c.cell.endswith("f}") else c.cell.format, table[c.key])]
         if re.search(r"{:[<>]?\d", c.cell):
             width = max(map(len, cells))
             pad = str.ljust if "{:<" in c.cell else str.rjust
@@ -501,8 +512,7 @@ def _render(fmt: str, payload: dict, csv: dict[str, list], text: list) -> str:
 
 def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
     clock = _Stopwatch()
-    pop, design, sha = _ingest(args, clock)
-    moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
+    pop, design, sha, moments = _ingest(args, clock, args.s2y2_factor)
     clock.lap("moments_s")
 
     payload = {
@@ -527,24 +537,20 @@ def cmd_params(args: argparse.Namespace, argv: list[str]) -> int:
         {"parameter": list(payload), "value": list(payload.values())},
         [f"{key:<{width}}  {value}" for key, value in payload.items()],
     )
-    clock.lap("render_s")
-
-    _emit(args, report, {**_manifest(args, argv, sha), "timings": clock.laps})
+    _emit(args, report, _manifest(args, argv, sha), clock)
     return 0
 
 
 def _moments_from_args(
     args: argparse.Namespace, clock: _Stopwatch
-) -> tuple[PopulationMoments, SystematicDesign, str | None]:
-    """Resolve (moments, design, input sha) from a file, whose reading `clock`
+) -> tuple[SystematicDesign, str | None, PopulationMoments]:
+    """Resolve (design, input sha, moments) from a file, whose reading `clock`
     times as "ingest_s", or from explicit scalars."""
     if args.input is not None:
         moment_options = _given(args, "pop_size", *_MOMENTS, "rho_w")
         _refuse(moment_options, "explicit moments, not to an input file")
-        pop, design, sha = _ingest(args, clock)
         factor = 0.75 if args.s2y2_factor is None else args.s2y2_factor
-        moments = _with_s2y2_factor(compute_moments(pop, design), factor)
-        return moments, design, sha
+        return _ingest(args, clock, factor)[1:]  # all but the population
 
     _refuse(_given(args, "expect_sha256", "sort_by"), "an input file, which this run lacks")
     # --rho-w stands in for --rho-y and --rho-x, and --s2-y2 may be left unset.
@@ -563,7 +569,7 @@ def _moments_from_args(
     if args.s2_y2 is not None and args.s2y2_factor is not None:
         raise ConfigurationError("--s2-y2 conflicts with --s2y2-factor")
     design = SystematicDesign(args.pop_size, args.n)
-    return _with_s2y2_factor(PopulationMoments(**values), args.s2y2_factor), design, None
+    return design, None, _with_s2y2_factor(PopulationMoments(**values), args.s2y2_factor)
 
 
 def _axis_cell(values: list[float]) -> str:
@@ -577,7 +583,7 @@ def _axis_cell(values: list[float]) -> str:
 
 def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     clock = _Stopwatch()
-    moments, design, sha = _moments_from_args(args, clock)
+    design, sha, moments = _moments_from_args(args, clock)
     clock.lap("moments_s")
     N, n = design.N, design.n
     params = _family_params(args)
@@ -610,16 +616,12 @@ def cmd_theory_table(args: argparse.Namespace, argv: list[str]) -> int:
     report = _render(
         args.format, payload, rows,
         [
-            f"N={N} n={n} k={design.k}  alpha_opt={alpha_opt:.6f}  "
-            f"K={constants.big_k:.6f}  rho_star={constants.rho_star:.6f}",
+            f"N={N} n={n} k={design.k}  alpha_opt={_number(alpha_opt)}  "
+            f"K={_number(constants.big_k)}  rho_star={_number(constants.rho_star)}",
             (columns, rows),
         ],
     )
-    clock.lap("render_s")
-
-    record = dict(dataclasses.asdict(moments), cv_y=moments.cv_y, cv_x=moments.cv_x)
-    manifest = _manifest(args, argv, sha, N=N, moments=record)
-    _emit(args, report, {**manifest, "timings": clock.laps})
+    _emit(args, report, _manifest(args, argv, sha, moments, N=N), clock)
     return 0
 
 
@@ -693,9 +695,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     clock = _Stopwatch()
     if args.tolerance_sigma < 0:
         raise ConfigurationError(f"--tolerance-sigma must be >= 0, got {args.tolerance_sigma}")
-    pop, design, sha = _ingest(args, clock)
-
-    moments = _with_s2y2_factor(compute_moments(pop, design), args.s2y2_factor)
+    pop, design, sha, moments = _ingest(args, clock, args.s2y2_factor)
     nr, w2_theory, moments = nonresponse_design(
         pop, moments, args.w2, args.ell, args.seed, StratumMode(args.stratum_mode)
     )
@@ -738,10 +738,10 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         [
             f"population sha256={report.population_sha256[:16]}...  "
             f"N={pop.N} n={design.n} k={design.k}",
-            f"true mean_y={report.true_mean_y:.6f}  replicates={report.replicates}  "
+            f"true mean_y={_number(report.true_mean_y)}  replicates={report.replicates}  "
             f"seed={report.master_seed}  exhaustive={args.exhaustive}",
             f"non-response: mode={args.stratum_mode} w2={args.w2} L={args.ell}"
-            + (f"  alpha={alpha:.6f}" if alpha is not None else ""),
+            + (f"  alpha={_number(alpha)}" if alpha is not None else ""),
             "",
             ([c for c in _SIM_COLUMNS if "results" in c.tables], table),
             "",
@@ -752,25 +752,24 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         ],
     )
 
-    clock.lap("render_s")
-
     # Run telemetry goes to the manifest only, so reports stay byte-identical.
-    manifest = _manifest(args, argv, sha, alpha=alpha)
-    manifest["timings"] = clock.laps
+    manifest = _manifest(args, argv, sha, moments, alpha=alpha)
     simulate_s = clock.laps["simulate_s"]
     manifest["replicates_per_s"] = cfg.replicates / simulate_s if simulate_s > 0 else None
-    _emit(args, text, manifest)
+    _emit(args, text, manifest, clock)
     return 0 if all_pass else 1
 
 
 def cmd_synthesize(args: argparse.Namespace, argv: list[str]) -> int:
+    clock = _Stopwatch()
     pop = synthetic_linear_population(
         args.units, rho_target=args.rho, seed=args.seed, x_low=args.x_low,
         x_high=args.x_high, slope=args.slope, intercept=args.intercept,
     )
+    clock.lap("synthesize_s")
     text = population_csv(pop)
     sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    _emit(args, text, _manifest(args, argv, None, output_sha256=sha))
+    _emit(args, text, _manifest(args, argv, None, output_sha256=sha), clock)
     return 0
 
 

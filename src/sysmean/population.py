@@ -295,6 +295,7 @@ def _deviation_sums(
     Σd²/(N-1) is `values.var(ddof=1)` bit for bit.  No sum goes through
     BLAS, whose rounding depends on the CPU kernel and the thread count.
     """
+    design.samples(values)  # refuses a column not N long before any arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         deviations = values - values.mean()
         sample_sums = np.add.reduce(design.samples(deviations), axis=1)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,6 +21,8 @@ from sysmean import (
     compute_moments,
     derived_constants,
     load_population,
+    nonresponse_design,
+    stratum_mean_square,
 )
 from sysmean import cli
 from sysmean.cli import build_parser, main
@@ -261,6 +264,13 @@ class TestTheoryTable:
         main(["theory-table", *FOREST_MOMENTS, "--w2-grid", grid, "--ell-grid", "2"])
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [row.split()[0] for row in rows] == printed
+
+    def test_header_numbers_of_1e16_or_more_print_in_exponent_notation(self, pop_csv, capsys):
+        # The header's numbers follow the table cells' rule, not a 300-digit `f`.
+        assert main(["theory-table", str(pop_csv), "--n", "12", "--b", "-1e300"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "  alpha_opt=-2.095857e+298  " in header
+        assert "  K=0.938327  rho_star=0.938696" in header
 
     def test_w2_zero_rows_do_not_depend_on_ell(self, capsys):
         main(["theory-table", *FOREST_MOMENTS, "--w2-grid", "0",
@@ -546,6 +556,16 @@ class TestSimulate:
                 classical_mse(kind, m, 12, 0.0, 1.0, c), rel=1e-14
             )
 
+    def test_a_true_mean_of_1e16_or_more_prints_as_its_column_does(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        main(["synthesize", "--units", "240", "--seed", "28", "--slope", "1e18",
+              "--intercept", "0", "--out", str(path)])
+        capsys.readouterr()
+        main(["simulate", str(path), "--n", "12", "--replicates", "50"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("true mean_y=4.173942e+19  replicates=50  ")
+        assert re.fullmatch(r"hh +\d\.\d{6}e\+19 .*", lines[5])
+
     def test_bernoulli_mode_runs(self, pop_csv, capsys):
         code = main([
             "simulate", str(pop_csv), "--n", "12", "--w2", "0.25", "--ell", "2",
@@ -783,6 +803,19 @@ class TestManifestAndRerun:
         assert moments["cv_y"] == math.sqrt(moments["s2_y"]) / abs(moments["mean_y"])
         assert moments["cv_x"] == math.sqrt(moments["s2_x"]) / abs(moments["mean_x"])
 
+    def test_simulate_manifest_records_the_moments_its_targets_took(self, pop_csv, tmp_path):
+        manifest_path = tmp_path / "sim.json"
+        main(["simulate", str(pop_csv), "--n", "12", "--w2", "0.25", "--ell", "2",
+              "--replicates", "20", "--seed", "3", "--manifest", str(manifest_path)])
+        recorded = json.loads(manifest_path.read_text())["parameters"]["moments"]
+        pop = load_population(pop_csv)
+        moments = compute_moments(pop, SystematicDesign(240, 12))
+        nr, _, _ = nonresponse_design(pop, moments, 0.25, 2.0, 3)
+        assert recorded == {
+            **dataclasses.asdict(moments), "cv_y": moments.cv_y, "cv_x": moments.cv_x,
+            "s2_y2": stratum_mean_square(pop, nr.stratum),
+        }
+
     @pytest.mark.parametrize(
         "argv, laps",
         [
@@ -792,8 +825,9 @@ class TestManifestAndRerun:
             (["theory-table", *FOREST_MOMENTS], ["moments_s", "render_s", "theory_s"]),
             (["simulate", "{pop}", "--n", "12", "--replicates", "50"],
              ["compare_s", "ingest_s", "moments_s", "render_s", "simulate_s"]),
+            (["synthesize", "--units", "24", "--out", "{pop}"], ["render_s", "synthesize_s"]),
         ],
-        ids=["params", "theory-table-file", "theory-table-moments", "simulate"],
+        ids=["params", "theory-table-file", "theory-table-moments", "simulate", "synthesize"],
     )
     def test_manifest_records_timings(self, pop_csv, tmp_path, capsys, argv, laps):
         manifest_path = tmp_path / "run.json"

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,15 @@ class TestSamples:
             refusal(lambda: run_simulation(pop, design, cfg)),
         }
         assert refusals == {(DesignError, "expected 24 values for design N=24, got (23,)")}
+
+    def test_an_empty_column_is_refused_before_any_arithmetic(self):
+        # The length is checked before the mean, so no "Mean of empty slice"
+        # warning comes first, and none stands in for the error under -W error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert refusal(lambda: intraclass_correlation([], SystematicDesign(24, 12))) == (
+                DesignError, "expected 24 values for design N=24, got (0,)"
+            )
 
 
 class TestDrawSample:

@@ -442,8 +442,8 @@ def _fixed_width(columns: list[Column], table: dict[str, list]) -> list[str]:
     grid = []
     for c in columns:
         head = re.sub(r"(\.\d+)?[a-z]}", "}", c.cell).format(c.head)
-        number = functools.partial(_number, cell=c.cell)
-        cells = [head, *map(number if c.cell.endswith("f}") else c.cell.format, table[c.key])]
+        text = functools.partial(_number, cell=c.cell) if c.cell.endswith("f}") else c.cell.format
+        cells = [head, *map(text, table[c.key])]
         if re.search(r"{:[<>]?\d", c.cell):
             width = max(map(len, cells))
             pad = str.ljust if "{:<" in c.cell else str.rjust
